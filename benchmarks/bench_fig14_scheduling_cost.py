@@ -1,14 +1,16 @@
 """Fig. 14 bench — time cost of scheduling optimization.
 
 Also checks the incremental evaluation engine's headline claim: the
-``hios-lp`` scheduler itself runs >= 2x faster than the retained
-reference implementation on the largest inception/nasnet workloads
-(same schedules bit for bit — see ``tests/core/test_fasteval.py``),
-and stays within the committed ``BENCH_scheduling_cost.json`` budget.
+``hios-lp`` scheduler itself runs >= 2x faster than on the from-scratch
+reference components of ``tests/oracles`` on the largest
+inception/nasnet workloads (same schedules bit for bit — see
+``tests/core/test_fasteval.py``), and stays within the committed
+``BENCH_scheduling_cost.json`` budget.
 """
 
 import json
 import pathlib
+import sys
 
 import pytest
 
@@ -17,6 +19,7 @@ from repro.experiments import EXPERIMENTS, default_config
 from repro.experiments.sched_cost_bench import measure
 
 BASELINE = pathlib.Path(RESULTS_DIR) / "BENCH_scheduling_cost.json"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize("model", ["inception", "nasnet"])
@@ -31,7 +34,10 @@ def test_fig14(benchmark, record_series, model):
 
 
 def test_scheduling_speedup_vs_baseline(benchmark, capsys):
-    current = run_once(benchmark, measure)
+    sys.path.insert(0, str(ROOT))
+    from tests.oracles import reference_components
+
+    current = run_once(benchmark, measure, reference=reference_components)
     baseline = json.loads(BASELINE.read_text())
     scale = current["calibration_s"] / baseline["calibration_s"]
     with capsys.disabled():

@@ -10,7 +10,10 @@ committed baseline ``benchmarks/results/BENCH_scheduling_cost.json``:
   over the baseline;
 * FAIL if the fast/reference speedup on any workload drops below
   ``--min-speedup`` (default 3x) — this check needs no normalization,
-  both modes run on the measuring machine;
+  both legs run on the measuring machine.  The reference leg runs the
+  same scheduler on the from-scratch components of ``tests/oracles``
+  (``reference_components()``), so the repository root goes on
+  ``sys.path``;
 * FAIL if replaying a schedule from the persistent schedule cache
   (``repro.schedcache/v1``) is not at least ``--min-cache-speedup``
   cheaper than computing it, or does not reproduce the schedule and
@@ -33,6 +36,7 @@ from repro.experiments.sched_cost_bench import measure
 from repro.sweep import ScheduleCache, cached_schedule
 
 BASELINE = pathlib.Path("benchmarks/results/BENCH_scheduling_cost.json")
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def check_schedule_cache(min_speedup: float) -> list[str]:
@@ -80,7 +84,10 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--repeats", type=int, default=5)
     args = ap.parse_args(argv)
 
-    current = measure(repeats=args.repeats)
+    sys.path.insert(0, str(ROOT))
+    from tests.oracles import reference_components
+
+    current = measure(repeats=args.repeats, reference=reference_components)
     if args.write_baseline:
         args.baseline.write_text(json.dumps(current, indent=2) + "\n")
         print(f"baseline written to {args.baseline}")

@@ -143,12 +143,6 @@ def build_parser() -> argparse.ArgumentParser:
         "incremental-engine evaluation counters",
     )
     sched.add_argument(
-        "--reference-eval",
-        action="store_true",
-        help="run the retained from-scratch evaluation loops instead of "
-        "the incremental engine (same schedule, for A/B timing)",
-    )
-    sched.add_argument(
         "--trace-out", default=None, metavar="PATH",
         help="export the engine trace as Chrome/Perfetto trace_event "
         "JSON (open in ui.perfetto.dev or chrome://tracing)",
@@ -475,8 +469,6 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
     kwargs: dict[str, object] = (
         {"window": args.window} if args.algorithm in ("hios-lp", "hios-mr") else {}
     )
-    if args.reference_eval and args.algorithm != "sequential":
-        kwargs["fast"] = False  # sequential has no evaluation loop to swap
 
     def run_scheduler():  # -> ScheduleResult
         if args.sched_cache:

@@ -18,14 +18,11 @@ is the analytic objective the schedulers optimize; the discrete-event
 engine in :mod:`repro.substrate.engine` provides the "real system"
 measurement with launch overheads and eager starts.
 
-:func:`evaluate_schedule` is the *reference* (full-reconstruction)
-implementation; Alg. 2's window sweep defaults to the bit-identical
-delta version in :class:`repro.core.fasteval.StageGraphEvaluator`,
-which builds the stage graph once per schedule and contracts merged
-stages onto a representative node per candidate.  The differential
-tests in ``tests/core/test_fasteval.py`` hold the two to exact float
-equality — any change to the timing semantics here must be mirrored
-there.
+Both entry points are views over the one stage DP,
+:class:`repro.core.fasteval.StageGraphEvaluator`, which the Alg. 2
+window sweep also prices its candidates with.  The differential tests
+in ``tests/core/test_fasteval.py`` hold it to exact float equality with
+the from-scratch reference in ``tests/oracles``.
 """
 
 from __future__ import annotations
@@ -33,8 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..costmodel.profile import CostProfile
-from .graph import OpGraph
-from .schedule import Schedule, ScheduleError, Stage
+from .fasteval import StageGraphEvaluator, soa_latency
+from .schedule import Schedule, Stage
 
 __all__ = ["StageTiming", "EvaluationResult", "evaluate_schedule", "evaluate_latency"]
 
@@ -84,98 +81,10 @@ def evaluate_schedule(
     is infeasible (missing operators, dependent operators sharing a
     stage, or a cyclic stage graph).
     """
-    graph: OpGraph = profile.graph
     if validate:
-        schedule.validate(graph)
-    blocking = profile.send_blocking
-
+        schedule.validate(profile.graph)
+    latency, start, finish = StageGraphEvaluator(profile, schedule).timings()
     stages = schedule.all_stages()
-    n = len(stages)
-    op_stage: dict[str, int] = {}
-    for idx, st in enumerate(stages):
-        for op in st.ops:
-            op_stage[op] = idx
-
-    # Per stage: chain successor (next stage on the same GPU), local
-    # data successors (gap 0), and remote data edges with their
-    # transfer times.  Remote edges are ordered deterministically —
-    # the order the sender's MPI process issues its blocking sends.
-    chain_next: list[int | None] = [None] * n
-    indices_by_gpu: dict[int, list[int]] = {}
-    for idx, st in enumerate(stages):
-        indices_by_gpu.setdefault(st.gpu, []).append(idx)
-    for chain in indices_by_gpu.values():
-        for a, b in zip(chain, chain[1:]):
-            chain_next[a] = b
-    local_succ: list[set[int]] = [set() for _ in range(n)]
-    remote_edges: list[list[tuple[float, int, str, str]]] = [[] for _ in range(n)]
-    for u, v, w in graph.edges():
-        su, sv = op_stage[u], op_stage[v]
-        if su == sv:
-            raise ScheduleError(f"dependent operators {u!r} -> {v!r} share a stage")
-        if stages[su].gpu == stages[sv].gpu:
-            local_succ[su].add(sv)
-        else:
-            remote_edges[su].append((w, sv, u, v))
-    for lst in remote_edges:
-        # deterministic send order: producer then consumer name — the
-        # same order the list scheduler issues blocking sends in
-        lst.sort(key=lambda e: (e[2], e[3]))
-
-    # in-degrees over all constraint kinds
-    indeg = [0] * n
-    for s in range(n):
-        targets = set(local_succ[s])
-        targets.update(sv for _, sv, _, _ in remote_edges[s])
-        if chain_next[s] is not None:
-            targets.add(chain_next[s])
-        for t in targets:
-            indeg[t] += 1
-    succ_sets = [
-        set(local_succ[s])
-        | {sv for _, sv, _, _ in remote_edges[s]}
-        | ({chain_next[s]} if chain_next[s] is not None else set())
-        for s in range(n)
-    ]
-
-    duration = [profile.stage_time(st.ops, gpu=st.gpu) for st in stages]
-    start = [0.0] * n
-    finish = [0.0] * n
-    ready = [i for i, d in enumerate(indeg) if d == 0]
-    done = 0
-    latency = 0.0
-    while ready:
-        s = ready.pop()
-        done += 1
-        fin = start[s] + duration[s]
-        finish[s] = fin
-        relax: dict[int, float] = {}
-        if blocking:
-            cursor = fin
-            for w, sv, _u, _v in remote_edges[s]:
-                cursor += w
-                relax[sv] = max(relax.get(sv, 0.0), cursor)
-            comm_done = cursor
-        else:
-            for w, sv, _u, _v in remote_edges[s]:
-                relax[sv] = max(relax.get(sv, 0.0), fin + w)
-            comm_done = fin
-        for sv in local_succ[s]:
-            relax[sv] = max(relax.get(sv, 0.0), fin)
-        nxt = chain_next[s]
-        if nxt is not None:
-            relax[nxt] = max(relax.get(nxt, 0.0), comm_done)
-        latency = max(latency, fin, comm_done)
-        for t in succ_sets[s]:
-            gap_start = relax.get(t, 0.0)
-            if gap_start > start[t]:
-                start[t] = gap_start
-            indeg[t] -= 1
-            if indeg[t] == 0:
-                ready.append(t)
-    if done != n:
-        raise ScheduleError("stage graph contains a cycle")
-
     timings = tuple(
         StageTiming(stage=st, start=start[i], finish=finish[i])
         for i, st in enumerate(stages)
@@ -187,8 +96,5 @@ def evaluate_schedule(
     )
 
 
-def evaluate_latency(
-    profile: CostProfile, schedule: Schedule, validate: bool = False
-) -> float:
-    """Latency-only fast path used inside scheduler inner loops."""
-    return evaluate_schedule(profile, schedule, validate=validate).latency
+#: Latency only, for callers that need no per-stage timing.
+evaluate_latency = soa_latency

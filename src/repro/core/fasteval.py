@@ -2,12 +2,10 @@
 
 The HIOS schedulers are *evaluation-bound*: almost all of their time is
 spent pricing candidate schedules that differ from an already-priced
-schedule in one small, known way.  The reference implementations
-(:func:`repro.core.list_schedule.list_schedule_latency` and
-:func:`repro.core.evaluator.evaluate_schedule`) re-simulate the entire
-schedule from scratch for every candidate; this module exploits the
-known delta instead — the engineering discipline IOS (Ding et al.,
-MLSys'21) applies to its DP states, applied to our three inner loops:
+schedule in one small, known way.  Instead of re-simulating the entire
+schedule for every candidate, this module exploits the known delta —
+the engineering discipline IOS (Ding et al., MLSys'21) applies to its
+DP states, applied to our three inner loops:
 
 :class:`PrefixReplayer`
     Incremental list scheduling.  Across the ``M`` GPU candidates for
@@ -31,31 +29,26 @@ MLSys'21) applies to its DP states, applied to our three inner loops:
     The evaluator builds those structures once per schedule and prices
     each candidate by running the forward stage DP with a small
     *window-merge delta* (a representative-node remap of the merged
-    stages) instead of reconstructing the stage graph per candidate as
-    ``evaluate_schedule`` does.
+    stages) instead of reconstructing the stage graph per candidate.
 
-    Internally the evaluator stores the stage graph in a
-    **struct-of-arrays layout** (DESIGN.md §14): numpy arrays hold the
-    stage durations, the per-GPU sequential chains and the flattened
-    CSR edge lists (local targets, remote targets + transfer costs,
-    per-source deduplicated successor sets), and the forward DP is a
-    topological sweep over int-indexed arrays — no per-stage dicts,
-    sets or string keys in the inner loop.  A window candidate adjusts
-    the committed in-degree array incrementally around the merged
-    members instead of re-deriving it from every edge.
+    Internally the evaluator stores the stage graph as flat int-indexed
+    lists (DESIGN.md §14): stage durations, the per-GPU sequential
+    chains and CSR edge lists (local targets, remote targets + transfer
+    costs, per-source deduplicated successor sets), and the forward DP
+    is a topological sweep over them — no per-stage dicts, sets or
+    string keys in the inner loop.  A window candidate adjusts the
+    committed in-degrees incrementally around the merged members
+    instead of re-deriving them from every edge.
 
 :func:`soa_latency`
-    One-shot SoA evaluation of a committed schedule — the same floats
-    as :func:`repro.core.evaluator.evaluate_schedule`, produced by the
-    array sweep (used by the schedulers' final evaluations when
-    ``fast=True``).
+    One-shot evaluation of a committed schedule — the latency the
+    schedulers' final evaluations report, and the body of
+    :func:`repro.core.evaluator.evaluate_latency`.
 
-All paths are differentially tested bit-identical — latencies *and*
-schedules — against the retained reference implementations
-(``tests/core/test_fasteval.py``); the schedulers expose
-``fast=False`` to fall back to the references at runtime.
-:class:`EvalCounters` makes the win observable through
-``ScheduleResult.stats``.
+All three are differentially tested bit-identical — latencies *and*
+schedules — against the from-scratch references in ``tests/oracles``
+(``tests/core/test_fasteval.py``).  :class:`EvalCounters` makes the
+win observable through ``ScheduleResult.stats``.
 """
 
 from __future__ import annotations
@@ -63,11 +56,9 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..costmodel.profile import CostProfile
 from .graph import OpGraph
-from .schedule import Schedule, ScheduleError, Stage
+from .schedule import Schedule, ScheduleError
 
 __all__ = ["EvalCounters", "PrefixReplayer", "StageGraphEvaluator", "soa_latency"]
 
@@ -114,10 +105,9 @@ class EvalCounters:
 class PrefixReplayer:
     """Prefix-state snapshotting for the temporal list scheduler.
 
-    Semantically equivalent to calling
-    :func:`~repro.core.list_schedule.list_schedule_latency` per
-    candidate; bit-identical because the simulation below performs the
-    exact float operations of the reference, in the same order.
+    Semantically equivalent to list-scheduling the whole order per
+    candidate; bit-identical to that from-scratch simulation because the
+    loop below performs its exact float operations, in the same order.
 
     Usage::
 
@@ -229,10 +219,9 @@ class PrefixReplayer:
         gpu_free: list[float],
         latency: float,
     ) -> float:
-        """Exact mirror of ``list_schedule_latency``'s inner loop over
-        ``order[start:stop]``, mutating the carried state in place.
-        Performs the reference's float operations in the reference's
-        order — only the indexing is lowered to ints."""
+        """List-schedule ``order[start:stop]``, mutating the carried
+        state in place.  Performs the from-scratch simulation's float
+        operations in its order — only the indexing is lowered to ints."""
         blocking = self._blocking
         speeds = self._speeds
         pptr = self._pptr
@@ -359,15 +348,14 @@ class StageGraphEvaluator:
 
     Builds the stage graph — operator-to-stage map, per-stage chain /
     local / remote edge lists with the deterministic ``(producer,
-    consumer)`` send order, and stage durations — once per schedule in
-    a struct-of-arrays layout, then prices each window candidate with
-    :meth:`try_merge` by running the int-indexed forward DP under a
-    merge delta.  Produces exactly the floats of
-    :func:`repro.core.evaluator.evaluate_schedule`: every start time is
-    a pure max-merge over its incoming constraints and every send
-    cursor accumulates in the same deterministic ``(producer,
-    consumer)`` order, so the sweep's processing order cannot change a
-    single bit.
+    consumer)`` send order, and stage durations — once per schedule as
+    flat int-indexed lists, then prices each window candidate with
+    :meth:`try_merge` by running the forward DP under a merge delta.
+    Every start time is a pure max-merge over its incoming constraints
+    and every send cursor accumulates in the same deterministic
+    ``(producer, consumer)`` order, so the sweep's processing order
+    cannot change a single bit: the floats are those of rebuilding the
+    (merged) stage graph from scratch.
     """
 
     def __init__(
@@ -381,7 +369,6 @@ class StageGraphEvaluator:
         self._blocking = profile.send_blocking
         graph: OpGraph = profile.graph
         stages = schedule.all_stages()
-        self._stages = stages
         n = len(stages)
         self._n = n
 
@@ -394,11 +381,12 @@ class StageGraphEvaluator:
         for idx, st in enumerate(stages):
             by_gpu.setdefault(st.gpu, []).append(idx)
         self._by_gpu = by_gpu
-        chain_next: list[int | None] = [None] * n
-        for chain in by_gpu.values():
-            for a, b in zip(chain, chain[1:]):
-                chain_next[a] = b
-        self._chain_next = chain_next
+        # per-GPU chain successor, -1 at the end of a chain
+        chain = [-1] * n
+        for ids in by_gpu.values():
+            for a, b in zip(ids, ids[1:]):
+                chain[a] = b
+        self._chain = chain
 
         local_sets: list[set[int]] = [set() for _ in range(n)]
         remote_lists: list[list[tuple[float, int, str, str]]] = [[] for _ in range(n)]
@@ -420,37 +408,14 @@ class StageGraphEvaluator:
             tuple(lst) for lst in remote_lists
         ]
 
-        # per-source dedup'd target list (all constraint kinds) and the
-        # reverse map used to find sources with an edge into a window
-        succ_unique: list[tuple[int, ...]] = []
-        rev_sources: list[set[int]] = [set() for _ in range(n)]
-        for s in range(n):
-            targets = set(local_sets[s])
-            targets.update(sv for _w, sv, _u, _v in remote_lists[s])
-            nxt = chain_next[s]
-            if nxt is not None:
-                targets.add(nxt)
-            succ_unique.append(tuple(targets))
-            for t in targets:
-                rev_sources[t].add(s)
-        self._succ_unique = succ_unique
-        self._rev_sources: list[tuple[int, ...]] = [tuple(s) for s in rev_sources]
-
         self._duration: list[float] = [
             profile.stage_time(st.ops, gpu=st.gpu) for st in stages
         ]
 
-        # ---- struct-of-arrays layout (DESIGN.md §14) -----------------
-        # Canonical numpy arrays: stage times, per-GPU chain successor
-        # (-1 = end of chain), flattened CSR edge lists, committed
-        # in-degrees.  The DP sweeps int-indexed Python lists derived
-        # from them once here — scalar indexing into lists is what the
-        # tight Kahn loop wants, while the arrays give bulk copies and
-        # a compact, introspectable layout.
-        self._dur_arr = np.asarray(self._duration, dtype=np.float64)
-        self._chain_arr = np.asarray(
-            [c if c is not None else -1 for c in chain_next], dtype=np.int64
-        )
+        # Flat CSR edge lists (DESIGN.md §14): remote targets + transfer
+        # costs, local targets, and the per-source deduplicated target
+        # set over all constraint kinds, which drives the in-degrees.
+        # ``rev_sources`` finds the sources with an edge into a window.
         rptr = [0]
         rdst: list[int] = []
         rw: list[float] = []
@@ -458,6 +423,7 @@ class StageGraphEvaluator:
         ldst: list[int] = []
         sptr = [0]
         sdst: list[int] = []
+        rev_sources: list[set[int]] = [set() for _ in range(n)]
         for s in range(n):
             for w, sv, _u, _v in self._remote[s]:
                 rw.append(w)
@@ -465,31 +431,26 @@ class StageGraphEvaluator:
             rptr.append(len(rdst))
             ldst.extend(self._local[s])
             lptr.append(len(ldst))
-            sdst.extend(succ_unique[s])
+            targets = set(local_sets[s])
+            targets.update(sv for _w, sv, _u, _v in remote_lists[s])
+            if chain[s] >= 0:
+                targets.add(chain[s])
+            sdst.extend(targets)
             sptr.append(len(sdst))
-        self._rw_arr = np.asarray(rw, dtype=np.float64)
-        self._rdst_arr = np.asarray(rdst, dtype=np.int64)
-        self._rptr_arr = np.asarray(rptr, dtype=np.int64)
-        self._ldst_arr = np.asarray(ldst, dtype=np.int64)
-        self._lptr_arr = np.asarray(lptr, dtype=np.int64)
-        self._sdst_arr = np.asarray(sdst, dtype=np.int64)
-        self._sptr_arr = np.asarray(sptr, dtype=np.int64)
-        indeg0 = np.zeros(n, dtype=np.int64)
-        if sdst:
-            np.add.at(indeg0, self._sdst_arr, 1)
-        self._indeg0_arr = indeg0
-
-        # list mirrors for the scalar sweep
-        self._dur_l: list[float] = self._dur_arr.tolist()
-        self._chain_l: list[int] = self._chain_arr.tolist()
-        self._rw_l: list[float] = self._rw_arr.tolist()
-        self._rdst_l: list[int] = self._rdst_arr.tolist()
-        self._rptr_l: list[int] = self._rptr_arr.tolist()
-        self._ldst_l: list[int] = self._ldst_arr.tolist()
-        self._lptr_l: list[int] = self._lptr_arr.tolist()
-        self._sdst_l: list[int] = self._sdst_arr.tolist()
-        self._sptr_l: list[int] = self._sptr_arr.tolist()
-        self._indeg0_l: list[int] = self._indeg0_arr.tolist()
+            for t in targets:
+                rev_sources[t].add(s)
+        indeg0 = [0] * n
+        for t in sdst:
+            indeg0[t] += 1
+        self._rw = rw
+        self._rdst = rdst
+        self._rptr = rptr
+        self._ldst = ldst
+        self._lptr = lptr
+        self._sdst = sdst
+        self._sptr = sptr
+        self._indeg0 = indeg0
+        self._rev_sources: list[tuple[int, ...]] = [tuple(s) for s in rev_sources]
         self._identity: list[int] = list(range(n))
 
     # ------------------------------------------------------------------
@@ -498,11 +459,20 @@ class StageGraphEvaluator:
 
         Raises :class:`ScheduleError` when the stage graph is cyclic.
         """
+        return self.timings()[0]
+
+    def timings(self) -> tuple[float, list[float], list[float]]:
+        """Latency plus per-stage start and finish times of the committed
+        schedule, stages in ``schedule.all_stages()`` order.
+
+        Raises :class:`ScheduleError` when the stage graph is cyclic.
+        """
         self.counters.evals += 1
-        latency = self._run_dp(None)
-        if latency is None:
+        out = self._run_dp(None)
+        if out is None:
             raise ScheduleError("stage graph contains a cycle")
-        return latency
+        latency, start = out
+        return latency, start, [t + d for t, d in zip(start, self._duration)]
 
     def try_merge(self, gpu: int, pos: int, p: int, group: tuple[str, ...]) -> float | None:
         """Latency of the candidate merging the ``p + 1`` consecutive
@@ -515,34 +485,36 @@ class StageGraphEvaluator:
         """
         members = self._by_gpu[gpu][pos : pos + p + 1]
         self.counters.window_delta_evals += 1
-        return self._run_dp((members, group, gpu))
+        out = self._run_dp((members, group, gpu))
+        return None if out is None else out[0]
 
     # ------------------------------------------------------------------
     def _run_dp(
         self, merge: tuple[list[int], tuple[str, ...], int] | None
-    ) -> float | None:
-        """Forward stage DP over the struct-of-arrays layout, optionally
-        under a window-merge delta.
+    ) -> tuple[float, list[float]] | None:
+        """Forward stage DP over the flat lists, optionally under a
+        window-merge delta; returns the latency and the per-stage start
+        times, or ``None`` when the stage graph is cyclic.
 
         The merged stages are contracted onto a representative node
         (the first member); edge targets are remapped through an int
-        array at use, which is exactly the stage graph
-        ``evaluate_schedule`` would rebuild for the candidate.  Start
-        times are pure max-merges and per-source send cursors accumulate
-        in the committed sorted order, so the values are independent of
-        the sweep's processing order — bit-identical to the reference.
+        array at use, which is exactly the stage graph a from-scratch
+        rebuild of the candidate would produce.  Start times are pure
+        max-merges and per-source send cursors accumulate in the
+        committed sorted order, so the values are independent of the
+        sweep's processing order — bit-identical to that rebuild.
         """
         n = self._n
         blocking = self._blocking
-        dur = self._dur_l
-        chain = self._chain_l
-        rw = self._rw_l
-        rdst = self._rdst_l
-        rptr = self._rptr_l
-        ldst = self._ldst_l
-        lptr = self._lptr_l
-        sdst = self._sdst_l
-        sptr = self._sptr_l
+        dur = self._duration
+        chain = self._chain
+        rw = self._rw
+        rdst = self._rdst
+        rptr = self._rptr
+        ldst = self._ldst
+        lptr = self._lptr
+        sdst = self._sdst
+        sptr = self._sptr
         self.counters.soa_evals += 1
 
         rep = -1
@@ -554,7 +526,7 @@ class StageGraphEvaluator:
         merged_chain = -1
         override_targets: dict[int, tuple[int, ...]] = {}
         active = n
-        indeg = list(self._indeg0_l)
+        indeg = list(self._indeg0)
         if merge is not None:
             members, group, gpu = merge
             rep = members[0]
@@ -689,12 +661,7 @@ class StageGraphEvaluator:
                         ready.append(t)
         if done != active:
             return None  # cyclic stage graph
-        return latency
-
-    # ------------------------------------------------------------------
-    def stages_on(self, gpu: int) -> list[Stage]:
-        """Committed stage list of one GPU (parallelize's sweep view)."""
-        return [self._stages[i] for i in self._by_gpu.get(gpu, [])]
+        return latency, start
 
 
 def soa_latency(
@@ -703,14 +670,11 @@ def soa_latency(
     validate: bool = False,
     counters: EvalCounters | None = None,
 ) -> float:
-    """One-shot latency of ``schedule`` via the struct-of-arrays sweep.
+    """One-shot latency of ``schedule`` via the stage DP.
 
-    Bit-identical to
-    ``evaluate_schedule(profile, schedule, validate).latency`` — the
-    schedulers' final evaluations route here when ``fast=True`` and
-    fall back to the reference under ``fast=False``.  Raises
-    :class:`ScheduleError` on an infeasible schedule exactly like the
-    reference.
+    The schedulers' final evaluations route here.  Raises
+    :class:`ScheduleError` on an infeasible schedule: dependent
+    operators sharing a stage or a cyclic stage graph.
     """
     if validate:
         schedule.validate(profile.graph)

@@ -12,11 +12,9 @@ After the spatial mapping, the sliding-window pass of Alg. 2
 (:func:`repro.core.intra_gpu.parallelize`) regroups small co-located
 operators into concurrent stages.
 
-Both passes run on the incremental engine of :mod:`repro.core.fasteval`
-by default (prefix-replay across the ``M`` GPU candidates of one path;
-stage-graph deltas across window candidates); ``fast=False`` falls back
-to the from-scratch reference loops.  Both paths are differentially
-tested bit-identical.
+Both passes run on the incremental engine of :mod:`repro.core.fasteval`:
+prefix-replay across the ``M`` GPU candidates of one path, stage-graph
+deltas across window candidates.
 """
 
 from __future__ import annotations
@@ -27,12 +25,10 @@ from typing import Any, MutableMapping, cast
 from ..costmodel.profile import CostProfile
 from ..obs import declog
 from .debuglint import debug_lint_schedule
-from .evaluator import evaluate_latency
 from .fasteval import EvalCounters, PrefixReplayer, soa_latency
-from .fastpath import LongestPathEngine
 from .intra_gpu import parallelize
-from .list_schedule import build_singleton_schedule, list_schedule_latency
-from .longest_path import longest_valid_path
+from .list_schedule import build_singleton_schedule
+from .longest_path import LongestPathEngine
 from .priority import priority_order
 from .result import ScheduleResult
 from .schedule import Schedule
@@ -42,7 +38,6 @@ __all__ = ["cached_spatial_lp", "schedule_hios_lp", "schedule_inter_gpu_lp"]
 
 def _lp_spatial_mapping(
     profile: CostProfile,
-    fast: bool = True,
     counters: EvalCounters | None = None,
 ) -> tuple[dict[str, int], list[str], int]:
     """Run the iterative longest-path mapping; returns (assignment,
@@ -53,26 +48,18 @@ def _lp_spatial_mapping(
     unscheduled = set(graph.names)
     assignment: dict[str, int] = {}
     paths = 0
-    replayer = (
-        PrefixReplayer(
-            graph,
-            num_gpus,
-            send_blocking=profile.send_blocking,
-            gpu_speeds=profile.gpu_speeds,
-            counters=counters,
-        )
-        if fast
-        else None
+    replayer = PrefixReplayer(
+        graph,
+        num_gpus,
+        send_blocking=profile.send_blocking,
+        gpu_speeds=profile.gpu_speeds,
+        counters=counters,
     )
-    path_engine = LongestPathEngine(graph) if fast else None
+    path_engine = LongestPathEngine(graph)
 
     log = declog.active()
     while unscheduled:
-        path = (
-            path_engine.longest_valid_path(unscheduled)
-            if path_engine is not None
-            else longest_valid_path(graph, unscheduled)
-        )
+        path = path_engine.longest_valid_path(unscheduled)
         unscheduled.difference_update(path.vertices)
         paths += 1
 
@@ -94,28 +81,17 @@ def _lp_spatial_mapping(
             continue
 
         scheduled_order = [v for v in order if v in assignment or v in path.vertices]
-        if replayer is not None:
-            # The prefix before the first operator whose processing
-            # reads this path's assignment is candidate-invariant:
-            # simulate it once, replay only the suffix per GPU.
-            replayer.snapshot(scheduled_order, assignment, path.vertices)
+        # The prefix before the first operator whose processing reads
+        # this path's assignment is candidate-invariant: simulate it
+        # once, replay only the suffix per GPU.
+        replayer.snapshot(scheduled_order, assignment, path.vertices)
         best_gpu = 0
         best_latency = float("inf")
         candidates: dict[int, float] = {}
         for gpu in range(num_gpus):
             for v in path:
                 assignment[v] = gpu
-            if replayer is not None:
-                latency = replayer.replay(assignment)
-            else:
-                latency = list_schedule_latency(
-                    graph,
-                    assignment,
-                    scheduled_order,
-                    num_gpus,
-                    send_blocking=profile.send_blocking,
-                    gpu_speeds=profile.gpu_speeds,
-                )
+            latency = replayer.replay(assignment)
             candidates[gpu] = latency
             if latency < best_latency:
                 best_latency = latency
@@ -137,7 +113,6 @@ def _lp_spatial_mapping(
 
 def cached_spatial_lp(
     profile: CostProfile,
-    fast: bool = True,
     counters: EvalCounters | None = None,
     spatial_cache: MutableMapping[str, Any] | None = None,
 ) -> tuple[dict[str, int], list[str], int]:
@@ -159,7 +134,7 @@ def cached_spatial_lp(
                 "tuple[dict[str, int], list[str], int]", hit
             )
             return dict(assignment), list(order), paths
-    assignment, order, paths = _lp_spatial_mapping(profile, fast=fast, counters=counters)
+    assignment, order, paths = _lp_spatial_mapping(profile, counters=counters)
     if spatial_cache is not None:
         spatial_cache["lp"] = (dict(assignment), list(order), paths)
     return assignment, order, paths
@@ -169,15 +144,12 @@ def schedule_hios_lp(
     profile: CostProfile,
     window: int = 3,
     intra_gpu: bool = True,
-    fast: bool = True,
     spatial_cache: MutableMapping[str, Any] | None = None,
 ) -> ScheduleResult:
     """Full HIOS-LP: LP-based inter-GPU mapping + Alg. 2 regrouping.
 
     Set ``intra_gpu=False`` for the paper's "inter-GPU w/ LP" ablation
-    (spatial mapping with sequential per-GPU execution).  ``fast=False``
-    runs the retained reference inner loops instead of the incremental
-    engine (same schedules and latencies, bit for bit).
+    (spatial mapping with sequential per-GPU execution).
     ``spatial_cache`` shares the window-independent Alg. 1 phase across
     calls on the same profile (see :func:`cached_spatial_lp`).
     """
@@ -185,15 +157,11 @@ def schedule_hios_lp(
     cache_hits0 = profile.stage_time_cache_hits
     counters = EvalCounters()
     assignment, order, paths = cached_spatial_lp(
-        profile, fast=fast, counters=counters, spatial_cache=spatial_cache
+        profile, counters=counters, spatial_cache=spatial_cache
     )
     t_spatial = time.perf_counter() - t0
     schedule: Schedule = build_singleton_schedule(assignment, order, profile.num_gpus)
-    latency = (
-        soa_latency(profile, schedule, validate=True, counters=counters)
-        if fast
-        else evaluate_latency(profile, schedule, validate=True)
-    )
+    latency = soa_latency(profile, schedule, validate=True, counters=counters)
     stats: dict[str, object] = {"paths": paths, "inter_gpu_latency": latency}
     phase_times: dict[str, float] = {"spatial_mapping": t_spatial}
 
@@ -205,7 +173,6 @@ def schedule_hios_lp(
             window=window,
             priority=order,
             validate=False,  # singleton schedule was validated just above
-            fast=fast,
             counters=counters,
         )
         phase_times["intra_gpu"] = time.perf_counter() - t1
@@ -232,10 +199,7 @@ def schedule_hios_lp(
 
 def schedule_inter_gpu_lp(
     profile: CostProfile,
-    fast: bool = True,
     spatial_cache: MutableMapping[str, Any] | None = None,
 ) -> ScheduleResult:
     """The "inter-GPU w/ LP" comparison point (no Alg. 2 pass)."""
-    return schedule_hios_lp(
-        profile, intra_gpu=False, fast=fast, spatial_cache=spatial_cache
-    )
+    return schedule_hios_lp(profile, intra_gpu=False, spatial_cache=spatial_cache)

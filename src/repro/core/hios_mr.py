@@ -25,7 +25,6 @@ import numpy as np
 
 from ..costmodel.profile import CostProfile
 from .debuglint import debug_lint_schedule
-from .evaluator import evaluate_latency
 from .fasteval import EvalCounters, soa_latency
 from .intra_gpu import parallelize
 from .list_schedule import build_singleton_schedule
@@ -37,7 +36,7 @@ __all__ = ["cached_spatial_mr", "schedule_hios_mr", "schedule_inter_gpu_mr"]
 _INF = float("inf")
 
 
-def _mr_fill_reference(
+def _mr_fill(
     profile: CostProfile,
     order: list[str],
     index: dict[str, int],
@@ -45,75 +44,23 @@ def _mr_fill_reference(
     t_tab: list[list[float]],
     g_tab: list[list[int]],
 ) -> None:
-    """Reference Alg. 3 fill: reconstruct every recorded schedule from
-    scratch by walking the full ``g`` pointer chain per (i, k) cell."""
-    graph = profile.graph
-    M = profile.num_gpus
-    n = len(order)
-    for i in range(1, n):
-        v = order[i]
-        cost_v = graph.cost(v)
-        preds = [u for u in graph.predecessors(v) if index[u] < i]
-        # the min(M, i) symmetry pruning assumes interchangeable GPUs;
-        # with heterogeneous speeds every GPU is distinct
-        num_j = M if profile.heterogeneous else min(M, i + 1)
-        num_k = M if profile.heterogeneous else min(M, i)
-        for k in range(num_k):
-            if t_tab[i - 1][k] == _INF:
-                continue
-            # Reconstruct the recorded schedule ending with v_{i-1} on
-            # GPU k: finish time and GPU of every earlier operator.
-            finish: dict[str, float] = {}
-            gpu_of: dict[str, int] = {}
-            free = [0.0] * M
-            m = k
-            for l in range(i - 1, -1, -1):
-                u = order[l]
-                fin = t_tab[l][m]
-                finish[u] = fin
-                gpu_of[u] = m
-                if fin > free[m]:
-                    free[m] = fin
-                m = g_tab[l][m]
-            for j in range(num_j):
-                ready = free[j]
-                for u in preds:
-                    dep = finish[u]
-                    if gpu_of[u] != j:
-                        dep += graph.transfer(u, v)
-                    if dep > ready:
-                        ready = dep
-                cand = ready + cost_v / speeds[j]
-                if cand < t_tab[i][j]:
-                    t_tab[i][j] = cand
-                    g_tab[i][j] = k
+    """Vectorized Alg. 3 fill of the ``(t, g)`` table, rows ``1 .. n-1``.
 
-
-def _mr_fill_fast(
-    profile: CostProfile,
-    order: list[str],
-    index: dict[str, int],
-    speeds: list[float],
-    t_tab: list[list[float]],
-    g_tab: list[list[int]],
-) -> None:
-    """Vectorized Alg. 3 fill, bit-identical to the reference.
-
-    Each row is computed as one ``(k, j)`` numpy block instead of the
-    reference's per-cell chain reconstruction: the per-GPU free arrays
-    of all ``M`` recorded states ride along as an ``(M, M)`` matrix,
-    the ``g``-pointer chain walk down to the deepest predecessor is a
-    gather shared by every ``k`` at once, and the strict ``<`` update
-    over ascending ``k`` collapses to a masked column ``min`` /
+    Each row is computed as one ``(k, j)`` numpy block instead of a
+    per-cell reconstruction of every recorded schedule: the per-GPU free
+    arrays of all ``M`` recorded states ride along as an ``(M, M)``
+    matrix, the ``g``-pointer chain walk down to the deepest predecessor
+    is a gather shared by every ``k`` at once, and the strict ``<``
+    update over ascending ``k`` collapses to a masked column ``min`` /
     first-occurrence ``argmin`` (a sequence of strict improvements
     lands on exactly the smallest ``k`` attaining the column minimum).
-    Bit-identity holds because minima and maxima are selections and the
+    The result is bit-identical to the per-cell fill in
+    ``tests/oracles`` because minima and maxima are selections and the
     per-cell arithmetic (``t + tr``, ``ready + cost/speed``) performs
-    the reference's float operations; ``np.where`` keeps the
-    ``mu == j`` branch free of any ``+ 0.0`` rewriting.  Rows of the
-    free matrix belonging to unreachable states carry garbage — they
-    are masked out by the validity mask exactly like the reference's
-    ``None`` entries.
+    the same float operations; ``np.where`` keeps the ``mu == j`` branch
+    free of any ``+ 0.0`` rewriting.  Rows of the free matrix belonging
+    to unreachable states carry garbage — the validity mask drops them,
+    as the per-cell fill skips infinite cells.
     """
     graph = profile.graph
     M = profile.num_gpus
@@ -167,9 +114,7 @@ def _mr_fill_fast(
         g_tab[i][:] = G[i].tolist()
 
 
-def _mr_spatial_mapping(
-    profile: CostProfile, fast: bool = True
-) -> tuple[dict[str, int], list[str]]:
+def _mr_spatial_mapping(profile: CostProfile) -> tuple[dict[str, int], list[str]]:
     """Fill the (t, g) table and backtrack the operator-to-GPU mapping."""
     graph = profile.graph
     M = profile.num_gpus
@@ -190,10 +135,7 @@ def _mr_spatial_mapping(
     else:
         t_tab[0][0] = graph.cost(order[0])  # v_1 on GPU 1 (homogeneity)
 
-    if fast:
-        _mr_fill_fast(profile, order, index, speeds, t_tab, g_tab)
-    else:
-        _mr_fill_reference(profile, order, index, speeds, t_tab, g_tab)
+    _mr_fill(profile, order, index, speeds, t_tab, g_tab)
 
     best_j = min(range(M), key=lambda j: t_tab[n - 1][j])
     assignment: dict[str, int] = {}
@@ -206,7 +148,6 @@ def _mr_spatial_mapping(
 
 def cached_spatial_mr(
     profile: CostProfile,
-    fast: bool = True,
     spatial_cache: MutableMapping[str, Any] | None = None,
 ) -> tuple[dict[str, int], list[str]]:
     """MR spatial mapping, optionally served from a per-workload cache.
@@ -221,7 +162,7 @@ def cached_spatial_mr(
         if hit is not None:
             assignment, order = cast("tuple[dict[str, int], list[str]]", hit)
             return dict(assignment), list(order)
-    assignment, order = _mr_spatial_mapping(profile, fast=fast)
+    assignment, order = _mr_spatial_mapping(profile)
     if spatial_cache is not None:
         spatial_cache["mr"] = (dict(assignment), list(order))
     return assignment, order
@@ -231,29 +172,21 @@ def schedule_hios_mr(
     profile: CostProfile,
     window: int = 3,
     intra_gpu: bool = True,
-    fast: bool = True,
     spatial_cache: MutableMapping[str, Any] | None = None,
 ) -> ScheduleResult:
     """Full HIOS-MR: MR-based inter-GPU mapping + Alg. 2 regrouping.
 
     Set ``intra_gpu=False`` for the paper's "inter-GPU w/ MR" ablation.
-    ``fast=False`` runs the retained reference table fill and window
-    evaluation (bit-identical results).  ``spatial_cache`` shares the
-    window-independent mapping phase across calls on the same profile.
+    ``spatial_cache`` shares the window-independent mapping phase across
+    calls on the same profile.
     """
     t0 = time.perf_counter()
     cache_hits0 = profile.stage_time_cache_hits
     counters = EvalCounters()
-    assignment, order = cached_spatial_mr(
-        profile, fast=fast, spatial_cache=spatial_cache
-    )
+    assignment, order = cached_spatial_mr(profile, spatial_cache=spatial_cache)
     t_spatial = time.perf_counter() - t0
     schedule = build_singleton_schedule(assignment, order, profile.num_gpus)
-    latency = (
-        soa_latency(profile, schedule, validate=True, counters=counters)
-        if fast
-        else evaluate_latency(profile, schedule, validate=True)
-    )
+    latency = soa_latency(profile, schedule, validate=True, counters=counters)
     stats: dict[str, object] = {"inter_gpu_latency": latency}
     phase_times: dict[str, float] = {"spatial_mapping": t_spatial}
 
@@ -265,7 +198,6 @@ def schedule_hios_mr(
             window=window,
             priority=order,
             validate=False,  # singleton schedule was validated just above
-            fast=fast,
             counters=counters,
         )
         phase_times["intra_gpu"] = time.perf_counter() - t1
@@ -293,10 +225,7 @@ def schedule_hios_mr(
 
 def schedule_inter_gpu_mr(
     profile: CostProfile,
-    fast: bool = True,
     spatial_cache: MutableMapping[str, Any] | None = None,
 ) -> ScheduleResult:
     """The "inter-GPU w/ MR" comparison point (no Alg. 2 pass)."""
-    return schedule_hios_mr(
-        profile, intra_gpu=False, fast=fast, spatial_cache=spatial_cache
-    )
+    return schedule_hios_mr(profile, intra_gpu=False, spatial_cache=spatial_cache)

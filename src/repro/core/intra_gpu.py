@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 from ..costmodel.profile import CostProfile
 from ..obs import declog
-from .evaluator import evaluate_latency
 from .fasteval import EvalCounters, StageGraphEvaluator
 from .schedule import Schedule, ScheduleError, Stage
 
@@ -46,7 +45,6 @@ def parallelize(
     window: int = 3,
     priority: list[str] | None = None,
     validate: bool = True,
-    fast: bool = True,
     counters: EvalCounters | None = None,
 ) -> tuple[Schedule, float, IntraGpuStats]:
     """Run Alg. 2 on ``schedule`` and return (schedule', latency, stats).
@@ -59,10 +57,8 @@ def parallelize(
     ``validate=False`` skips the entry validation — for internal
     callers that just built and validated the schedule themselves (the
     ``HIOS_DEBUG_LINT=1`` self-check still lints the final schedule).
-    ``fast=False`` prices every window candidate with the reference
-    :func:`~repro.core.evaluator.evaluate_latency` rebuild instead of
-    the :class:`~repro.core.fasteval.StageGraphEvaluator` merge delta;
-    both produce bit-identical schedules and latencies.
+    Window candidates are priced as merge deltas on a
+    :class:`~repro.core.fasteval.StageGraphEvaluator`.
     """
     if window < 1:
         raise ValueError("window size must be >= 1")
@@ -74,12 +70,8 @@ def parallelize(
     order = priority if priority is not None else priority_order(graph)
     stats = IntraGpuStats()
     log = declog.active()
-    evaluator: StageGraphEvaluator | None = None
-    if fast:
-        evaluator = StageGraphEvaluator(profile, schedule, counters=counters)
-        best_latency = evaluator.evaluate()
-    else:
-        best_latency = evaluate_latency(profile, schedule)
+    evaluator = StageGraphEvaluator(profile, schedule, counters=counters)
+    best_latency = evaluator.evaluate()
 
     # The paper iterates i = 1 .. n-1: under HIOS's own schedules the
     # last-priority operator is last on its GPU and heads no window.
@@ -122,30 +114,15 @@ def parallelize(
                         outcome="rejected-dependent",
                     )
                 continue
-            if evaluator is not None:
-                maybe = evaluator.try_merge(gpu, pos, p, group)
-                if maybe is None:
-                    stats.rejected_cyclic += 1
-                    if log is not None:
-                        log.emit(
-                            "window", gpu=gpu, ops=list(group),
-                            outcome="rejected-cyclic",
-                        )
-                    continue
-                lat = maybe
-            else:
-                merged = stages[:pos] + [Stage(gpu, group)] + stages[pos + 1 + p :]
-                candidate = schedule.with_stages_on_gpu(gpu, merged)
-                try:
-                    lat = evaluate_latency(profile, candidate)
-                except ScheduleError:
-                    stats.rejected_cyclic += 1
-                    if log is not None:
-                        log.emit(
-                            "window", gpu=gpu, ops=list(group),
-                            outcome="rejected-cyclic",
-                        )
-                    continue
+            lat = evaluator.try_merge(gpu, pos, p, group)
+            if lat is None:
+                stats.rejected_cyclic += 1
+                if log is not None:
+                    log.emit(
+                        "window", gpu=gpu, ops=list(group),
+                        outcome="rejected-cyclic",
+                    )
+                continue
             if lat < best_latency and (
                 best_candidate is None or lat < best_candidate[0]
             ):
@@ -175,9 +152,8 @@ def parallelize(
                     "window-merge", gpu=gpu, ops=list(group),
                     outcome="accepted", latency_ms=best_latency,
                 )
-            if evaluator is not None:
-                # committed structure changed: rebuild once per accepted
-                # group (rare relative to windows tried)
-                evaluator = StageGraphEvaluator(profile, schedule, counters=counters)
+            # committed structure changed: rebuild once per accepted
+            # group (rare relative to windows tried)
+            evaluator = StageGraphEvaluator(profile, schedule, counters=counters)
 
     return schedule, best_latency, stats

@@ -34,7 +34,6 @@ from itertools import combinations
 
 from ..costmodel.profile import CostProfile
 from .debuglint import debug_lint_schedule
-from .evaluator import evaluate_latency
 from .fasteval import soa_latency
 from .priority import priority_indicators
 from .result import ScheduleResult
@@ -53,15 +52,11 @@ def schedule_ios(
     mode: str = "auto",
     beam_width: int = 4,
     state_limit: int = 20000,
-    fast: bool = True,
 ) -> ScheduleResult:
     """Run the IOS DP on a single GPU and return the best stage sequence.
 
     Parameters mirror IOS's pruning configuration; see the module
     docstring.  The returned schedule places every stage on ``gpu``.
-    ``fast=False`` disables the per-run stage price memo and queries
-    the profile for every candidate, as the pre-engine code did
-    (identical prices either way).
     """
     if mode not in ("exact", "beam", "auto"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -129,13 +124,10 @@ def schedule_ios(
                 for i in stage_bits:
                     mask |= 1 << i
                 new_state = state | mask
-                if fast:
-                    t_stage = stage_cost.get(stage_bits)
-                    if t_stage is None:
-                        t_stage = stage_time(tuple(names[i] for i in stage_bits))
-                        stage_cost[stage_bits] = t_stage
-                else:
-                    t_stage = stage_time([names[i] for i in stage_bits])
+                t_stage = stage_cost.get(stage_bits)
+                if t_stage is None:
+                    t_stage = stage_time(tuple(names[i] for i in stage_bits))
+                    stage_cost[stage_bits] = t_stage
                 cand = lat + t_stage
                 prev = best.get(new_state)
                 if prev is None:
@@ -165,11 +157,7 @@ def schedule_ios(
     schedule = Schedule(profile.num_gpus)
     for stage_ops in reversed(stages_rev):
         schedule.append_stage(Stage(gpu, stage_ops))
-    latency = (
-        soa_latency(profile, schedule, validate=True)
-        if fast
-        else evaluate_latency(profile, schedule, validate=True)
-    )
+    latency = soa_latency(profile, schedule, validate=True)
     debug_lint_schedule(profile.graph, schedule, algorithm="ios", window=width_cap)
     return ScheduleResult(
         algorithm="ios",

@@ -16,19 +16,19 @@ it finishes, occupying its GPU before the next operator may start —
 the same semantics the stage evaluator charges, so the latency
 HIOS-LP optimizes during GPU selection agrees with the final measure.
 
-:func:`list_schedule_latency` is the *reference* (from-scratch)
-implementation; the scheduler inner loops default to the bit-identical
-incremental version in :class:`repro.core.fasteval.PrefixReplayer`,
-which checkpoints the candidate-invariant prefix and replays only the
-suffix.  The differential tests in ``tests/core/test_fasteval.py``
-hold the two to exact float equality — any change to the simulation
-semantics here must be mirrored there.
+:func:`list_schedule_latency` is a one-shot
+:class:`repro.core.fasteval.PrefixReplayer`, the incremental simulation
+the scheduler inner loops use: it checkpoints the candidate-invariant
+prefix and replays only the suffix.  The differential tests in
+``tests/core/test_fasteval.py`` hold it to exact float equality with
+the from-scratch reference in ``tests/oracles``.
 """
 
 from __future__ import annotations
 
 from typing import Mapping, Sequence
 
+from .fasteval import PrefixReplayer
 from .graph import OpGraph
 from .schedule import Schedule, Stage
 
@@ -47,49 +47,15 @@ def list_schedule_latency(
 
     ``order`` must contain exactly the assigned operators, in a
     topological order of the full graph (descending priority
-    indicators).  Runs in ``O(|V| + |E|)``.
+    indicators); an operator of ``order`` missing from ``assignment``
+    raises :class:`KeyError`.  Runs in ``O(|V| + |E|)``.
     """
-    finish: dict[str, float] = {}
-    arrival: dict[tuple[str, str], float] = {}
-    gpu_free = [0.0] * num_gpus
-    latency = 0.0
     for v in order:
-        g = assignment[v]
-        start = gpu_free[g]
-        for u in graph.predecessors(v):
-            gu = assignment.get(u)
-            if gu is None:
-                continue  # still unscheduled in this HIOS-LP iteration
-            if gu == g:
-                ready = finish[u]
-            elif send_blocking:
-                ready = arrival[(u, v)]
-            else:
-                ready = finish[u] + graph.transfer(u, v)
-            if ready > start:
-                start = ready
-        speed = 1.0 if gpu_speeds is None else gpu_speeds[g]
-        end = start + graph.cost(v) / speed
-        finish[v] = end
-        if send_blocking:
-            # issue this operator's cross-GPU sends as serialized
-            # blocking sends, in deterministic consumer-name order
-            # (matching the evaluator's send order)
-            cursor = end
-            for s in sorted(graph.successors(v)):
-                gs = assignment.get(s)
-                if gs is None or gs == g:
-                    continue
-                cursor += graph.transfer(v, s)
-                arrival[(v, s)] = cursor
-            gpu_free[g] = cursor
-            if cursor > latency:
-                latency = cursor
-        else:
-            gpu_free[g] = end
-        if end > latency:
-            latency = end
-    return latency
+        if v not in assignment:
+            raise KeyError(v)
+    replayer = PrefixReplayer(graph, num_gpus, send_blocking, gpu_speeds)
+    replayer.snapshot(order, assignment, ())
+    return replayer.replay(assignment)
 
 
 def build_singleton_schedule(

@@ -20,7 +20,6 @@ from typing import Any, Mapping, MutableMapping
 
 from ..costmodel.profile import CostProfile
 from .debuglint import debug_lint_schedule
-from .evaluator import evaluate_latency
 from .fasteval import EvalCounters, PrefixReplayer, soa_latency
 from .hios_lp import cached_spatial_lp
 from .intra_gpu import parallelize
@@ -35,7 +34,6 @@ def local_search_assignment(
     assignment: Mapping[str, int],
     order: list[str],
     max_rounds: int = 3,
-    fast: bool = True,
     counters: EvalCounters | None = None,
 ) -> tuple[dict[str, int], float, int]:
     """Best-improvement local search over operator-to-GPU moves.
@@ -44,10 +42,10 @@ def local_search_assignment(
     operator against every other GPU and applies the single best move;
     a round without improvement terminates the search.  Complexity is
     ``O(rounds * |V| * M * (|V| + |E|))`` — polynomial, like the HIOS
-    passes it refines.  With ``fast=True`` the per-move evaluation
-    replays only the suffix after the moved operator's snapshot
-    boundary (one prefix simulation per operator instead of one full
-    simulation per (operator, GPU) pair) — bit-identical latencies.
+    passes it refines.  The per-move evaluation replays only the suffix
+    after the moved operator's snapshot boundary (one prefix simulation
+    per operator instead of one full simulation per (operator, GPU)
+    pair).
     """
     if max_rounds < 0:
         raise ValueError("max_rounds must be non-negative")
@@ -58,15 +56,11 @@ def local_search_assignment(
         graph, current, order, M,
         send_blocking=profile.send_blocking, gpu_speeds=profile.gpu_speeds,
     )
-    replayer = (
-        PrefixReplayer(
-            graph, M,
-            send_blocking=profile.send_blocking,
-            gpu_speeds=profile.gpu_speeds,
-            counters=counters,
-        )
-        if fast
-        else None
+    replayer = PrefixReplayer(
+        graph, M,
+        send_blocking=profile.send_blocking,
+        gpu_speeds=profile.gpu_speeds,
+        counters=counters,
     )
     moves = 0
     for _ in range(max_rounds):
@@ -76,20 +70,12 @@ def local_search_assignment(
         best_gain = 1e-12
         for v in order:
             home = current[v]
-            if replayer is not None:
-                replayer.snapshot(order, current, (v,))
+            replayer.snapshot(order, current, (v,))
             for gpu in range(M):
                 if gpu == home:
                     continue
                 current[v] = gpu
-                if replayer is not None:
-                    lat = replayer.replay(current)
-                else:
-                    lat = list_schedule_latency(
-                        graph, current, order, M,
-                        send_blocking=profile.send_blocking,
-                        gpu_speeds=profile.gpu_speeds,
-                    )
+                lat = replayer.replay(current)
                 gain = best - lat
                 if gain > best_gain:
                     best_gain = gain
@@ -108,7 +94,6 @@ def schedule_hios_lp_ls(
     window: int = 3,
     intra_gpu: bool = True,
     max_rounds: int = 3,
-    fast: bool = True,
     spatial_cache: MutableMapping[str, Any] | None = None,
 ) -> ScheduleResult:
     """HIOS-LP with operator-level local search between Alg. 1 and Alg. 2."""
@@ -116,19 +101,15 @@ def schedule_hios_lp_ls(
     cache_hits0 = profile.stage_time_cache_hits
     counters = EvalCounters()
     assignment, order, paths = cached_spatial_lp(
-        profile, fast=fast, counters=counters, spatial_cache=spatial_cache
+        profile, counters=counters, spatial_cache=spatial_cache
     )
     t_spatial = time.perf_counter() - t0
     assignment, _, moves = local_search_assignment(
-        profile, assignment, order, max_rounds=max_rounds, fast=fast, counters=counters
+        profile, assignment, order, max_rounds=max_rounds, counters=counters
     )
     t_search = time.perf_counter() - t0 - t_spatial
     schedule = build_singleton_schedule(assignment, order, profile.num_gpus)
-    latency = (
-        soa_latency(profile, schedule, validate=True, counters=counters)
-        if fast
-        else evaluate_latency(profile, schedule, validate=True)
-    )
+    latency = soa_latency(profile, schedule, validate=True, counters=counters)
     stats: dict[str, object] = {
         "paths": paths,
         "local_search_moves": moves,
@@ -146,7 +127,6 @@ def schedule_hios_lp_ls(
             window=window,
             priority=order,
             validate=False,  # singleton schedule was validated just above
-            fast=fast,
             counters=counters,
         )
         phase_times["intra_gpu"] = time.perf_counter() - t1

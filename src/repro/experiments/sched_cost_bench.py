@@ -6,10 +6,10 @@ checkable on any machine:
 
 * :func:`measure` times the pure algorithm wall time (no profiling
   bill, unlike :mod:`.fig14_scheduling_cost`) of one scheduler over the
-  largest Fig. 14 workloads, in both engine modes — ``fast`` (the
-  default incremental paths) and ``reference`` (``fast=False`` plus
-  ``stage_time_cache=False``, i.e. the retained from-scratch loops that
-  match the pre-engine code);
+  largest Fig. 14 workloads, twice — ``fast`` (the schedulers as
+  shipped) and ``reference`` (inside a caller-supplied context that
+  swaps in the from-scratch reference components, with
+  ``stage_time_cache=False``: the pre-engine code);
 * :func:`calibration_seconds` times a fixed pure-Python workload so a
   committed baseline can be rescaled to the measuring machine's speed;
 * ``scripts/check_sched_regression.py`` compares a fresh
@@ -23,11 +23,11 @@ from __future__ import annotations
 
 import statistics
 import time
+from contextlib import AbstractContextManager
 from dataclasses import replace
 from typing import Callable
 
 from ..core.api import schedule_graph
-from ..costmodel.profile import CostProfile
 from .realmodels import MODEL_BUILDERS, default_profiler
 
 __all__ = [
@@ -73,9 +73,10 @@ def measure(
     algorithm: str = "hios-lp",
     repeats: int = 3,
     workloads: tuple[tuple[str, int], ...] = WORKLOADS,
-    modes: tuple[str, ...] = ("fast", "reference"),
+    *,
+    reference: Callable[[], AbstractContextManager[object]],
 ) -> dict[str, object]:
-    """Median scheduling wall time per workload, per engine mode.
+    """Median scheduling wall time per workload, shipped and reference.
 
     Returns a JSON-ready dict::
 
@@ -83,25 +84,26 @@ def measure(
          "workloads": {"nasnet@1024": {"fast_median_s": ...,
                                        "reference_median_s": ...}, ...}}
 
-    The two modes run the *same* algorithm to the same schedule (the
-    differential tests assert bit-identity); only the evaluation engine
-    differs, so their ratio is a machine-independent speedup.
+    ``reference`` returns the context manager the reference leg runs in
+    (``tests.oracles.reference_components`` swaps the from-scratch
+    components in behind the schedulers).  Both legs run the *same*
+    algorithm to the same schedule (the differential tests assert
+    bit-identity); only the evaluation engine differs, so their ratio
+    is a machine-independent speedup.
     """
     profiler = default_profiler()
     out: dict[str, dict[str, float]] = {}
     for model, size in workloads:
         profile = profiler.profile(MODEL_BUILDERS[model](size))
-        entry: dict[str, float] = {}
-        for mode in modes:
-            prof: CostProfile
-            if mode == "fast":
-                prof, fast = profile, True
-            elif mode == "reference":
-                prof, fast = replace(profile, stage_time_cache=False), False
-            else:
-                raise ValueError(f"unknown mode {mode!r}")
-            entry[f"{mode}_median_s"] = _median_wall_seconds(
-                lambda p=prof, f=fast: schedule_graph(p, algorithm, fast=f), repeats
+        entry = {
+            "fast_median_s": _median_wall_seconds(
+                lambda p=profile: schedule_graph(p, algorithm), repeats
+            )
+        }
+        uncached = replace(profile, stage_time_cache=False)
+        with reference():
+            entry["reference_median_s"] = _median_wall_seconds(
+                lambda p=uncached: schedule_graph(p, algorithm), repeats
             )
         out[f"{model}@{size}"] = entry
     return {

@@ -35,8 +35,7 @@ setting (``num_gpus``, ``transfer_ratio``, ``transfer_floor``).
 for single-GPU algorithms, which makes the cache keys of e.g. the
 Fig. 7 sequential baseline *identical across the GPU-count sweep* —
 the executor collapses equal keys before dispatch, running the unit
-once and sharing the payload.  This generalizes (and replaces) the old
-ad-hoc ``single_cache`` dict in ``sweep_random_dags``.
+once and sharing the payload.
 
 Batched execution — the persistent-worker path
 ----------------------------------------------

@@ -1,12 +1,13 @@
 """Differential tests for the incremental evaluation engine.
 
 The contract of :mod:`repro.core.fasteval` is *bit-identity*: every
-fast path must produce exactly the floats (and therefore exactly the
-schedules) of the retained reference implementations.  These tests
-exercise the engine both directly (PrefixReplayer / StageGraphEvaluator
-against the from-scratch evaluators) and end-to-end (``fast=True`` vs.
-``fast=False`` runs of every scheduler), across blocking and
-non-blocking communication and homogeneous and heterogeneous GPUs.
+component must produce exactly the floats (and therefore exactly the
+schedules) of the from-scratch references in :mod:`tests.oracles`.
+These tests exercise the engine both directly (PrefixReplayer /
+StageGraphEvaluator against the oracles) and end-to-end (production
+runs of every scheduler vs. runs inside ``reference_components()``),
+across blocking and non-blocking communication and homogeneous and
+heterogeneous GPUs.
 """
 
 from __future__ import annotations
@@ -18,22 +19,25 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import (
+    ALGORITHMS,
     EvalCounters,
     OpGraph,
     PrefixReplayer,
     Stage,
     StageGraphEvaluator,
     build_singleton_schedule,
-    evaluate_latency,
+    evaluate_schedule,
+    list_schedule_latency,
     local_search_assignment,
     make_profile,
     parallelize,
     priority_order,
     schedule_graph,
+    soa_latency,
 )
-from repro.core.list_schedule import list_schedule_latency
 from repro.models import random_dag_profile
 
+from .. import oracles
 from .test_properties import dag_profiles
 
 
@@ -50,7 +54,7 @@ def _rand_graph(seed: int, n: int = 18) -> OpGraph:
 
 
 # ---------------------------------------------------------------------------
-# PrefixReplayer vs. list_schedule_latency
+# PrefixReplayer vs. the list-scheduling oracle
 
 
 @pytest.mark.parametrize("blocking", [True, False])
@@ -68,7 +72,7 @@ def test_prefix_replay_matches_reference(blocking, speeds):
         for _ in range(M):
             for v in varying:
                 assignment[v] = rng.randrange(M)
-            want = list_schedule_latency(
+            want = oracles.list_schedule_latency(
                 g, assignment, order, M, send_blocking=blocking, gpu_speeds=speeds
             )
             got = replayer.replay(assignment)
@@ -91,7 +95,7 @@ def test_prefix_replay_handles_partial_assignments():
     for gpu in range(M):
         for v in varying:
             assignment[v] = gpu
-        want = list_schedule_latency(g, assignment, sub_order, M)
+        want = oracles.list_schedule_latency(g, assignment, sub_order, M)
         assert replayer.replay(assignment) == want
     for v in varying:
         del assignment[v]
@@ -114,8 +118,21 @@ def test_prefix_boundary_covers_predecessor_sends():
     assert nonblocking.prefix_boundary(order, ["d"]) == pos["d"]
 
 
+def test_list_schedule_rejects_unassigned_operator():
+    """An operator of ``order`` missing from ``assignment`` is an error
+    in the one-shot public function exactly as in the oracle, not a
+    read of the last GPU's free time."""
+    g = OpGraph.from_edges(
+        {"a": 1.0, "b": 2.0, "c": 3.0}, [("a", "b", 0.5), ("b", "c", 0.5)]
+    )
+    assignment = {"a": 0, "b": 1}
+    for fn in (list_schedule_latency, oracles.list_schedule_latency):
+        with pytest.raises(KeyError, match="c"):
+            fn(g, assignment, ["a", "b", "c"], 2)
+
+
 # ---------------------------------------------------------------------------
-# StageGraphEvaluator vs. evaluate_latency
+# StageGraphEvaluator vs. the stage-graph oracle
 
 
 @pytest.mark.parametrize("blocking", [True, False])
@@ -127,7 +144,7 @@ def test_stage_evaluator_matches_reference_on_merges(blocking):
     assignment = {v: i % 2 for i, v in enumerate(order)}
     schedule = build_singleton_schedule(assignment, order, 2)
     ev = StageGraphEvaluator(prof, schedule)
-    assert ev.evaluate() == evaluate_latency(prof, schedule)
+    assert ev.evaluate() == oracles.evaluate_latency(prof, schedule)
 
     checked = 0
     for gpu in range(2):
@@ -144,7 +161,7 @@ def test_stage_evaluator_matches_reference_on_merges(blocking):
                 merged = stages[:pos] + [Stage(gpu, group)] + stages[pos + 1 + p :]
                 candidate = schedule.with_stages_on_gpu(gpu, merged)
                 try:
-                    want = evaluate_latency(prof, candidate)
+                    want = oracles.evaluate_latency(prof, candidate)
                 except Exception:
                     want = None
                 got = ev.try_merge(gpu, pos, p, group)
@@ -166,7 +183,7 @@ def test_stage_evaluator_detects_cycles():
 
 
 # ---------------------------------------------------------------------------
-# End-to-end: fast schedulers are bit-identical to the references
+# End-to-end: the schedulers are bit-identical to runs on the oracles
 
 DIFF_ALGOS = ["ios", "hios-lp", "hios-mr", "hios-lp-ls"]
 
@@ -178,14 +195,15 @@ DIFF_ALGOS = ["ios", "hios-lp", "hios-mr", "hios-lp-ls"]
     hetero=st.booleans(),
 )
 def test_fast_schedulers_match_reference(profile, alg, hetero):
-    """Satellite property: optimized vs. reference on random DAGs, all
-    four algorithms, blocking and non-blocking, homogeneous and
-    heterogeneous speeds."""
+    """Satellite property: production vs. reference components on
+    random DAGs, all four algorithms, blocking and non-blocking,
+    homogeneous and heterogeneous speeds."""
     if hetero:
         speeds = tuple(1.0 + 0.5 * g for g in range(profile.num_gpus))
         profile = replace(profile, gpu_speeds=speeds)
-    fast = schedule_graph(profile, alg, fast=True)
-    ref = schedule_graph(profile, alg, fast=False)
+    fast = schedule_graph(profile, alg)
+    with oracles.reference_components():
+        ref = schedule_graph(profile, alg)
     assert fast.schedule.to_dict() == ref.schedule.to_dict()
     assert abs(fast.latency - ref.latency) <= 1e-12
     assert fast.latency == ref.latency  # the engine's actual contract
@@ -195,15 +213,16 @@ def test_fast_matches_reference_on_larger_fixed_seeds():
     for seed in range(3):
         prof = random_dag_profile(seed=seed, num_gpus=4, num_ops=60, num_layers=8)
         for alg in DIFF_ALGOS:
-            fast = schedule_graph(prof, alg, fast=True)
-            ref = schedule_graph(prof, alg, fast=False)
+            fast = schedule_graph(prof, alg)
+            with oracles.reference_components():
+                ref = schedule_graph(prof, alg)
             assert fast.latency == ref.latency
             assert fast.schedule.to_dict() == ref.schedule.to_dict()
 
 
 def test_stats_counters_present_and_plausible():
     prof = random_dag_profile(seed=2, num_gpus=3, num_ops=40, num_layers=6)
-    res = schedule_graph(prof, "hios-lp", fast=True)
+    res = schedule_graph(prof, "hios-lp")
     for key in ("evals", "suffix_replays", "window_delta_evals", "cache_hits"):
         assert key in res.stats
         assert res.stats[key] >= 0
@@ -212,9 +231,11 @@ def test_stats_counters_present_and_plausible():
     assert "phase_times" in res.stats
     assert "spatial_mapping" in res.stats["phase_times"]
 
-    ref = schedule_graph(prof, "hios-lp", fast=False)
-    assert ref.stats["suffix_replays"] == 0
-    assert ref.stats["window_delta_evals"] == 0
+    with oracles.reference_components():
+        ref = schedule_graph(prof, "hios-lp")
+    # the oracles keep no counters: every engine seam was swapped out
+    for key in ("evals", "suffix_replays", "window_delta_evals", "soa_evals"):
+        assert ref.stats[key] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -308,14 +329,15 @@ def test_local_search_fast_reaches_same_fixed_point():
         prof = random_dag_profile(seed=seed, num_gpus=3, num_ops=50, num_layers=6)
         order = priority_order(prof.graph)
         assignment = {v: i % 3 for i, v in enumerate(order)}
-        fast = local_search_assignment(prof, assignment, order, max_rounds=6, fast=True)
-        ref = local_search_assignment(prof, assignment, order, max_rounds=6, fast=False)
+        fast = local_search_assignment(prof, assignment, order, max_rounds=6)
+        with oracles.reference_components():
+            ref = local_search_assignment(prof, assignment, order, max_rounds=6)
         assert fast == ref
         # the returned latency is exactly the latency of the returned
         # assignment (the old code recomputed it; the new code must not
         # drift from that value)
         refined, lat, _moves = fast
-        assert lat == list_schedule_latency(
+        assert lat == oracles.list_schedule_latency(
             prof.graph, refined, order, prof.num_gpus,
             send_blocking=prof.send_blocking, gpu_speeds=prof.gpu_speeds,
         )
@@ -340,19 +362,18 @@ def test_counters_shared_across_phases():
 
 
 # ---------------------------------------------------------------------------
-# soa_latency (the vectorized final-evaluation core) vs. evaluate_schedule
+# soa_latency / evaluate_schedule (views over the stage DP) vs. the oracle
 
 
 @pytest.mark.parametrize("blocking", [False, True])
 @pytest.mark.parametrize("hetero", [False, True])
-@pytest.mark.parametrize("alg", DIFF_ALGOS)
+@pytest.mark.parametrize("alg", list(ALGORITHMS))
 def test_soa_latency_matches_reference_evaluator(alg, blocking, hetero):
-    """The SoA sweep must reproduce evaluate_schedule to the exact
-    float on real scheduler output, across blocking and heterogeneous
-    configurations — this is the seam the fast=True final evaluations
-    of ios/hios-lp/hios-mr/hios-lp-ls go through."""
-    from repro.core import evaluate_schedule, soa_latency
-
+    """The stage DP must reproduce the oracle to the exact float on real
+    scheduler output of every algorithm, across blocking and
+    heterogeneous configurations: the latency the schedulers' final
+    evaluations report, and every stage and operator start/finish time
+    ``evaluate_schedule`` derives from the DP's start times."""
     prof = random_dag_profile(seed=9, num_gpus=3, num_ops=40, num_layers=6)
     prof = replace(prof, send_blocking=blocking)
     if hetero:
@@ -360,6 +381,7 @@ def test_soa_latency_matches_reference_evaluator(alg, blocking, hetero):
     schedule = schedule_graph(prof, alg).schedule
     counters = EvalCounters()
     got = soa_latency(prof, schedule, validate=True, counters=counters)
-    want = evaluate_schedule(prof, schedule, validate=True).latency
-    assert got == want  # bit-identical, no tolerance
+    want = oracles.evaluate_schedule(prof, schedule, validate=True)
+    assert got == want.latency  # bit-identical, no tolerance
     assert counters.soa_evals == 1
+    assert evaluate_schedule(prof, schedule) == want

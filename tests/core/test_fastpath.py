@@ -1,9 +1,9 @@
-"""Differential tests for :class:`repro.core.fastpath.LongestPathEngine`.
+"""Differential tests for :class:`repro.core.longest_path.LongestPathEngine`.
 
-The engine's contract is *bit-identity* with
-:func:`repro.core.longest_path.longest_valid_path`: the same vertices,
-the same float length, the same errors, for every graph and every
-unscheduled set.  These tests compare the two exhaustively on a pinned
+The engine's contract is *bit-identity* with the from-scratch dict DP
+:func:`tests.oracles.longest_valid_path`: the same vertices, the same
+float length, the same errors, for every graph and every unscheduled
+set.  These tests compare the two exhaustively on a pinned
 graph (every non-empty subset), randomly (hypothesis), across the
 scheduler's own shrinking unscheduled sets, and through graph mutation
 (the engine must rebuild when :attr:`OpGraph.version` moves).
@@ -16,10 +16,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import GraphError, OpGraph, longest_valid_path, schedule_graph
-from repro.core.fastpath import LongestPathEngine
+from repro.core import GraphError, OpGraph, schedule_graph
+from repro.core.longest_path import LongestPathEngine
 from repro.models import random_dag_profile
 
+from ..oracles import longest_valid_path, reference_components
 from .test_properties import small_dags
 
 
@@ -92,8 +93,9 @@ class TestEndToEnd:
     @pytest.mark.parametrize("alg", ["hios-lp", "inter-lp", "hios-lp-ls"])
     def test_fast_schedulers_match_reference(self, alg):
         profile = random_dag_profile(seed=9, num_ops=60, num_layers=6, num_gpus=3)
-        fast = schedule_graph(profile, alg, fast=True)
-        ref = schedule_graph(profile, alg, fast=False)
+        fast = schedule_graph(profile, alg)
+        with reference_components():
+            ref = schedule_graph(profile, alg)
         assert fast.schedule == ref.schedule
         assert fast.latency == ref.latency
 

@@ -4,15 +4,15 @@ import pytest
 
 from repro.core import (
     OpGraph,
-    evaluate_latency,
     local_search_assignment,
     make_profile,
     priority_order,
     schedule_graph,
     schedule_hios_lp_ls,
 )
-from repro.core.list_schedule import list_schedule_latency
 from repro.models import random_dag_profile
+
+from ..oracles import evaluate_latency, list_schedule_latency, reference_components
 
 
 class TestLocalSearch:
@@ -55,9 +55,8 @@ class TestLocalSearch:
             order = priority_order(prof.graph)
             assignment = {v: i % 3 for i, v in enumerate(order)}
             fast = local_search_assignment(prof, assignment, order, max_rounds=8)
-            ref = local_search_assignment(
-                prof, assignment, order, max_rounds=8, fast=False
-            )
+            with reference_components():
+                ref = local_search_assignment(prof, assignment, order, max_rounds=8)
             assert fast == ref
             refined, lat, _ = fast
             assert lat == list_schedule_latency(

@@ -5,8 +5,8 @@ import json
 import pytest
 
 from repro.core import OpGraph, Schedule
+from repro.obs import save_chrome_trace, trace_to_events
 from repro.substrate import EngineConfig, MultiGpuEngine
-from repro.utils import save_chrome_trace, trace_to_events
 
 
 @pytest.fixture
