@@ -33,7 +33,10 @@ indices, pool clock → query clock) into a per-query
 under :func:`repro.core.repair.run_with_repair` with ``strict=False`` —
 mid-flight GPU loss triggers cascading repair on the rest of the lease,
 and only when the *whole* lease is gone does the query come back
-displaced, to be re-admitted after a seeded backoff.
+displaced, to be re-admitted after a seeded backoff.  Each plan keeps
+its fault-free trace: a dispatch whose projected faults cannot fire
+before that trace ends replays it instead of running the engine again
+(:meth:`ServeSimulator._replay`).
 
 With ``elastic`` the loop additionally resizes *in-flight* leases
 (:func:`repro.core.repair.resize_schedule`): when the queue is empty
@@ -64,7 +67,12 @@ from ..core.repair import RepairError, RepairResult, resize_schedule, run_with_r
 from ..core.schedule import Schedule
 from ..costmodel.profile import CostProfile
 from ..obs.declog import emit
-from ..substrate.engine import EngineConfig, ExecutionTrace
+from ..substrate.engine import (
+    EngineConfig,
+    ExecutionTrace,
+    MultiGpuEngine,
+    replays_fault_free,
+)
 from ..substrate.faults import (
     FaultError,
     FaultPlan,
@@ -112,6 +120,24 @@ def _op_assignment(schedule: Schedule) -> dict[str, int]:
             for op in st.ops:
                 out[op] = g
     return out
+
+
+@dataclass
+class _Plan:
+    """One memoized plan: a model's schedule at one lease width and algorithm.
+
+    ``op_gpu`` maps every operator to its lease-local GPU.  ``trace`` is
+    the plan's fault-free engine trace, filled by its first fault-free
+    execution; segments whose projected faults cannot fire before it
+    ends reuse it instead of re-running the engine.  Both are shared
+    read-only by every segment that replays the plan.
+    """
+
+    profile: CostProfile
+    schedule: Schedule
+    predicted: float
+    op_gpu: dict[str, int]
+    trace: ExecutionTrace | None = None
 
 
 @dataclass
@@ -202,8 +228,8 @@ class ServeSimulator:
             contention_penalty=0.06,
             transfer_from_edges=True,
         )
-        # (model, lease size, algorithm) -> (profile, schedule, predicted)
-        self._schedules: dict[tuple[str, int, str], tuple[CostProfile, Schedule, float]] = {}
+        # (model, lease size, algorithm) -> plan (schedule + fault-free trace)
+        self._schedules: dict[tuple[str, int, str], _Plan] = {}
         # wall-clock scheduling cost + cache traffic (host time, not the
         # simulated clock; reset per run())
         self._sched_s = 0.0
@@ -220,7 +246,7 @@ class ServeSimulator:
             return {"window": self.config.window}
         return {}
 
-    def _planned(self, model: str, k: int, algorithm: str) -> tuple[CostProfile, Schedule, float]:
+    def _planned(self, model: str, k: int, algorithm: str) -> _Plan:
         key = (model, k, algorithm)
         cached = self._schedules.get(key)
         if cached is None:
@@ -237,7 +263,12 @@ class ServeSimulator:
                 self._sched_cache_hits += 1
             else:
                 self._sched_cache_misses += 1
-            cached = (profile, result.schedule, result.latency)
+            cached = _Plan(
+                profile,
+                result.schedule,
+                result.latency,
+                _op_assignment(result.schedule),
+            )
             self._schedules[key] = cached
         return cached
 
@@ -391,7 +422,8 @@ class ServeSimulator:
                 req = entry.request
                 rec = records[req.id]
                 algorithm = cfg.degraded_algorithm if overloaded else cfg.algorithm
-                profile, schedule, predicted = self._planned(req.model, k, algorithm)
+                plan = self._planned(req.model, k, algorithm)
+                predicted = plan.predicted
                 if cfg.shed_late and now + predicted > req.deadline_ms:
                     rec.status = "shed-deadline"
                     rec.reason = (
@@ -427,7 +459,7 @@ class ServeSimulator:
                     lease=lease,
                     model=req.model,
                     algorithm=algorithm,
-                    names=profile.graph.names,
+                    names=plan.profile.graph.names,
                     segment_start_ms=now,
                 )
                 in_flight[req.id] = fl
@@ -454,7 +486,7 @@ class ServeSimulator:
                     predicted_ms=predicted,
                     batch=len(members),
                 )
-                self._execute(now, fl, profile, schedule, predicted, push, gpu_busy)
+                self._execute(now, fl, plan, push, gpu_busy)
 
         # ------------------------------------------------------------------
         def try_resize(now: float, fl: _InFlight, target: int) -> bool:
@@ -470,10 +502,10 @@ class ServeSimulator:
             if not live or target == len(live):
                 return False
             cut = now - fl.segment_start_ms
-            seg_done = frozenset(
-                op for op, t in fl.trace.op_finish.items() if t <= cut
-            )
-            finished = fl.finished | seg_done
+            # in trace order, so the busy-time sum below does not depend
+            # on string hashing
+            seg_done = [op for op, t in fl.trace.op_finish.items() if t <= cut]
+            finished = fl.finished.union(seg_done)
             if len(finished) >= len(fl.names):
                 return False  # effectively done; let the outcome fire
             grow = target > len(live)
@@ -731,20 +763,41 @@ class ServeSimulator:
         self,
         now: float,
         fl: _InFlight,
-        profile: CostProfile,
-        schedule: Schedule,
-        predicted: float,
+        plan: _Plan,
         push: Callable[[float, int, str, Any], None],
         gpu_busy: dict[int, float],
     ) -> None:
         """Run the query's first segment on its lease and push its outcome."""
-        self._run_segment(now, fl, profile, schedule, predicted, push, tag=fl.qid)
+        self._run_segment(
+            now, fl, plan.profile, plan.schedule, plan.predicted, push, tag=fl.qid, memo=plan
+        )
         # without elastic resizing the outcome can never be superseded,
         # so the busy time folds eagerly (the original accounting order)
         if not self.config.elastic and fl.trace is not None:
             for g_local, busy in fl.trace.gpu_busy.items():
                 gpu = fl.lease[g_local]
                 gpu_busy[gpu] = gpu_busy.get(gpu, 0.0) + busy
+
+    def _replay(self, memo: _Plan, qplan: FaultPlan | None) -> ExecutionTrace | None:
+        """``memo``'s fault-free trace, if ``qplan`` cannot fire before it ends.
+
+        Leases are exclusive, so a segment's trace depends only on its
+        graph, schedule, engine config and projected faults; when no
+        projected fault can fire (:func:`~repro.substrate.engine.replays_fault_free`)
+        the fault-free trace *is* the segment's trace.  The plan runs
+        fault-free once per simulator, for the first segment whose
+        projection could spare some trace: nothing projected, or only
+        fail-stops not due at its start.
+        """
+        if memo.trace is None:
+            if not replays_fault_free(qplan, 0.0):
+                return None
+            memo.trace = MultiGpuEngine(self._base_engine).run(
+                memo.profile.graph, memo.schedule
+            )
+        if replays_fault_free(qplan, memo.trace.latency):
+            return memo.trace
+        return None
 
     def _run_segment(
         self,
@@ -755,44 +808,51 @@ class ServeSimulator:
         predicted: float,
         push: Callable[[float, int, str, Any], None],
         tag: str,
+        memo: _Plan | None = None,
     ) -> None:
         """Execute one segment of ``fl`` and push its (epoch-tagged) outcome.
 
-        The first segment runs the full model graph; post-resize
-        segments run the unfinished subgraph re-planned by
-        :func:`repro.core.repair.resize_schedule`.  Either way the
-        pool's remaining faults are projected onto the current lease
-        and the segment executes under cascading repair.
+        The first segment runs the full model graph of the memoized
+        plan ``memo``; post-resize segments run the unfinished subgraph
+        re-planned by :func:`repro.core.repair.resize_schedule`.  Either
+        way the pool's remaining faults are projected onto the current
+        lease.  A first segment whose projected faults cannot fire
+        before the plan's fault-free trace ends reuses that trace
+        (:meth:`_replay`); every other segment executes under cascading
+        repair.
         """
-        cfg = self.config
         qplan = self._query_plan(now, fl.lease, tag, fl.leader.attempt)
-        engine_cfg = replace(self._base_engine, faults=qplan)
-        try:
-            trace, repairs = run_with_repair(
-                profile,
-                schedule,
-                config=engine_cfg,
-                algorithm=fl.algorithm,
-                strict=False,
-                warm_start=True,
-                sched_cache=self._sched_cache,
-                **self._alg_kwargs(fl.algorithm),
-            )
-        except FaultError as exc:
-            # transfer retry budget exhausted mid-run: the lease was held
-            # for about the predicted duration before the abort surfaced
-            fl.pending = "abort"
-            fl.trace = None
-            fl.seg_repairs = ()
-            push(now + predicted, _PRIO_OUTCOME, "abort", (fl.qid, fl.epoch, str(exc)))
-            return
-        for r in repairs:
-            self._sched_s += r.result.scheduling_time
-            if r.warm_started:
-                self._warm_starts += 1
-        op_gpu = _op_assignment(schedule)
-        for r in repairs:
-            op_gpu.update(_op_assignment(r.schedule))
+        repairs: tuple[RepairResult, ...] = ()
+        if memo is not None and (replay := self._replay(memo, qplan)) is not None:
+            trace, op_gpu = replay, memo.op_gpu
+        else:
+            engine_cfg = replace(self._base_engine, faults=qplan)
+            try:
+                trace, repairs = run_with_repair(
+                    profile,
+                    schedule,
+                    config=engine_cfg,
+                    algorithm=fl.algorithm,
+                    strict=False,
+                    warm_start=True,
+                    sched_cache=self._sched_cache,
+                    **self._alg_kwargs(fl.algorithm),
+                )
+            except FaultError as exc:
+                # transfer retry budget exhausted mid-run: the lease was held
+                # for about the predicted duration before the abort surfaced
+                fl.pending = "abort"
+                fl.trace = None
+                fl.seg_repairs = ()
+                push(now + predicted, _PRIO_OUTCOME, "abort", (fl.qid, fl.epoch, str(exc)))
+                return
+            for r in repairs:
+                self._sched_s += r.result.scheduling_time
+                if r.warm_started:
+                    self._warm_starts += 1
+            op_gpu = _op_assignment(schedule)
+            for r in repairs:
+                op_gpu.update(_op_assignment(r.schedule))
         fl.trace = trace
         fl.seg_repairs = repairs
         fl.op_gpu = op_gpu

@@ -39,13 +39,49 @@ from typing import Iterable, Mapping, Sequence
 from ..core.graph import OpGraph
 from ..core.schedule import Schedule
 from .events import EventQueue
-from .faults import FailureEvent, FaultPlan
+from .faults import FailureEvent, FaultPlan, GpuFailure, GpuRepair
 from .link import LinkModel, NVLINK_BRIDGE
 from .mpi import SimFabric, TransferRecord
 
-__all__ = ["EngineError", "EngineConfig", "ExecutionTrace", "MultiGpuEngine"]
+__all__ = [
+    "EngineError",
+    "EngineConfig",
+    "ExecutionTrace",
+    "MultiGpuEngine",
+    "replays_fault_free",
+]
 
 _EPS = 1e-9
+
+
+def replays_fault_free(plan: FaultPlan | None, latency: float) -> bool:
+    """Whether a run under ``plan`` reproduces the fault-free run that
+    ends at ``latency``, bit for bit.
+
+    True for an empty plan, and for a plan holding only
+    :class:`~repro.substrate.faults.GpuFailure` specs that all fire
+    after ``latency + _EPS`` (:class:`~repro.substrate.faults.GpuRepair`
+    specs are ignored, as :meth:`MultiGpuEngine.run` ignores them).  The
+    main loop pops discrete events up to ``now + _EPS`` and stops at the
+    last kernel finish, which is ``latency``; a later failure therefore
+    never pops, and its heap entry never reorders the others.  For such
+    failure-only plans the test is exact.  Any slowdown, link
+    degradation or transfer loss makes it false, whatever its time.
+    The plan is assumed valid for the run's GPU count
+    (:meth:`~repro.substrate.faults.FaultPlan.validate_for`).
+
+    The test only gets stricter as ``latency`` grows, so a plan that
+    fails it at ``latency=0`` replays no trace at all.
+    """
+    if not plan:
+        return True
+    for spec in plan.specs:
+        if isinstance(spec, GpuFailure):
+            if spec.at <= latency + _EPS:
+                return False
+        elif not isinstance(spec, GpuRepair):
+            return False
+    return True
 
 
 class EngineError(RuntimeError):
