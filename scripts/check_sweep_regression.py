@@ -19,8 +19,12 @@ three ways and enforces the engine's contract:
   least ``--min-hit-rate`` (default 90 %) of the units, execute
   nothing, and reproduce the cold run bit-identically.
 * **Cost drift** — the serial wall time, normalized by a per-machine
-  calibration unit, must stay within ``--threshold`` (default 35 %) of
+  calibration loop, must stay within ``--threshold`` (default 35 %) of
   the committed baseline ``benchmarks/results/BENCH_sweep_cost.json``.
+  The loop is :func:`repro.experiments.sched_cost_bench.calibration_seconds`,
+  the program-independent yardstick ``check_sched_regression.py`` also
+  uses: a yardstick that ran the scheduler would shrink with every
+  scheduler speed-up and fail a program that is faster on every unit.
 
 Refresh the baseline after intentional performance changes with::
 
@@ -34,10 +38,10 @@ import pathlib
 import statistics
 import sys
 import tempfile
-import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
+from repro.experiments.sched_cost_bench import calibration_seconds  # noqa: E402
 from repro.sweep import (  # noqa: E402
     RandomDagSpec,
     ResultCache,
@@ -86,26 +90,26 @@ def _run(units: list[WorkUnit], jobs: int, cache_dir: str | None = None):
     return run_units(units, jobs=jobs, cache=cache)
 
 
-def _calibrate(repeats: int = 3) -> float:
-    """Median wall time of one fixed unit — the machine-speed yardstick.
+def _calibrate(repeats: int = 5) -> float:
+    """Machine-speed yardstick: the median of ``repeats`` runs of the
+    program-independent calibration loop, after one untimed run.
 
-    Also serves as the warm-up: the first schedule of a process pays
-    one-time imports that must not land inside a timed sweep.
+    One untimed unit runs first as the import warm-up: the first
+    schedule of a process pays one-time imports that must not land
+    inside a timed sweep.
     """
-    unit = WorkUnit(
-        figure="calibration",
-        x=NUM_OPS,
-        instance=0,
-        algorithm="hios-lp",
-        spec=RandomDagSpec(seed=0, num_gpus=4, num_ops=NUM_OPS),
-        schedule_kwargs=(("window", 3),),
+    execute_unit(
+        WorkUnit(
+            figure="warm-up",
+            x=NUM_OPS,
+            instance=0,
+            algorithm="hios-lp",
+            spec=RandomDagSpec(seed=0, num_gpus=4, num_ops=NUM_OPS),
+            schedule_kwargs=(("window", 3),),
+        )
     )
-    times = []
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        execute_unit(unit)
-        times.append(time.perf_counter() - t0)
-    return statistics.median(times)
+    calibration_seconds()
+    return statistics.median(calibration_seconds() for _ in range(repeats))
 
 
 def measure(jobs: int, repeats: int = 3) -> dict:
@@ -249,8 +253,8 @@ def main(argv: list[str] | None = None) -> int:
               "(generate with --write-baseline)", file=sys.stderr)
         return 2
     baseline = json.loads(args.baseline.read_text())
-    # normalize absolute times by the single-unit calibration: a machine
-    # 2x slower on one unit is allowed a 2x slower serial sweep
+    # normalize absolute times by the calibration loop: a machine 2x
+    # slower on the loop is allowed a 2x slower serial sweep
     scale = current["calibration_s"] / baseline["calibration_s"]
     allowed = baseline["serial"]["wall_s"] * scale * (1.0 + args.threshold)
     wall = current["serial"]["wall_s"]

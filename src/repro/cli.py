@@ -65,6 +65,7 @@ import argparse
 import sys
 
 from .core.api import ALGORITHMS, schedule_graph
+from .core.fasteval import EvalCounters
 from .experiments import EXPERIMENTS, ExperimentConfig, default_config
 from .experiments.realmodels import MODEL_BUILDERS, default_profiler
 from .utils import render_schedule_table
@@ -525,9 +526,7 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
             other = total - sum(phases.values())
             print(f"  {'other':<16} {other * 1000:9.2f} ms")
         counters = {
-            k: result.stats[k]
-            for k in ("evals", "suffix_replays", "window_delta_evals", "cache_hits")
-            if k in result.stats
+            k: result.stats[k] for k in EvalCounters().to_stats() if k in result.stats
         }
         if counters:
             print("evaluation counters:")

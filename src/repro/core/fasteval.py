@@ -22,23 +22,21 @@ DP states, applied to our three inner loops:
     :meth:`PrefixReplayer.replay` re-simulates only the suffix.
 
 :class:`StageGraphEvaluator`
-    Reusable stage-graph evaluation for Alg. 2.  A ``parallelize``
+    Stage-graph evaluation for Alg. 2, one per ``parallelize`` call.  A
     window candidate merges ``p+1`` consecutive singleton stages of one
-    GPU into one stage; every other stage, every edge classification
-    (chain / local / remote) and every sorted send order is unchanged.
-    The evaluator builds those structures once per schedule and prices
-    each candidate by running the forward stage DP with a small
-    *window-merge delta* (a representative-node remap of the merged
-    stages) instead of reconstructing the stage graph per candidate.
+    GPU into one stage, which can only move the stages downstream of
+    it.  The evaluator keeps the committed stage DP's values and prices
+    a candidate by re-running the DP over only the merged stage and
+    that downstream *cone*; it answers without pricing when a candidate
+    touches no stage of the committed critical path (such a candidate
+    cannot be strictly faster); and it applies an accepted merge in
+    place instead of being rebuilt.
 
     Internally the evaluator stores the stage graph as flat int-indexed
-    lists (DESIGN.md §14): stage durations, the per-GPU sequential
-    chains and CSR edge lists (local targets, remote targets + transfer
-    costs, per-source deduplicated successor sets), and the forward DP
-    is a topological sweep over them — no per-stage dicts, sets or
-    string keys in the inner loop.  A window candidate adjusts the
-    committed in-degrees incrementally around the merged members
-    instead of re-deriving them from every edge.
+    lists (DESIGN.md §14): stage durations, GPU-chain predecessors,
+    local sources, remote arrival slots and deduplicated successors,
+    and the forward DP is a topological sweep over them — no per-stage
+    dicts, sets or string keys in the inner loop.
 
 :func:`soa_latency`
     One-shot evaluation of a committed schedule — the latency the
@@ -55,6 +53,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..costmodel.profile import CostProfile
 from .graph import OpGraph
@@ -76,11 +75,16 @@ class EvalCounters:
         List-schedule queries answered by replaying only the suffix
         after a :meth:`PrefixReplayer.snapshot` checkpoint.
     window_delta_evals:
-        Alg. 2 window candidates priced via a stage-graph merge delta
-        instead of a full reconstruction.
+        Alg. 2 window candidates that reached the
+        :class:`StageGraphEvaluator`: priced over their cone, rejected
+        as cyclic, or skipped.
+    window_skips:
+        Those of them skipped unpriced because they touch no stage of
+        the committed critical path (:meth:`StageGraphEvaluator.cannot_improve`).
     soa_evals:
-        Stage-DP runs answered by the struct-of-arrays sweep (committed
-        evaluations plus window deltas plus :func:`soa_latency` calls).
+        Stage-DP runs over the int-indexed lists: full sweeps (committed
+        evaluations and :func:`soa_latency` calls) plus cone re-runs of
+        priced window candidates.
     cache_hits:
         ``CostProfile.stage_time`` memo hits observed during the run
         (filled in by the schedulers from the profile's counter).
@@ -89,6 +93,7 @@ class EvalCounters:
     evals: int = 0
     suffix_replays: int = 0
     window_delta_evals: int = 0
+    window_skips: int = 0
     soa_evals: int = 0
     cache_hits: int = 0
 
@@ -97,6 +102,7 @@ class EvalCounters:
             "evals": self.evals,
             "suffix_replays": self.suffix_replays,
             "window_delta_evals": self.window_delta_evals,
+            "window_skips": self.window_skips,
             "soa_evals": self.soa_evals,
             "cache_hits": self.cache_hits,
         }
@@ -343,19 +349,51 @@ class PrefixReplayer:
         )
 
 
-class StageGraphEvaluator:
-    """Reusable stage-graph evaluation for the Alg. 2 window sweep.
+class _Priced(NamedTuple):
+    """The last window candidate :meth:`StageGraphEvaluator.try_merge`
+    priced: what :meth:`StageGraphEvaluator.commit` writes back."""
 
-    Builds the stage graph — operator-to-stage map, per-stage chain /
-    local / remote edge lists with the deterministic ``(producer,
-    consumer)`` send order, and stage durations — once per schedule as
-    flat int-indexed lists, then prices each window candidate with
-    :meth:`try_merge` by running the forward DP under a merge delta.
-    Every start time is a pure max-merge over its incoming constraints
-    and every send cursor accumulates in the same deterministic
-    ``(producer, consumer)`` order, so the sweep's processing order
-    cannot change a single bit: the floats are those of rebuilding the
-    (merged) stage graph from scratch.
+    key: tuple[int, int, int]  # (gpu, pos, p)
+    stamp: int  # marks the window and the cone in ``_mark``
+    cone: list[int]  # in committed topological order
+    slots: list[int]  # the merged stage's sends, in send order
+    duration: float
+    start: float  # of the merged stage
+    finish: float
+    done: float
+    latency: float
+
+
+class StageGraphEvaluator:
+    """Stage-graph evaluation for one Alg. 2 ``parallelize`` call.
+
+    Builds the stage graph of ``schedule`` once as flat int-indexed
+    lists — per stage its duration, GPU-chain predecessor, local data
+    sources, remote arrival slots in and out, and deduplicated
+    successors over every constraint kind — and keeps it for the whole
+    window sweep:
+
+    * :meth:`evaluate` runs the forward stage DP over every stage and
+      records the *committed state*: each stage's start, finish and
+      send-done time (the finish plus its blocking sends), the arrival
+      time of every remote edge, and the DP's topological order.
+    * :meth:`try_merge` prices a window candidate by re-running the DP
+      over only the merged stage and its *cone* — the stages reachable
+      from the window in the committed graph — reading committed values
+      for every other stage.
+    * :meth:`cannot_improve` answers, without pricing, whether the
+      candidate is acyclic and touches no stage of the committed
+      critical path, so it cannot be strictly faster.
+    * :meth:`commit` contracts an accepted window into one stage in
+      place and writes the candidate's cone values into the committed
+      state.
+
+    Every start time is the max over the same incoming floats a
+    from-scratch rebuild of the (merged) stage graph computes, by the
+    same operations, and every send cursor accumulates in the same
+    ``(producer, consumer)`` order, so the values are bit-identical to
+    that rebuild.  A window's members must be pairwise independent
+    (``parallelize`` checks that first): no data edge joins two members.
     """
 
     def __init__(
@@ -373,295 +411,481 @@ class StageGraphEvaluator:
         self._n = n
 
         op_stage: dict[str, int] = {}
+        by_gpu: dict[int, list[int]] = {}
         for idx, st in enumerate(stages):
             for op in st.ops:
                 op_stage[op] = idx
-
-        by_gpu: dict[int, list[int]] = {}
-        for idx, st in enumerate(stages):
             by_gpu.setdefault(st.gpu, []).append(idx)
         self._by_gpu = by_gpu
-        # per-GPU chain successor, -1 at the end of a chain
-        chain = [-1] * n
+        # per-GPU chain predecessor, -1 at the head of a chain
+        prev = [-1] * n
+        succ: list[set[int]] = [set() for _ in range(n)]
         for ids in by_gpu.values():
             for a, b in zip(ids, ids[1:]):
-                chain[a] = b
-        self._chain = chain
-
-        local_sets: list[set[int]] = [set() for _ in range(n)]
-        remote_lists: list[list[tuple[float, int, str, str]]] = [[] for _ in range(n)]
+                prev[b] = a
+                succ[a].add(b)
+        lin: list[set[int]] = [set() for _ in range(n)]
+        remote: list[tuple[str, str, float, int, int]] = []
         for u, v, w in graph.edges():
             su, sv = op_stage[u], op_stage[v]
             if su == sv:
                 raise ScheduleError(
                     f"dependent operators {u!r} -> {v!r} share a stage"
                 )
+            succ[su].add(sv)
             if stages[su].gpu == stages[sv].gpu:
-                local_sets[su].add(sv)
+                lin[sv].add(su)
             else:
-                remote_lists[su].append((w, sv, u, v))
-        for lst in remote_lists:
-            # deterministic send order: producer then consumer name
-            lst.sort(key=lambda e: (e[2], e[3]))
-        self._local: list[tuple[int, ...]] = [tuple(s) for s in local_sets]
-        self._remote: list[tuple[tuple[float, int, str, str], ...]] = [
-            tuple(lst) for lst in remote_lists
-        ]
-
-        self._duration: list[float] = [
+                remote.append((u, v, w, su, sv))
+        # Remote edges are arrival slots numbered in ``(producer,
+        # consumer)`` name order — the deterministic send order — so a
+        # stage, merged or not, sends its slots in increasing order.
+        remote.sort(key=lambda e: (e[0], e[1]))
+        rout: list[list[int]] = [[] for _ in range(n)]
+        rin: list[list[int]] = [[] for _ in range(n)]
+        for e, (_u, _v, _w, su, sv) in enumerate(remote):
+            rout[su].append(e)
+            rin[sv].append(e)
+        self._prev = prev
+        self._succ: list[list[int]] = [list(s) for s in succ]
+        self._lin: list[list[int]] = [list(s) for s in lin]
+        self._rin = rin
+        self._rout = rout
+        self._rw: list[float] = [e[2] for e in remote]
+        self._rsrc: list[int] = [e[3] for e in remote]
+        self._dur: list[float] = [
             profile.stage_time(st.ops, gpu=st.gpu) for st in stages
         ]
+        self._alive = [True] * n
+        self._live = n
 
-        # Flat CSR edge lists (DESIGN.md §14): remote targets + transfer
-        # costs, local targets, and the per-source deduplicated target
-        # set over all constraint kinds, which drives the in-degrees.
-        # ``rev_sources`` finds the sources with an edge into a window.
-        rptr = [0]
-        rdst: list[int] = []
-        rw: list[float] = []
-        lptr = [0]
-        ldst: list[int] = []
-        sptr = [0]
-        sdst: list[int] = []
-        rev_sources: list[set[int]] = [set() for _ in range(n)]
-        for s in range(n):
-            for w, sv, _u, _v in self._remote[s]:
-                rw.append(w)
-                rdst.append(sv)
-            rptr.append(len(rdst))
-            ldst.extend(self._local[s])
-            lptr.append(len(ldst))
-            targets = set(local_sets[s])
-            targets.update(sv for _w, sv, _u, _v in remote_lists[s])
-            if chain[s] >= 0:
-                targets.add(chain[s])
-            sdst.extend(targets)
-            sptr.append(len(sdst))
-            for t in targets:
-                rev_sources[t].add(s)
-        indeg0 = [0] * n
-        for t in sdst:
-            indeg0[t] += 1
-        self._rw = rw
-        self._rdst = rdst
-        self._rptr = rptr
-        self._ldst = ldst
-        self._lptr = lptr
-        self._sdst = sdst
-        self._sptr = sptr
-        self._indeg0 = indeg0
-        self._rev_sources: list[tuple[int, ...]] = [tuple(s) for s in rev_sources]
-        self._identity: list[int] = list(range(n))
+        # committed state, recorded by the full sweep
+        self._latency: float | None = None
+        self._start = [0.0] * n
+        self._fin = [0.0] * n
+        self._done = [0.0] * n
+        self._arr = [0.0] * len(remote)
+        self._topo: list[int] = []
+        # derived from it before pricing (see ``_derive``)
+        self._derived = False
+        self._rank: list[int] = []
+        self._top: list[float] = []
+        self._desc: list[int] = []
+        self._crit: list[bool] = []
+        # candidate scratch: stamped marks, cone values, last priced
+        self._stamp = 0
+        self._mark: list[int] = []
+        self._seen: list[int] = []
+        self._nstart: list[float] = []
+        self._nfin: list[float] = []
+        self._ndone: list[float] = []
+        self._narr: list[float] = []
+        self._priced: _Priced | None = None
 
     # ------------------------------------------------------------------
     def evaluate(self) -> float:
-        """Latency of the committed schedule (full DP, no delta).
-
-        Raises :class:`ScheduleError` when the stage graph is cyclic.
-        """
-        return self.timings()[0]
-
-    def timings(self) -> tuple[float, list[float], list[float]]:
-        """Latency plus per-stage start and finish times of the committed
-        schedule, stages in ``schedule.all_stages()`` order.
+        """Latency of the committed schedule (full DP over every stage).
 
         Raises :class:`ScheduleError` when the stage graph is cyclic.
         """
         self.counters.evals += 1
-        out = self._run_dp(None)
-        if out is None:
-            raise ScheduleError("stage graph contains a cycle")
-        latency, start = out
-        return latency, start, [t + d for t, d in zip(start, self._duration)]
+        return self._run_dp()
+
+    def timings(self) -> tuple[float, list[float], list[float]]:
+        """Latency plus per-stage start and finish times of the schedule
+        the evaluator was built from, stages in ``schedule.all_stages()``
+        order (call before any :meth:`commit`).
+
+        Raises :class:`ScheduleError` when the stage graph is cyclic.
+        """
+        latency = self.evaluate()
+        return latency, list(self._start), list(self._fin)
 
     def try_merge(self, gpu: int, pos: int, p: int, group: tuple[str, ...]) -> float | None:
         """Latency of the candidate merging the ``p + 1`` consecutive
-        singleton stages at positions ``pos .. pos + p`` of ``gpu``'s
-        stage list into one stage executing ``group``.
+        stages at positions ``pos .. pos + p`` of ``gpu``'s stage list
+        into one stage executing ``group``.
 
         Returns ``None`` when the merged stage graph is cyclic (the
-        candidate Alg. 2 must reject).  The committed structures are
-        not modified.
+        candidate Alg. 2 must reject).  The committed state is not
+        modified.
         """
-        members = self._by_gpu[gpu][pos : pos + p + 1]
+        members = self._window(gpu, pos, p)
         self.counters.window_delta_evals += 1
-        out = self._run_dp((members, group, gpu))
-        return None if out is None else out[0]
+        if self._cyclic(members):
+            return None
+        return self._price((gpu, pos, p), members, group).latency
+
+    def cannot_improve(self, gpu: int, pos: int, p: int) -> bool:
+        """True when the :meth:`try_merge` candidate is acyclic and no
+        member lies on the committed critical path, so its latency is at
+        least the committed latency; such a candidate is counted as a
+        window evaluation and a skip, and needs no pricing.
+
+        The merge changes no stage, duration, edge or send order along
+        that path, and float ``+`` and ``max`` are monotone, so every
+        stage on the path starts no earlier than before.  Every member
+        counts: a window whose later members run one after another along
+        the path can shorten it by running them concurrently.
+        """
+        members = self._window(gpu, pos, p)
+        crit = self._crit
+        for m in members:
+            if crit[m]:
+                return False
+        if self._cyclic(members):
+            return False  # left to try_merge, which rejects it as cyclic
+        self.counters.window_delta_evals += 1
+        self.counters.window_skips += 1
+        return True
+
+    def commit(self, gpu: int, pos: int, p: int, group: tuple[str, ...]) -> float:
+        """Make the :meth:`try_merge` candidate the committed schedule,
+        in place, and return its latency.
+
+        Contracts the window into its first member, writes the
+        candidate's recomputed cone values into the committed state and
+        reorders the committed topological order as: the stages outside
+        the window and the cone in their old order, the merged stage,
+        then the cone in its old order — valid because nothing outside
+        the cone depends on the window.
+
+        Raises :class:`ScheduleError` when the candidate is cyclic.
+        """
+        key = (gpu, pos, p)
+        members = self._window(gpu, pos, p)
+        priced = self._priced
+        if priced is None or priced.key != key:
+            if self._cyclic(members):
+                raise ScheduleError("merging the window makes the stage graph cyclic")
+            priced = self._price(key, members, group)
+        rep, last = members[0], members[-1]
+        window = set(members)
+        start, fin, done, arr = self._start, self._fin, self._done, self._arr
+        nstart, nfin, ndone, narr = self._nstart, self._nfin, self._ndone, self._narr
+        prev, succ, lin, rin, rout = self._prev, self._succ, self._lin, self._rin, self._rout
+        rsrc = self._rsrc
+        cone = priced.cone
+
+        start[rep] = priced.start
+        fin[rep] = priced.finish
+        done[rep] = priced.done
+        for e in priced.slots:
+            arr[e] = narr[e]
+        for t in cone:
+            start[t] = nstart[t]
+            fin[t] = nfin[t]
+            done[t] = ndone[t]
+            for e in rout[t]:
+                arr[e] = narr[e]
+
+        # contract the window into ``rep``: redirect every edge into or
+        # out of a member (the chain into ``rep`` already points at it),
+        # then retire the other members
+        targets: set[int] = set()
+        local_sources: set[int] = set()
+        slots_in: list[int] = []
+        for m in members:
+            targets.update(succ[m])
+            local_sources.update(lin[m])
+            slots_in += rin[m]
+        targets -= window
+        sources = local_sources | {rsrc[e] for e in slots_in}
+        for t in targets:
+            if prev[t] == last:
+                prev[t] = rep
+            if not window.isdisjoint(lin[t]):
+                lin[t] = list({rep if u in window else u for u in lin[t]})
+        for s in sources:
+            succ[s] = list({rep if t in window else t for t in succ[s]})
+        for e in priced.slots:
+            rsrc[e] = rep
+        self._dur[rep] = priced.duration
+        succ[rep] = list(targets)
+        lin[rep] = list(local_sources)
+        rin[rep] = slots_in
+        rout[rep] = priced.slots
+        for m in members[1:]:
+            self._alive[m] = False
+            succ[m] = []
+        self._live -= len(members) - 1
+        self._by_gpu[gpu][pos : pos + p + 1] = [rep]
+
+        mark, stamp = self._mark, priced.stamp
+        self._topo = [s for s in self._topo if mark[s] != stamp] + [rep] + cone
+        self._latency = priced.latency
+        self._derived = False
+        self._priced = None
+        return priced.latency
 
     # ------------------------------------------------------------------
-    def _run_dp(
-        self, merge: tuple[list[int], tuple[str, ...], int] | None
-    ) -> tuple[float, list[float]] | None:
-        """Forward stage DP over the flat lists, optionally under a
-        window-merge delta; returns the latency and the per-stage start
-        times, or ``None`` when the stage graph is cyclic.
+    def _run_dp(self) -> float:
+        """Forward stage DP over every live stage: records the committed
+        state and returns the latency.
 
-        The merged stages are contracted onto a representative node
-        (the first member); edge targets are remapped through an int
-        array at use, which is exactly the stage graph a from-scratch
-        rebuild of the candidate would produce.  Start times are pure
-        max-merges and per-source send cursors accumulate in the
-        committed sorted order, so the values are independent of the
-        sweep's processing order — bit-identical to that rebuild.
+        Each stage starts at the max over its incoming contributions —
+        the chain predecessor's send-done time, local sources' finish
+        times, remote slots' arrival times — pulled once its
+        predecessors are done.  Raises :class:`ScheduleError` when the
+        stage graph is cyclic.
         """
+        self.counters.soa_evals += 1
         n = self._n
         blocking = self._blocking
-        dur = self._duration
-        chain = self._chain
+        prev, succ, lin, rin, rout = self._prev, self._succ, self._lin, self._rin, self._rout
         rw = self._rw
-        rdst = self._rdst
-        rptr = self._rptr
-        ldst = self._ldst
-        lptr = self._lptr
-        sdst = self._sdst
-        sptr = self._sptr
-        self.counters.soa_evals += 1
-
-        rep = -1
-        rep_of = self._identity
-        merged_dur = 0.0
-        merged_rw: list[float] = []
-        merged_rt: list[int] = []
-        merged_local: tuple[int, ...] = ()
-        merged_chain = -1
-        override_targets: dict[int, tuple[int, ...]] = {}
-        active = n
-        indeg = list(self._indeg0)
-        if merge is not None:
-            members, group, gpu = merge
-            rep = members[0]
-            active = n - (len(members) - 1)
-            rep_of = list(self._identity)
-            for m in members:
-                rep_of[m] = rep
-            merged_dur = self._profile.stage_time(group, gpu=gpu)
-            loc: set[int] = set()
-            rem: list[tuple[float, int, str, str]] = []
-            for m in members:
-                loc.update(self._local[m])
-                rem.extend(self._remote[m])
-            rem.sort(key=lambda e: (e[2], e[3]))
-            merged_rw = [e[0] for e in rem]
-            merged_rt = [e[1] for e in rem]
-            merged_local = tuple(loc)
-            merged_chain = chain[members[-1]]
-            # The group passed the pairwise-independence check, so no
-            # edge runs between two members: every merged edge target
-            # lies outside the window and needs no remap.
-            affected: set[int] = set()
-            for m in members:
-                affected.update(self._rev_sources[m])
-            affected.difference_update(members)
-            mt = set(merged_local)
-            mt.update(merged_rt)
-            if merged_chain >= 0:
-                mt.add(merged_chain)
-            merged_targets = tuple(mt)
-            override_targets[rep] = merged_targets
-            # Incremental in-degrees: drop the members' committed
-            # contributions, add the merged node's dedup'd target set,
-            # and pin the representative's in-degree to the number of
-            # outside sources with an edge into the window (remap can
-            # collapse several member targets of one source into the
-            # representative, which must then count once).  Skipped
-            # members keep garbage in-degrees — they are never readied.
-            for m in members:
-                for i in range(sptr[m], sptr[m + 1]):
-                    indeg[sdst[i]] -= 1
-            for t in merged_targets:
+        dur = self._dur
+        start, fin, done, arr = self._start, self._fin, self._done, self._arr
+        indeg = [0] * n
+        for targets in succ:
+            for t in targets:
                 indeg[t] += 1
-            indeg[rep] = len(affected)
-            for s in affected:
-                seen = {rep_of[sdst[i]] for i in range(sptr[s], sptr[s + 1])}
-                override_targets[s] = tuple(seen)
-
-        start = [0.0] * n
-        # rep_of[s] == s keeps non-members and the representative,
-        # excluding the contracted members (identity when not merging)
-        ready = [s for s in range(n) if indeg[s] == 0 and rep_of[s] == s]
-        done = 0
+        alive = self._alive
+        ready = [s for s in range(n) if indeg[s] == 0 and alive[s]]
+        topo: list[int] = []
         latency = 0.0
-        merging = merge is not None
         while ready:
             s = ready.pop()
-            done += 1
-            if s == rep:
-                fin = start[s] + merged_dur
-                if blocking:
-                    cursor = fin
-                    for i, w in enumerate(merged_rw):
-                        cursor += w
-                        t = merged_rt[i]
-                        if cursor > start[t]:
-                            start[t] = cursor
-                    comm_done = cursor
-                else:
-                    for i, w in enumerate(merged_rw):
-                        t = merged_rt[i]
-                        cand = fin + w
-                        if cand > start[t]:
-                            start[t] = cand
-                    comm_done = fin
-                for t in merged_local:
-                    if fin > start[t]:
-                        start[t] = fin
-                if merged_chain >= 0:
-                    if comm_done > start[merged_chain]:
-                        start[merged_chain] = comm_done
+            topo.append(s)
+            st = 0.0
+            c = prev[s]
+            if c >= 0:
+                v = done[c]
+                if v > st:
+                    st = v
+            for u in lin[s]:
+                v = fin[u]
+                if v > st:
+                    st = v
+            for e in rin[s]:
+                v = arr[e]
+                if v > st:
+                    st = v
+            f = st + dur[s]
+            start[s] = st
+            fin[s] = f
+            cur = f
+            if blocking:
+                for e in rout[s]:
+                    cur += rw[e]
+                    arr[e] = cur
             else:
-                fin = start[s] + dur[s]
-                if blocking:
-                    cursor = fin
-                    for i in range(rptr[s], rptr[s + 1]):
-                        cursor += rw[i]
-                        t = rep_of[rdst[i]]
-                        if cursor > start[t]:
-                            start[t] = cursor
-                    comm_done = cursor
-                else:
-                    for i in range(rptr[s], rptr[s + 1]):
-                        t = rep_of[rdst[i]]
-                        cand = fin + rw[i]
-                        if cand > start[t]:
-                            start[t] = cand
-                    comm_done = fin
-                for i in range(lptr[s], lptr[s + 1]):
-                    t = rep_of[ldst[i]]
-                    if fin > start[t]:
-                        start[t] = fin
-                c = chain[s]
-                if c >= 0:
-                    t = rep_of[c]
-                    if comm_done > start[t]:
-                        start[t] = comm_done
-            if fin > latency:
-                latency = fin
-            if comm_done > latency:
-                latency = comm_done
-            # in-degree decrement over the per-source unique target set
-            # (max-merges above already applied the start relaxations)
-            if merging:
-                tt = override_targets.get(s)
-                if tt is not None:
-                    for t in tt:
-                        indeg[t] -= 1
-                        if indeg[t] == 0:
-                            ready.append(t)
-                else:
-                    for i in range(sptr[s], sptr[s + 1]):
-                        t = sdst[i]
-                        indeg[t] -= 1
-                        if indeg[t] == 0:
-                            ready.append(t)
+                for e in rout[s]:
+                    arr[e] = f + rw[e]
+            done[s] = cur
+            if f > latency:
+                latency = f
+            if cur > latency:
+                latency = cur
+            for t in succ[s]:
+                indeg[t] -= 1
+                if indeg[t] == 0:
+                    ready.append(t)
+        if len(topo) != self._live:
+            raise ScheduleError("stage graph contains a cycle")
+        self._topo = topo
+        self._latency = latency
+        self._derived = False
+        self._priced = None
+        return latency
+
+    def _window(self, gpu: int, pos: int, p: int) -> list[int]:
+        """Stage ids of the window, after making sure the committed state
+        and what pricing derives from it (ranks, end times, critical
+        path) are current."""
+        if self._latency is None:
+            self.evaluate()
+        if not self._derived:
+            self._derive()
+        return self._by_gpu[gpu][pos : pos + p + 1]
+
+    def _derive(self) -> None:
+        n = self._n
+        if not self._mark:
+            self._mark = [0] * n
+            self._seen = [0] * n
+            self._nstart = [0.0] * n
+            self._nfin = [0.0] * n
+            self._ndone = [0.0] * n
+            self._narr = [0.0] * len(self._arr)
+        rank = [0] * n
+        for i, s in enumerate(self._topo):
+            rank[s] = i
+        self._rank = rank
+        top = [f if f > d else d for f, d in zip(self._fin, self._done)]
+        self._top = top
+        self._desc = sorted(self._topo, key=top.__getitem__, reverse=True)
+
+        # Critical path: from a stage whose finish or send-done is the
+        # latency, step to a predecessor whose contribution equals the
+        # current stage's start exactly, until a stage starts at 0.
+        crit = [False] * n
+        self._crit = crit
+        start, fin, done, arr = self._start, self._fin, self._done, self._arr
+        prev, lin, rin, rsrc = self._prev, self._lin, self._rin, self._rsrc
+        cur = self._desc[0] if self._desc else -1
+        while cur >= 0:
+            crit[cur] = True
+            st = start[cur]
+            if not st > 0.0:
+                break
+            c = prev[cur]
+            if c < 0 or done[c] != st:
+                c = next((u for u in lin[cur] if fin[u] == st), -1)
+            if c < 0:
+                c = next((rsrc[e] for e in rin[cur] if arr[e] == st), -1)
+            if c < 0:
+                raise RuntimeError(f"stage {cur} starts at no contribution")
+            cur = c
+        self._derived = True
+
+    def _cyclic(self, members: list[int]) -> bool:
+        """Whether contracting ``members`` closes a cycle: some member is
+        reachable from another member's successor outside the window.
+        Every stage on such a path ranks between the first and the last
+        member in the committed topological order, so the search stops
+        at the last member's rank."""
+        self._stamp += 1
+        visited = self._stamp
+        member = -visited
+        seen = self._seen
+        succ = self._succ
+        rank = self._rank
+        limit = rank[members[-1]]
+        for m in members:
+            seen[m] = member
+        stack: list[int] = []
+        for m in members:
+            for t in succ[m]:
+                x = seen[t]
+                if x != member and x != visited and rank[t] < limit:
+                    seen[t] = visited
+                    stack.append(t)
+        while stack:
+            for t in succ[stack.pop()]:
+                x = seen[t]
+                if x == member:
+                    return True
+                if x != visited and rank[t] < limit:
+                    seen[t] = visited
+                    stack.append(t)
+        return False
+
+    def _price(
+        self, key: tuple[int, int, int], members: list[int], group: tuple[str, ...]
+    ) -> _Priced:
+        """Cone pricing of the acyclic candidate ``key`` (``(gpu, pos,
+        p)``).  Its cone values stay in the scratch lists, and the result
+        in ``_priced``, until the next pricing."""
+        self.counters.soa_evals += 1
+        self._stamp += 1
+        stamp = self._stamp
+        blocking = self._blocking
+        mark = self._mark
+        prev, succ, lin, rin, rout = self._prev, self._succ, self._lin, self._rin, self._rout
+        rw, rsrc, dur = self._rw, self._rsrc, self._dur
+        fin, done, arr = self._fin, self._done, self._arr
+        nstart, nfin, ndone, narr = self._nstart, self._nfin, self._ndone, self._narr
+
+        # the merged stage starts at the max over the members' incoming
+        # contributions from outside the window — none comes from the
+        # cone, or the merge would be cyclic — and sends the members'
+        # slots in name order
+        st = 0.0
+        c = prev[members[0]]
+        if c >= 0:
+            v = done[c]
+            if v > st:
+                st = v
+        slots: list[int] = []
+        for m in members:
+            mark[m] = stamp
+            for u in lin[m]:
+                v = fin[u]
+                if v > st:
+                    st = v
+            for e in rin[m]:
+                v = arr[e]
+                if v > st:
+                    st = v
+            slots += rout[m]
+        slots.sort()
+        duration = self._profile.stage_time(group, gpu=key[0])
+        f = st + duration
+        cur = f
+        if blocking:
+            for e in slots:
+                cur += rw[e]
+                narr[e] = cur
+        else:
+            for e in slots:
+                narr[e] = f + rw[e]
+        for m in members:
+            nfin[m] = f
+        ndone[members[-1]] = cur  # only the chain successor reads it
+        merged_start, merged_fin, merged_done = st, f, cur
+        latency = 0.0
+        if f > latency:
+            latency = f
+        if cur > latency:
+            latency = cur
+
+        # the cone: every stage reachable from the window
+        cone: list[int] = []
+        stack = list(members)
+        while stack:
+            for t in succ[stack.pop()]:
+                if mark[t] != stamp:
+                    mark[t] = stamp
+                    cone.append(t)
+                    stack.append(t)
+        cone.sort(key=self._rank.__getitem__)
+        for t in cone:
+            st = 0.0
+            c = prev[t]
+            if c >= 0:
+                v = ndone[c] if mark[c] == stamp else done[c]
+                if v > st:
+                    st = v
+            for u in lin[t]:
+                v = nfin[u] if mark[u] == stamp else fin[u]
+                if v > st:
+                    st = v
+            for e in rin[t]:
+                v = narr[e] if mark[rsrc[e]] == stamp else arr[e]
+                if v > st:
+                    st = v
+            f = st + dur[t]
+            nstart[t] = st
+            nfin[t] = f
+            cur = f
+            if blocking:
+                for e in rout[t]:
+                    cur += rw[e]
+                    narr[e] = cur
             else:
-                for i in range(sptr[s], sptr[s + 1]):
-                    t = sdst[i]
-                    indeg[t] -= 1
-                    if indeg[t] == 0:
-                        ready.append(t)
-        if done != active:
-            return None  # cyclic stage graph
-        return latency, start
+                for e in rout[t]:
+                    narr[e] = f + rw[e]
+            ndone[t] = cur
+            if f > latency:
+                latency = f
+            if cur > latency:
+                latency = cur
+
+        # the largest committed end time outside the window and the cone
+        top = self._top
+        for s in self._desc:
+            if mark[s] != stamp:
+                if top[s] > latency:
+                    latency = top[s]
+                break
+
+        priced = _Priced(
+            key, stamp, cone, slots, duration, merged_start, merged_fin,
+            merged_done, latency,
+        )
+        self._priced = priced
+        return priced
 
 
 def soa_latency(

@@ -11,6 +11,12 @@ grouping is kept when
 * rescheduling every stage at its earliest start — without changing
   per-GPU execution order — strictly lowers the end-to-end latency.
 
+One :class:`~repro.core.fasteval.StageGraphEvaluator` serves the whole
+sweep.  It prices a candidate over only the merged stage and the stages
+downstream of it, rejects unpriced (as slower) every acyclic candidate
+that touches no stage of the committed critical path — such a merge
+cannot shorten that path — and applies an accepted merge in place.
+
 The stage duration of a group comes from the profile's concurrency
 model ``t(S)``, which is where under-utilization (small operators gain)
 versus contention (saturating operators lose) enters the decision.
@@ -57,8 +63,9 @@ def parallelize(
     ``validate=False`` skips the entry validation — for internal
     callers that just built and validated the schedule themselves (the
     ``HIOS_DEBUG_LINT=1`` self-check still lints the final schedule).
-    Window candidates are priced as merge deltas on a
-    :class:`~repro.core.fasteval.StageGraphEvaluator`.
+    The evaluator is looked up as ``StageGraphEvaluator`` in this
+    module at call time, so ``tests/oracles`` can swap in its
+    from-scratch stand-in.
     """
     if window < 1:
         raise ValueError("window size must be >= 1")
@@ -114,6 +121,15 @@ def parallelize(
                         outcome="rejected-dependent",
                     )
                 continue
+            if evaluator.cannot_improve(gpu, pos, p):
+                stats.rejected_slower += 1
+                if log is not None:
+                    log.emit(
+                        "window", gpu=gpu, ops=list(group),
+                        outcome="rejected-slower",
+                        best_latency_ms=best_latency, priced=False,
+                    )
+                continue
             lat = evaluator.try_merge(gpu, pos, p, group)
             if lat is None:
                 stats.rejected_cyclic += 1
@@ -152,8 +168,6 @@ def parallelize(
                     "window-merge", gpu=gpu, ops=list(group),
                     outcome="accepted", latency_ms=best_latency,
                 )
-            # committed structure changed: rebuild once per accepted
-            # group (rare relative to windows tried)
-            evaluator = StageGraphEvaluator(profile, schedule, counters=counters)
+            evaluator.commit(gpu, pos, best_p, group)
 
     return schedule, best_latency, stats

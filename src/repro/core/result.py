@@ -32,8 +32,9 @@ class ScheduleResult:
         Algorithm-specific counters (paths extracted, DP states, ...).
         Schedulers running on the incremental engine
         (:mod:`repro.core.fasteval`) additionally report ``evals``,
-        ``suffix_replays``, ``window_delta_evals`` and ``cache_hits``
-        (see :class:`repro.core.fasteval.EvalCounters`) plus a
+        ``suffix_replays``, ``window_delta_evals``, ``window_skips``,
+        ``soa_evals`` and ``cache_hits`` (see
+        :class:`repro.core.fasteval.EvalCounters`) plus a
         ``phase_times`` mapping of per-phase wall seconds
         (``spatial_mapping`` / ``local_search`` / ``intra_gpu``),
         surfaced by ``repro schedule --profile-sched``.

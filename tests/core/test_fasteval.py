@@ -23,6 +23,8 @@ from repro.core import (
     EvalCounters,
     OpGraph,
     PrefixReplayer,
+    Schedule,
+    ScheduleError,
     Stage,
     StageGraphEvaluator,
     build_singleton_schedule,
@@ -135,39 +137,198 @@ def test_list_schedule_rejects_unassigned_operator():
 # StageGraphEvaluator vs. the stage-graph oracle
 
 
-@pytest.mark.parametrize("blocking", [True, False])
-def test_stage_evaluator_matches_reference_on_merges(blocking):
-    prof = random_dag_profile(seed=9, num_gpus=2, num_ops=30, num_layers=5)
-    prof = replace(prof, send_blocking=blocking)
+def _candidates(prof, schedule, max_p=2):
+    """Every Alg. 2 window over consecutive singleton stages whose
+    operators are pairwise independent, with the merged schedule and the
+    oracle's latency of it (``None`` when its stage graph is cyclic)."""
     graph = prof.graph
-    order = priority_order(graph)
-    assignment = {v: i % 2 for i, v in enumerate(order)}
-    schedule = build_singleton_schedule(assignment, order, 2)
-    ev = StageGraphEvaluator(prof, schedule)
-    assert ev.evaluate() == oracles.evaluate_latency(prof, schedule)
-
-    checked = 0
-    for gpu in range(2):
+    for gpu in range(schedule.num_gpus):
         stages = schedule.stages_on(gpu)
-        for pos in range(len(stages) - 1):
-            for p in (1, 2):
-                if pos + p >= len(stages):
+        for pos in range(len(stages)):
+            for p in range(1, max_p + 1):
+                window = stages[pos : pos + p + 1]
+                if len(window) <= p or any(len(st) > 1 for st in window):
                     break
-                group = tuple(
-                    st.ops[0] for st in stages[pos : pos + p + 1]
-                )
+                group = tuple(st.ops[0] for st in window)
                 if not graph.independent(group):
                     continue
                 merged = stages[:pos] + [Stage(gpu, group)] + stages[pos + 1 + p :]
                 candidate = schedule.with_stages_on_gpu(gpu, merged)
                 try:
                     want = oracles.evaluate_latency(prof, candidate)
-                except Exception:
+                except ScheduleError:
                     want = None
-                got = ev.try_merge(gpu, pos, p, group)
-                assert got == want
-                checked += 1
-    assert checked > 10  # the sweep actually exercised merges
+                yield gpu, pos, p, group, candidate, want
+
+
+@pytest.mark.parametrize("blocking", [True, False])
+def test_stage_evaluator_matches_reference_on_merges(blocking):
+    """``try_merge`` equals the oracle on every candidate, before and
+    after each in-place ``commit``, and ``evaluate()`` equals the oracle
+    on the committed schedule, on homogeneous and heterogeneous GPUs."""
+    prof = random_dag_profile(seed=9, num_gpus=2, num_ops=30, num_layers=5)
+    prof = replace(prof, send_blocking=blocking)
+    _check_merges_and_commits(prof)
+    _check_merges_and_commits(replace(prof, gpu_speeds=(1.0, 1.5)))
+
+
+def _check_merges_and_commits(prof):
+    """``ev`` re-sweeps after every commit; ``chained`` never does, so it
+    prices from the state the commits alone maintain."""
+    order = priority_order(prof.graph)
+    assignment = {v: i % 2 for i, v in enumerate(order)}
+    schedule = build_singleton_schedule(assignment, order, 2)
+    ev = StageGraphEvaluator(prof, schedule)
+    chained = StageGraphEvaluator(prof, schedule)
+    want = oracles.evaluate_latency(prof, schedule)
+    assert ev.evaluate() == chained.evaluate() == want
+
+    rng = random.Random(5)
+    checked = commits = 0
+    while commits < 8:
+        acyclic = []
+        for gpu, pos, p, group, candidate, want in _candidates(prof, schedule):
+            assert ev.try_merge(gpu, pos, p, group) == want
+            assert chained.try_merge(gpu, pos, p, group) == want
+            checked += 1
+            if want is not None:
+                acyclic.append((gpu, pos, p, group, candidate, want))
+        if not acyclic:
+            break
+        gpu, pos, p, group, schedule, want = rng.choice(acyclic)
+        # ``chained`` commits the candidate it priced last; ``ev`` has
+        # priced others since and must price it again
+        assert chained.try_merge(gpu, pos, p, group) == want
+        assert chained.commit(gpu, pos, p, group) == want
+        assert ev.commit(gpu, pos, p, group) == want
+        assert ev.evaluate() == want
+        commits += 1
+    assert commits == 8 and checked > 50  # the sweep exercised merges
+    assert chained.evaluate() == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(profile=dag_profiles(), seed=st.integers(0, 2**16))
+def test_skipped_candidates_are_never_faster(profile, seed):
+    """Whenever the evaluator skips a candidate as off the committed
+    critical path, the oracle's latency of that candidate is at least
+    the committed latency — also after in-place commits."""
+    rng = random.Random(seed)
+    order = priority_order(profile.graph)
+    assignment = {v: rng.randrange(profile.num_gpus) for v in order}
+    schedule = build_singleton_schedule(assignment, order, profile.num_gpus)
+    ev = StageGraphEvaluator(profile, schedule)
+    committed = ev.evaluate()
+    for _ in range(4):
+        acyclic = []
+        for gpu, pos, p, group, candidate, want in _candidates(profile, schedule):
+            if ev.cannot_improve(gpu, pos, p):
+                assert want is not None and want >= committed
+            assert ev.try_merge(gpu, pos, p, group) == want
+            if want is not None:
+                acyclic.append((gpu, pos, p, group, candidate, want))
+        if not acyclic:
+            break
+        gpu, pos, p, group, schedule, want = rng.choice(acyclic)
+        committed = ev.commit(gpu, pos, p, group)
+        assert committed == want
+
+
+def test_window_along_the_critical_path_is_priced():
+    """A window whose first member ``a`` is off the critical path but
+    whose later members ``b`` -> ``c`` run along it can shorten the
+    path by running them concurrently, so it must be priced, not
+    skipped."""
+    g = OpGraph()
+    for name, cost in (("x", 3.0), ("a", 1.0), ("b", 2.0), ("c", 2.0)):
+        g.add_operator(name, cost=cost, occupancy=0.3)
+    g.add_edge("x", "b", 0.5)
+    prof = make_profile(g, num_gpus=2)
+    schedule = build_singleton_schedule(
+        {"x": 0, "a": 1, "b": 1, "c": 1}, ["x", "a", "b", "c"], 2
+    )
+    ev = StageGraphEvaluator(prof, schedule)
+    committed = ev.evaluate()
+    merged = schedule.with_stages_on_gpu(1, [Stage(1, ("a", "b", "c"))])
+    want = oracles.evaluate_latency(prof, merged)
+    assert want < committed
+    assert not ev.cannot_improve(1, 0, 2)
+    assert ev.try_merge(1, 0, 2, ("a", "b", "c")) == want
+
+
+def test_commit_orders_the_merged_stage_after_its_sources():
+    """After a commit the merged stage must follow every source of
+    every member in the committed topological order.  Here ``x`` feeds
+    only the window's second member ``b`` and the first full sweep
+    orders it after ``a``; pricing a later candidate whose cone holds
+    both ``x`` and the merged stage must still recompute ``x`` first."""
+    g = OpGraph.from_edges(
+        {"p": 4.0, "q": 4.0, "x": 1.0, "a": 1.0, "b": 1.0}, [("x", "b", 0.5)]
+    )
+    prof = make_profile(g, num_gpus=2)
+    schedule = build_singleton_schedule(
+        {"p": 0, "q": 0, "x": 0, "a": 1, "b": 1}, ["a", "p", "q", "x", "b"], 2
+    )
+    ev = StageGraphEvaluator(prof, schedule)
+    ev.evaluate()
+    merged = schedule.with_stages_on_gpu(1, [Stage(1, ("a", "b"))])
+    assert ev.commit(1, 0, 1, ("a", "b")) == oracles.evaluate_latency(prof, merged)
+    both = merged.with_stages_on_gpu(0, [Stage(0, ("p", "q")), Stage(0, ("x",))])
+    assert ev.try_merge(0, 0, 1, ("p", "q")) == oracles.evaluate_latency(prof, both)
+
+
+def test_skip_is_counted_and_never_prices():
+    """A skip counts as a window evaluation and a skip, runs no stage
+    DP, and leaves ``try_merge`` exact for the same candidate."""
+    prof = random_dag_profile(seed=3, num_gpus=3, num_ops=40, num_layers=6)
+    order = priority_order(prof.graph)
+    schedule = build_singleton_schedule({v: i % 3 for i, v in enumerate(order)}, order, 3)
+    counters = EvalCounters()
+    ev = StageGraphEvaluator(prof, schedule, counters=counters)
+    committed = ev.evaluate()
+    skipped = 0
+    for gpu, pos, p, group, _candidate, want in _candidates(prof, schedule):
+        before = (counters.window_delta_evals, counters.soa_evals)
+        if ev.cannot_improve(gpu, pos, p):
+            skipped += 1
+            assert counters.window_delta_evals == before[0] + 1
+            assert counters.soa_evals == before[1]
+            assert want is not None and want >= committed
+            assert ev.try_merge(gpu, pos, p, group) == want
+    assert skipped > 0
+    assert counters.window_skips == skipped
+
+
+def test_parallelize_edge_cases():
+    """No operators, one operator, ``window=1``, and a schedule that
+    already has multi-op stages."""
+    counters = EvalCounters()
+    empty = make_profile(OpGraph(), num_gpus=2)
+    out, lat, stats = parallelize(empty, Schedule(2), counters=counters)
+    assert lat == 0.0 and out.num_stages == 0 and stats.windows_tried == 0
+
+    one = make_profile(OpGraph.from_edges({"a": 2.5}, []), num_gpus=2)
+    sched = build_singleton_schedule({"a": 1}, ["a"], 2)
+    out, lat, stats = parallelize(one, sched, counters=counters)
+    assert lat == 2.5 and out.to_dict() == sched.to_dict()
+    assert stats.windows_tried == 0
+    assert counters.window_delta_evals == counters.window_skips == 0
+
+    prof = random_dag_profile(seed=12, num_gpus=2, num_ops=40, num_layers=5)
+    base = schedule_graph(prof, "inter-lp").schedule
+    out, lat, stats = parallelize(prof, base, window=1, counters=counters)
+    assert out.to_dict() == base.to_dict() and stats.windows_tried == 0
+    assert counters.window_delta_evals == 0
+
+    grouped, _, stats = parallelize(prof, base, window=2)
+    assert stats.groups_formed > 0 and grouped.max_stage_width() > 1
+    for window in (2, 3, 4):
+        got = parallelize(prof, grouped, window=window)
+        with oracles.reference_components():
+            want = parallelize(prof, grouped, window=window)
+        assert got[0].to_dict() == want[0].to_dict()
+        assert got[1] == want[1]
+        assert got[2] == want[2]
 
 
 def test_stage_evaluator_detects_cycles():
@@ -223,18 +384,19 @@ def test_fast_matches_reference_on_larger_fixed_seeds():
 def test_stats_counters_present_and_plausible():
     prof = random_dag_profile(seed=2, num_gpus=3, num_ops=40, num_layers=6)
     res = schedule_graph(prof, "hios-lp")
-    for key in ("evals", "suffix_replays", "window_delta_evals", "cache_hits"):
+    for key in EvalCounters().to_stats():
         assert key in res.stats
         assert res.stats[key] >= 0
     assert res.stats["suffix_replays"] > 0  # the replayer actually ran
     assert res.stats["window_delta_evals"] > 0  # Alg. 2 used the delta path
+    assert res.stats["window_skips"] > 0  # and skipped off-path candidates
     assert "phase_times" in res.stats
     assert "spatial_mapping" in res.stats["phase_times"]
 
     with oracles.reference_components():
         ref = schedule_graph(prof, "hios-lp")
     # the oracles keep no counters: every engine seam was swapped out
-    for key in ("evals", "suffix_replays", "window_delta_evals", "soa_evals"):
+    for key in ("evals", "suffix_replays", "window_delta_evals", "window_skips", "soa_evals"):
         assert ref.stats[key] == 0
 
 
@@ -356,6 +518,7 @@ def test_counters_shared_across_phases():
         "evals",
         "suffix_replays",
         "window_delta_evals",
+        "window_skips",
         "soa_evals",
         "cache_hits",
     }

@@ -107,6 +107,27 @@ class TestSchedulerHooks:
         }
         assert "improves" in outcomes
 
+    def test_skipped_windows_are_marked_and_counted(self, profiled):
+        """A ``rejected-slower`` window was either priced no faster than
+        the best latency or skipped unpriced as off the critical path;
+        the skipped records are exactly the evaluator's skip counter."""
+        _, profile = profiled
+        total_skipped = 0
+        for alg in ("hios-lp", "hios-mr"):
+            with capture_decisions() as log:
+                result = schedule_graph(profile, alg)
+            slower = [r for r in log.events("window") if r["outcome"] == "rejected-slower"]
+            skipped = [r for r in slower if r.get("priced") is False]
+            for r in slower:
+                if r.get("priced") is False:
+                    assert "latency_ms" not in r
+                    assert "best_latency_ms" in r
+                else:
+                    assert r["latency_ms"] >= r["best_latency_ms"]
+            assert len(skipped) == result.stats["window_skips"]
+            total_skipped += len(skipped)
+        assert total_skipped > 0
+
     def test_scheduling_without_capture_emits_nothing(self, profiled):
         _, profile = profiled
         result = schedule_graph(profile, "hios-lp")  # no active log

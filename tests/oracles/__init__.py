@@ -367,7 +367,7 @@ def mr_fill(
 # Adapters: the oracles behind the production components' interfaces.
 # They leave the evaluation counters alone, so a reference run reports
 # zero ``evals`` / ``suffix_replays`` / ``window_delta_evals`` /
-# ``soa_evals``.
+# ``window_skips`` / ``soa_evals``.
 
 
 class _ListScheduleOracle:
@@ -402,8 +402,9 @@ class _ListScheduleOracle:
 
 
 class _StageGraphOracle:
-    """``StageGraphEvaluator`` stand-in: prices a window candidate by
-    rebuilding the merged schedule and evaluating it from scratch."""
+    """``StageGraphEvaluator`` stand-in: prices every window candidate
+    (it never skips one) by rebuilding the merged schedule and
+    evaluating it from scratch, and commits by keeping that rebuild."""
 
     def __init__(
         self,
@@ -417,14 +418,23 @@ class _StageGraphOracle:
     def evaluate(self) -> float:
         return evaluate_latency(self._profile, self._schedule)
 
-    def try_merge(self, gpu: int, pos: int, p: int, group: tuple[str, ...]) -> float | None:
+    def _merged(self, gpu: int, pos: int, p: int, group: tuple[str, ...]) -> Schedule:
         stages = self._schedule.stages_on(gpu)
         merged = stages[:pos] + [Stage(gpu, group)] + stages[pos + 1 + p :]
-        candidate = self._schedule.with_stages_on_gpu(gpu, merged)
+        return self._schedule.with_stages_on_gpu(gpu, merged)
+
+    def try_merge(self, gpu: int, pos: int, p: int, group: tuple[str, ...]) -> float | None:
         try:
-            return evaluate_latency(self._profile, candidate)
+            return evaluate_latency(self._profile, self._merged(gpu, pos, p, group))
         except ScheduleError:
             return None
+
+    def cannot_improve(self, gpu: int, pos: int, p: int) -> bool:
+        return False
+
+    def commit(self, gpu: int, pos: int, p: int, group: tuple[str, ...]) -> float:
+        self._schedule = self._merged(gpu, pos, p, group)
+        return self.evaluate()
 
 
 class _LongestPathOracle:

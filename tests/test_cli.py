@@ -114,6 +114,16 @@ class TestCommands:
         out = capsys.readouterr().out
         assert '"num_gpus": 2' in out
 
+    def test_schedule_profile_sched_prints_every_counter(self, capsys):
+        from repro.core import EvalCounters
+
+        assert main(["schedule", "--algorithm", "hios-lp", "--profile-sched"]) == 0
+        out = capsys.readouterr().out
+        assert "scheduling time breakdown:" in out
+        counters = out.split("evaluation counters:", 1)[1].splitlines()
+        printed = {line.split()[0] for line in counters if line.startswith("  ")}
+        assert printed == set(EvalCounters().to_stats())
+
 
 class TestValidateCommand:
     @pytest.fixture
