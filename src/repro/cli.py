@@ -500,12 +500,8 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
     if args.trace_out:
         from .obs import save_chrome_trace
 
-        op_gpu = {
-            op: result.schedule.gpu_of(op)
-            for op in result.schedule.operators()
-        }
         save_chrome_trace(
-            trace, op_gpu, args.trace_out,
+            trace, result.schedule.assignment(), args.trace_out,
             process_name=f"{args.model}@{size}",
         )
         print(f"wrote Chrome trace to {args.trace_out}")
@@ -1048,7 +1044,7 @@ def _load_op_gpu(path: str) -> dict[str, int] | None:
     except (OSError, json.JSONDecodeError, ScheduleError) as exc:
         print(f"error: cannot load schedule {path}: {exc}")
         return None
-    return {op: schedule.gpu_of(op) for op in schedule.operators()}
+    return schedule.assignment()
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:

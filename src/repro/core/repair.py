@@ -31,6 +31,7 @@ here is imported lazily inside the functions that need it.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Any
 
@@ -109,38 +110,58 @@ def _surviving_gpus(
     return survivors
 
 
-def _warm_spatial_seed(
-    subgraph: OpGraph, previous: Schedule, survivors: tuple[int, ...]
-) -> dict[str, int] | None:
-    """Project ``previous`` (original GPU ids) onto the repair subgraph.
+def _subprofile(
+    profile: CostProfile, remaining: Sequence[str], gpus: Sequence[int]
+) -> CostProfile:
+    """The cost profile of ``remaining``'s induced subgraph on ``gpus``.
 
-    Every remaining operator that lived on a survivor keeps its GPU
-    (compacted to the survivor index space); operators stranded on dead
-    GPUs are re-homed greedily onto the least-loaded survivor.  Returns
-    ``None`` when the previous schedule does not cover the subgraph
-    (nothing sound to project).
+    ``gpus`` are indices into ``profile``'s GPUs; the subprofile numbers
+    them ``0 .. len(gpus) - 1`` in that order.
     """
-    slot = {g: i for i, g in enumerate(survivors)}
-    prev_gpu: dict[str, int] = {}
-    for g in range(previous.num_gpus):
-        for st in previous.stages_on(g):
-            for op in st.ops:
-                prev_gpu[op] = g
+    speeds = None
+    if profile.gpu_speeds is not None:
+        speeds = tuple(profile.gpu_speeds[g] for g in gpus)
+    return CostProfile(
+        graph=profile.graph.subgraph(remaining),
+        concurrency=profile.concurrency,
+        num_gpus=len(gpus),
+        max_streams=profile.max_streams,
+        send_blocking=profile.send_blocking,
+        gpu_speeds=speeds,
+    )
+
+
+def _spatial_seed(
+    subgraph: OpGraph,
+    prev_assignment: dict[str, int],
+    slot_map: dict[int, int],
+    new_width: int,
+) -> dict[str, int] | None:
+    """Project ``prev_assignment`` through ``slot_map`` onto the new width.
+
+    Remaining operators on a kept GPU follow it to its new slot;
+    operators on dropped (or dead) GPUs are re-homed greedily onto the
+    least-loaded new slot.  Returns ``None`` when ``prev_assignment``
+    does not cover the subgraph or maps outside the new width.
+    """
     assignment: dict[str, int] = {}
     stranded: list[str] = []
     for v in subgraph.names:
-        g = prev_gpu.get(v)
+        g = prev_assignment.get(v)
         if g is None:
             return None
-        if g in slot:
-            assignment[v] = slot[g]
-        else:
+        slot = slot_map.get(g)
+        if slot is None:
             stranded.append(v)
-    load = [0.0] * len(survivors)
+        elif not (0 <= slot < new_width):
+            return None
+        else:
+            assignment[v] = slot
+    load = [0.0] * new_width
     for v, i in assignment.items():
         load[i] += subgraph.cost(v)
     for v in sorted(stranded):
-        i = min(range(len(survivors)), key=lambda j: (load[j], j))
+        i = min(range(new_width), key=lambda j: (load[j], j))
         assignment[v] = i
         load[i] += subgraph.cost(v)
     return assignment
@@ -233,22 +254,13 @@ def repair_schedule(
         raise RepairError("nothing to repair: every operator already finished")
     survivors = _surviving_gpus(profile.num_gpus, failure, dead)
 
-    subgraph = profile.graph.subgraph(remaining)
-    speeds = None
-    if profile.gpu_speeds is not None:
-        speeds = tuple(profile.gpu_speeds[g] for g in survivors)
-    subprofile = CostProfile(
-        graph=subgraph,
-        concurrency=profile.concurrency,
-        num_gpus=len(survivors),
-        max_streams=profile.max_streams,
-        send_blocking=profile.send_blocking,
-        gpu_speeds=speeds,
-    )
+    subprofile = _subprofile(profile, remaining, survivors)
+    subgraph = subprofile.graph
 
     seed: dict[str, int] | None = None
     if warm_start_from is not None and algorithm in SPATIAL_CACHE_ALGORITHMS:
-        seed = _warm_spatial_seed(subgraph, warm_start_from, survivors)
+        slot_map = {g: i for i, g in enumerate(survivors)}
+        seed = _spatial_seed(subgraph, warm_start_from.assignment(), slot_map, len(survivors))
     result, warm_started = _plan_subgraph(
         subprofile, subgraph, seed, algorithm, sched_cache, **kwargs
     )
@@ -317,21 +329,12 @@ def resize_schedule(
     remaining = tuple(v for v in profile.graph.names if v not in finished)
     if not remaining:
         raise RepairError("nothing to resize: every operator already finished")
-    subgraph = profile.graph.subgraph(remaining)
-    subprofile = CostProfile(
-        graph=subgraph,
-        concurrency=profile.concurrency,
-        num_gpus=profile.num_gpus,
-        max_streams=profile.max_streams,
-        send_blocking=profile.send_blocking,
-        gpu_speeds=profile.gpu_speeds,
-    )
+    subprofile = _subprofile(profile, remaining, range(profile.num_gpus))
+    subgraph = subprofile.graph
 
     seed: dict[str, int] | None = None
     if prev_assignment is not None and algorithm in SPATIAL_CACHE_ALGORITHMS:
-        seed = _resize_spatial_seed(
-            subgraph, prev_assignment, slot_map or {}, profile.num_gpus
-        )
+        seed = _spatial_seed(subgraph, prev_assignment, slot_map or {}, profile.num_gpus)
     result, warm_started = _plan_subgraph(
         subprofile, subgraph, seed, algorithm, sched_cache, **kwargs
     )
@@ -343,42 +346,6 @@ def resize_schedule(
         result=result,
         warm_started=warm_started,
     )
-
-
-def _resize_spatial_seed(
-    subgraph: OpGraph,
-    prev_assignment: dict[str, int],
-    slot_map: dict[int, int],
-    new_width: int,
-) -> dict[str, int] | None:
-    """Project ``prev_assignment`` through ``slot_map`` onto the new width.
-
-    Remaining operators on a kept GPU follow it to its new slot;
-    operators on dropped slots are re-homed greedily onto the
-    least-loaded new slot.  Returns ``None`` when ``prev_assignment``
-    does not cover the subgraph or maps outside the new width.
-    """
-    assignment: dict[str, int] = {}
-    stranded: list[str] = []
-    for v in subgraph.names:
-        g = prev_assignment.get(v)
-        if g is None:
-            return None
-        slot = slot_map.get(g)
-        if slot is None:
-            stranded.append(v)
-        elif not (0 <= slot < new_width):
-            return None
-        else:
-            assignment[v] = slot
-    load = [0.0] * new_width
-    for v, i in assignment.items():
-        load[i] += subgraph.cost(v)
-    for v in sorted(stranded):
-        i = min(range(new_width), key=lambda j: (load[j], j))
-        assignment[v] = i
-        load[i] += subgraph.cost(v)
-    return assignment
 
 
 def splice_traces(head: "ExecutionTrace", tail: "ExecutionTrace") -> "ExecutionTrace":

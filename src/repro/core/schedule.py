@@ -120,6 +120,10 @@ class Schedule:
     def operators(self) -> list[str]:
         return list(self._placement)
 
+    def assignment(self) -> dict[str, int]:
+        """Map every scheduled operator to its GPU."""
+        return {op: gpu for op, (gpu, _) in self._placement.items()}
+
     @property
     def num_stages(self) -> int:
         return sum(len(q) for q in self._per_gpu)
@@ -158,7 +162,7 @@ class Schedule:
         from ..lint.framework import LintContext, Linter
 
         ctx = LintContext(graph=graph, schedule=self)
-        Linter.errors_only().for_packs("schedule").run(ctx).raise_errors(
+        Linter().errors_only().for_packs("schedule").run(ctx).raise_errors(
             ScheduleError
         )
 
@@ -209,7 +213,7 @@ class Schedule:
         from ..lint.framework import LintContext, Linter
 
         ctx = LintContext(schedule_doc=data)
-        Linter.errors_only().run(ctx).raise_errors(
+        Linter().errors_only().run(ctx).raise_errors(
             ScheduleError, prefix="malformed schedule document: "
         )
         try:

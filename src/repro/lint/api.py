@@ -35,7 +35,7 @@ __all__ = [
 
 
 def _linter(errors_only: bool) -> Linter:
-    return Linter.errors_only() if errors_only else Linter()
+    return Linter().errors_only() if errors_only else Linter()
 
 
 def lint_graph(

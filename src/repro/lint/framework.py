@@ -200,15 +200,15 @@ class Linter:
 
     rules: tuple[Rule, ...] = field(default_factory=lambda: tuple(all_rules()))
 
-    @classmethod
-    def errors_only(cls) -> "Linter":
-        """A linter restricted to error-severity rules — the fast
+    def errors_only(self) -> "Linter":
+        """This linter narrowed to its error-severity rules — the fast
         feasibility core the ``validate()`` wrappers run."""
-        return cls(tuple(r for r in all_rules() if r.severity is Severity.ERROR))
+        return Linter(tuple(r for r in self.rules if r.severity is Severity.ERROR))
 
-    @classmethod
-    def for_packs(cls, *packs: str) -> "Linter":
-        return cls(tuple(r for r in all_rules() if r.pack in packs))
+    def for_packs(self, *packs: str) -> "Linter":
+        """This linter narrowed to the rules of ``packs``; composes with
+        :meth:`errors_only` in either order."""
+        return Linter(tuple(r for r in self.rules if r.pack in packs))
 
     def run(self, ctx: LintContext) -> LintReport:
         diagnostics: list[Diagnostic] = []

@@ -163,7 +163,9 @@ class ServeReport:
     of a merged same-model batch (``sum(batch - 1)`` over dispatches),
     and ``elastic_grows`` / ``elastic_shrinks`` the in-flight lease
     resizes (together they equal ``sum(rec.resizes)`` — the V010 lint
-    rule holds reports to these identities).
+    rule holds reports to these identities).  ``displaced`` and
+    ``repairs`` are summed from the records; the other loop counters
+    cannot be, so the simulator passes them in.
     """
 
     arrivals: int
@@ -201,7 +203,6 @@ class ServeReport:
         cls,
         records: list[RequestRecord],
         retries: int,
-        displaced: int,
         degraded_dispatches: int,
         gpu_busy_ms: dict[int, float],
         horizon_ms: float,
@@ -249,7 +250,7 @@ class ServeReport:
             failed=failed,
             deadline_misses=misses,
             retries=retries,
-            displaced=displaced,
+            displaced=sum(r.displaced for r in records),
             repairs=sum(r.repairs for r in records),
             degraded_dispatches=degraded_dispatches,
             revived=revived,

@@ -18,13 +18,13 @@ One event heap drives the whole run, ordered by
 After every event the dispatcher drains the queue: highest priority
 first (FIFO within a priority), leasing the ``gpus_per_query`` lowest
 free GPUs — or, when the backlog exceeds ``overload_queue``, the
-degraded lease size and algorithm.  The queue is sorted once per
-dispatch round and the overload verdict is latched for the whole
-round.  With ``max_batch > 1`` the dispatcher merges queued same-model
-requests into the leader's dispatch: one lease, one schedule, one
-execution, per-member deadline accounting.  A request whose
-*predicted* completion would miss its deadline is shed instead of
-dispatched.
+degraded lease size and algorithm.  Entries are inserted at their
+place in that order, so the queue is always in dispatch order, and the
+overload verdict is latched for the whole round.  With
+``max_batch > 1`` the dispatcher merges queued same-model requests
+into the leader's dispatch: one lease, one schedule, one execution,
+per-member deadline accounting.  A request whose *predicted*
+completion would miss its deadline is shed instead of dispatched.
 
 Fault handling is **look-ahead at dispatch**: the pool's remaining
 faults are projected onto the lease (pool GPU indices → lease-local
@@ -49,6 +49,13 @@ from the old placement, and re-executes it on the new lease;
 outcome events carry an epoch so a superseded segment's outcome is
 ignored when it fires.
 
+The state one run changes — pool, queue, event heap, in-flight
+leases, busy time, counters — lives on a private run-state object
+whose methods are the loop's handlers; :class:`ServeSimulator` keeps
+only what outlives a run (config, fault plan, engine config, schedule
+cache, plan memo), so a second :meth:`ServeSimulator.run` reuses the
+plans of the first.
+
 Everything — arrivals, placement, faults, backoff jitter — is a pure
 function of the :class:`~repro.serve.config.ServeConfig`, so a run
 replays bit-identically.
@@ -60,6 +67,7 @@ import hashlib
 import heapq
 import random
 import time
+from bisect import insort
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable
 
@@ -112,16 +120,6 @@ def _query_seed(seed: int, qid: str, attempt: int) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _op_assignment(schedule: Schedule) -> dict[str, int]:
-    """Map every scheduled operator to its (schedule-local) GPU."""
-    out: dict[str, int] = {}
-    for g in range(schedule.num_gpus):
-        for st in schedule.stages_on(g):
-            for op in st.ops:
-                out[op] = g
-    return out
-
-
 @dataclass
 class _Plan:
     """One memoized plan: a model's schedule at one lease width and algorithm.
@@ -144,6 +142,17 @@ class _Plan:
 class _QueueEntry:
     request: Request
     attempt: int = 1
+
+
+def _queue_key(entry: _QueueEntry) -> tuple[int, float, str]:
+    """Dispatch order: highest priority first, then FIFO, then by id.
+
+    A total order — request ids are unique and a request is never
+    queued twice — so inserting at this key gives the order a stable
+    sort of the queue would.
+    """
+    req = entry.request
+    return (-req.priority, req.arrival_ms, req.id)
 
 
 @dataclass
@@ -228,49 +237,21 @@ class ServeSimulator:
             contention_penalty=0.06,
             transfer_from_edges=True,
         )
-        # (model, lease size, algorithm) -> plan (schedule + fault-free trace)
+        # (model, lease size, algorithm) -> plan (schedule + fault-free
+        # trace); memoized across runs (the zoo is small and leases
+        # repeat; the persistent cache, when given, backs the memo
+        # across restarts)
         self._schedules: dict[tuple[str, int, str], _Plan] = {}
-        # wall-clock scheduling cost + cache traffic (host time, not the
-        # simulated clock; reset per run())
-        self._sched_s = 0.0
-        self._sched_cache_hits = 0
-        self._sched_cache_misses = 0
-        self._warm_starts = 0
 
-    # ------------------------------------------------------------------
-    # scheduling (memoized — the zoo is small and leases repeat; the
-    # persistent cache, when given, backs the memo across restarts)
+    def run(self) -> ServeResult:
+        """Serve the scenario once, from an empty pool and queue."""
+        return _Run(self).drain()
+
     # ------------------------------------------------------------------
     def _alg_kwargs(self, algorithm: str) -> dict[str, Any]:
         if algorithm in _WINDOW_ALGS:
             return {"window": self.config.window}
         return {}
-
-    def _planned(self, model: str, k: int, algorithm: str) -> _Plan:
-        key = (model, k, algorithm)
-        cached = self._schedules.get(key)
-        if cached is None:
-            profile = zoo_profile(model, k)
-            t0 = time.perf_counter()
-            result, hit = cached_schedule(
-                profile,
-                algorithm,
-                cache=self._sched_cache,
-                **self._alg_kwargs(algorithm),
-            )
-            self._sched_s += time.perf_counter() - t0
-            if hit:
-                self._sched_cache_hits += 1
-            else:
-                self._sched_cache_misses += 1
-            cached = _Plan(
-                profile,
-                result.schedule,
-                result.latency,
-                _op_assignment(result.schedule),
-            )
-            self._schedules[key] = cached
-        return cached
 
     def _query_plan(
         self, now: float, lease: tuple[int, ...], tag: str, attempt: int
@@ -308,476 +289,6 @@ class ServeSimulator:
             return None
         return FaultPlan(specs, seed=_query_seed(self.config.seed, tag, attempt))
 
-    # ------------------------------------------------------------------
-    def run(self) -> ServeResult:
-        cfg = self.config
-        self._sched_s = 0.0
-        self._sched_cache_hits = 0
-        self._sched_cache_misses = 0
-        self._warm_starts = 0
-        pool = GpuPool(cfg.num_gpus)
-        requests = build_arrivals(cfg)
-        records = {
-            r.id: RequestRecord(
-                id=r.id,
-                tenant=r.tenant,
-                model=r.model,
-                priority=r.priority,
-                arrival_ms=r.arrival_ms,
-                deadline_ms=r.deadline_ms,
-            )
-            for r in requests
-        }
-        queue: list[_QueueEntry] = []
-        heap: list[tuple[float, int, int, str, Any]] = []
-        seq = 0
-
-        def push(time: float, prio: int, kind: str, payload: Any) -> None:
-            nonlocal seq
-            heapq.heappush(heap, (time, prio, seq, kind, payload))
-            seq += 1
-
-        for r in requests:
-            push(r.arrival_ms, _PRIO_ARRIVAL, "arrival", _QueueEntry(r))
-        for f in self._plan.failures():
-            push(f.at, _PRIO_FAIL, "gpu-fail", f.gpu)
-        for rp in self._plan.repairs():
-            push(rp.at, _PRIO_REPAIR, "gpu-repair", rp.gpu)
-
-        retries = 0
-        displaced = 0
-        degraded_dispatches = 0
-        revived = 0
-        elastic_grows = 0
-        elastic_shrinks = 0
-        gpu_busy: dict[int, float] = {}
-        in_flight: dict[str, _InFlight] = {}
-
-        # ------------------------------------------------------------------
-        def fail_request(now: float, entry: _QueueEntry, reason: str) -> None:
-            rec = records[entry.request.id]
-            rec.status = "failed"
-            rec.reason = reason
-            emit("serve-fail", t=now, request=entry.request.id, reason=reason)
-
-        def retry_or_fail(now: float, entry: _QueueEntry, reason: str) -> None:
-            nonlocal retries
-            if entry.attempt > cfg.max_retries:
-                fail_request(now, entry, f"{reason}: retries exhausted")
-                return
-            ceiling = cfg.retry_backoff_ms * (2 ** (entry.attempt - 1))
-            delay = ceiling
-            if cfg.retry_jitter:
-                rng = random.Random(
-                    f"{cfg.seed}:retry:{entry.request.id}:{entry.attempt}"
-                )
-                delay = ceiling * rng.random()
-            retries += 1
-            emit(
-                "serve-retry",
-                t=now,
-                request=entry.request.id,
-                attempt=entry.attempt + 1,
-                delay_ms=delay,
-                reason=reason,
-            )
-            push(
-                now + delay,
-                _PRIO_ARRIVAL,
-                "requeue",
-                _QueueEntry(entry.request, attempt=entry.attempt + 1),
-            )
-
-        def fold_busy(lease: tuple[int, ...], seg_busy: dict[int, float]) -> None:
-            for g_local, busy in seg_busy.items():
-                gpu = lease[g_local]
-                gpu_busy[gpu] = gpu_busy.get(gpu, 0.0) + busy
-
-        def dispatch(now: float) -> None:
-            nonlocal degraded_dispatches
-            if not queue:
-                return
-            if pool.num_alive == 0:
-                for entry in queue:
-                    fail_request(now, entry, "no GPUs left in the pool")
-                queue.clear()
-                return
-            # sort once per round — pops below preserve the order — and
-            # latch the overload verdict so a burst that starts degraded
-            # drains degraded instead of flipping mid-round
-            queue.sort(
-                key=lambda e: (
-                    -e.request.priority,
-                    e.request.arrival_ms,
-                    e.request.id,
-                )
-            )
-            overloaded = len(queue) > cfg.overload_queue
-            while queue:
-                k = cfg.degraded_gpus if overloaded else cfg.gpus_per_query
-                k = min(k, pool.num_alive)
-                if pool.num_free < k:
-                    return
-                entry = queue.pop(0)
-                req = entry.request
-                rec = records[req.id]
-                algorithm = cfg.degraded_algorithm if overloaded else cfg.algorithm
-                plan = self._planned(req.model, k, algorithm)
-                predicted = plan.predicted
-                if cfg.shed_late and now + predicted > req.deadline_ms:
-                    rec.status = "shed-deadline"
-                    rec.reason = (
-                        f"predicted finish {now + predicted:.3f} ms past "
-                        f"deadline {req.deadline_ms:.3f} ms"
-                    )
-                    emit(
-                        "serve-shed",
-                        t=now,
-                        request=req.id,
-                        reason="deadline",
-                        predicted_ms=predicted,
-                    )
-                    continue
-                # merge queued same-model requests into the leader's
-                # dispatch; members predicted to miss their deadline are
-                # left queued (they shed at their own dispatch)
-                members = [entry]
-                if cfg.max_batch > 1:
-                    i = 0
-                    while i < len(queue) and len(members) < cfg.max_batch:
-                        cand = queue[i]
-                        if cand.request.model == req.model and not (
-                            cfg.shed_late
-                            and now + predicted > cand.request.deadline_ms
-                        ):
-                            members.append(queue.pop(i))
-                        else:
-                            i += 1
-                lease = pool.lease(req.id, k)
-                fl = _InFlight(
-                    members=members,
-                    lease=lease,
-                    model=req.model,
-                    algorithm=algorithm,
-                    names=plan.profile.graph.names,
-                    segment_start_ms=now,
-                )
-                in_flight[req.id] = fl
-                for m in members:
-                    mrec = records[m.request.id]
-                    mrec.dispatched_ms = now
-                    mrec.gpus = lease
-                    mrec.algorithm = algorithm
-                    mrec.attempts += 1
-                    mrec.batch = len(members)
-                    mrec.batched_with = "" if m is entry else req.id
-                    if overloaded:
-                        mrec.degraded = True
-                if overloaded:
-                    degraded_dispatches += 1
-                emit(
-                    "serve-dispatch",
-                    t=now,
-                    request=req.id,
-                    gpus=list(lease),
-                    algorithm=algorithm,
-                    degraded=overloaded,
-                    attempt=entry.attempt,
-                    predicted_ms=predicted,
-                    batch=len(members),
-                )
-                self._execute(now, fl, plan, push, gpu_busy)
-
-        # ------------------------------------------------------------------
-        def try_resize(now: float, fl: _InFlight, target: int) -> bool:
-            """Cut ``fl``'s running segment and re-plan it at ``target`` GPUs.
-
-            Returns ``False`` (leaving the query untouched) when there
-            is nothing left to re-plan — the segment's remaining work
-            all finished by the cut, or its trace is already doomed.
-            """
-            if fl.pending != "complete" or fl.trace is None:
-                return False
-            live = tuple(g for g in fl.lease if g not in pool.dead)
-            if not live or target == len(live):
-                return False
-            cut = now - fl.segment_start_ms
-            # in trace order, so the busy-time sum below does not depend
-            # on string hashing
-            seg_done = [op for op, t in fl.trace.op_finish.items() if t <= cut]
-            finished = fl.finished.union(seg_done)
-            if len(finished) >= len(fl.names):
-                return False  # effectively done; let the outcome fire
-            grow = target > len(live)
-            if grow:
-                extra = sorted(pool.free)[: target - len(live)]
-                new_lease = tuple(sorted(live + tuple(extra)))
-            else:
-                new_lease = live[:target]
-            # fold the head's busy time now: only work finished by the
-            # cut happened (the superseded tail never runs)
-            for op in seg_done:
-                g_local = fl.op_gpu.get(op)
-                if g_local is None or g_local >= len(fl.lease):
-                    continue
-                gpu = fl.lease[g_local]
-                gpu_busy[gpu] = gpu_busy.get(gpu, 0.0) + (
-                    fl.trace.op_finish[op] - fl.trace.op_start[op]
-                )
-            fl.repairs_done += sum(
-                1 for r in fl.seg_repairs if r.failure.time <= cut
-            )
-            old_lease = fl.lease
-            slot_map = {
-                old_lease.index(g): new_lease.index(g)
-                for g in old_lease
-                if g in new_lease
-            }
-            profile = zoo_profile(fl.model, len(new_lease))
-            t0 = time.perf_counter()
-            try:
-                rr = resize_schedule(
-                    profile,
-                    finished,
-                    prev_assignment=dict(fl.op_gpu),
-                    slot_map=slot_map,
-                    algorithm=fl.algorithm,
-                    sched_cache=self._sched_cache,
-                    **self._alg_kwargs(fl.algorithm),
-                )
-            except RepairError:  # pragma: no cover - guarded above
-                return False
-            finally:
-                self._sched_s += time.perf_counter() - t0
-            if rr.warm_started:
-                self._warm_starts += 1
-            pool.resize(fl.qid, new_lease)
-            fl.lease = new_lease
-            fl.finished = finished
-            fl.segment_start_ms = now
-            fl.epoch += 1
-            for m in fl.members:
-                records[m.request.id].gpus = new_lease
-            records[fl.qid].resizes += 1
-            emit(
-                "serve-resize",
-                t=now,
-                request=fl.qid,
-                gpus=list(new_lease),
-                grow=grow,
-                remaining_ops=len(fl.names) - len(finished),
-                predicted_ms=rr.predicted_tail_latency,
-            )
-            self._run_segment(
-                now,
-                fl,
-                rr.subprofile,
-                rr.schedule,
-                rr.predicted_tail_latency,
-                push,
-                tag=f"{fl.qid}/e{fl.epoch}",
-            )
-            return True
-
-        def elastic_pass(now: float) -> str | None:
-            """One elastic action; the caller re-dispatches after each.
-
-            Grows fire when free GPUs cannot serve queued work anyway —
-            the queue is empty, or it is (non-overloaded) blocked on a
-            full-width lease the free set cannot cover; shrinks fire
-            only when an overloaded backlog cannot lease even a
-            degraded slot.  Each success strictly widens or narrows
-            one lease, so the caller's drain loop terminates.
-            """
-            grow_ok = pool.num_free > 0 and (
-                not queue
-                or (
-                    len(queue) <= cfg.overload_queue
-                    and pool.num_free < min(cfg.gpus_per_query, pool.num_alive)
-                )
-            )
-            if grow_ok:
-                for qid in sorted(in_flight):
-                    fl = in_flight[qid]
-                    live = [g for g in fl.lease if g not in pool.dead]
-                    target = min(cfg.gpus_per_query, len(live) + pool.num_free)
-                    if target > len(live) and try_resize(now, fl, target):
-                        return "grow"
-            if len(queue) > cfg.overload_queue:
-                k = min(cfg.degraded_gpus, pool.num_alive)
-                if 1 <= k and pool.num_free < k:
-                    order = sorted(
-                        in_flight,
-                        key=lambda q: (-len(in_flight[q].lease), q),
-                    )
-                    for qid in order:
-                        fl = in_flight[qid]
-                        live = [g for g in fl.lease if g not in pool.dead]
-                        if len(live) > cfg.degraded_gpus and try_resize(
-                            now, fl, cfg.degraded_gpus
-                        ):
-                            return "shrink"
-            return None
-
-        # ------------------------------------------------------------------
-        while heap:
-            now, _prio, _seq, kind, payload = heapq.heappop(heap)
-            if kind == "gpu-fail":
-                holder = pool.fail(payload)
-                emit("serve-gpu-fail", t=now, gpu=payload, holder=holder)
-            elif kind == "gpu-repair":
-                was_dead = pool.revive(payload)
-                if was_dead:
-                    revived += 1
-                emit("serve-gpu-repair", t=now, gpu=payload, revived=was_dead)
-            elif kind == "arrival":
-                entry = payload
-                rec = records[entry.request.id]
-                if len(queue) >= cfg.queue_capacity:
-                    rec.status = "shed-queue"
-                    rec.reason = f"queue full ({cfg.queue_capacity})"
-                    emit(
-                        "serve-shed",
-                        t=now,
-                        request=entry.request.id,
-                        reason="queue-full",
-                    )
-                else:
-                    queue.append(entry)
-                    emit(
-                        "serve-admit",
-                        t=now,
-                        request=entry.request.id,
-                        tenant=entry.request.tenant,
-                        queued=len(queue),
-                    )
-            elif kind == "requeue":
-                # re-admissions bypass the capacity check: the work was
-                # already admitted once and should not be double-punished
-                # for a fault that was not its fault
-                queue.append(payload)
-                emit(
-                    "serve-admit",
-                    t=now,
-                    request=payload.request.id,
-                    tenant=payload.request.tenant,
-                    queued=len(queue),
-                    readmitted=True,
-                )
-            elif kind in ("complete", "abort", "displace"):
-                qid, epoch, extra = payload
-                fl = in_flight.get(qid)
-                if fl is None or fl.epoch != epoch:
-                    # superseded by an elastic resize; the fresh outcome
-                    # event (or the release itself) already happened
-                    if not cfg.elastic:
-                        raise ServeError(f"outcome for {qid!r} without a lease")
-                    continue
-                in_flight.pop(qid)
-                lease = fl.lease
-                pool.release(qid)
-                for m in fl.members:
-                    records[m.request.id].released_ms = now
-                if cfg.elastic and fl.trace is not None:
-                    # deferred accounting: the final segment's busy time
-                    # lands when the outcome settles (earlier segments
-                    # folded theirs at their resize cuts)
-                    fold_busy(lease, fl.trace.gpu_busy)
-                if kind == "complete":
-                    num_repairs = fl.repairs_done + extra
-                    records[qid].repairs += num_repairs
-                    for m in fl.members:
-                        mrec = records[m.request.id]
-                        mrec.status = "completed"
-                        mrec.completed_ms = now
-                        mrec.latency_ms = now - mrec.arrival_ms
-                        mrec.deadline_met = now <= mrec.deadline_ms
-                    emit(
-                        "serve-complete",
-                        t=now,
-                        request=qid,
-                        latency_ms=records[qid].latency_ms,
-                        repairs=num_repairs,
-                        deadline_met=records[qid].deadline_met,
-                        batch=len(fl.members),
-                    )
-                elif kind == "abort":
-                    emit("serve-abort", t=now, request=qid, reason=extra)
-                    for m in fl.members:
-                        retry_or_fail(now, m, extra)
-                else:  # displace: the whole lease fail-stopped
-                    num_repairs = fl.repairs_done + extra
-                    records[qid].repairs += num_repairs
-                    for m in fl.members:
-                        records[m.request.id].displaced += 1
-                        displaced += 1
-                    emit(
-                        "serve-displaced",
-                        t=now,
-                        request=qid,
-                        gpus=list(lease),
-                        repairs=num_repairs,
-                        batch=len(fl.members),
-                    )
-                    for m in fl.members:
-                        retry_or_fail(now, m, "lease lost to GPU failure")
-            else:  # pragma: no cover - defensive
-                raise ServeError(f"unknown event kind {kind!r}")
-            dispatch(now)
-            if cfg.elastic:
-                action = elastic_pass(now)
-                while action is not None:
-                    if action == "grow":
-                        elastic_grows += 1
-                    else:
-                        elastic_shrinks += 1
-                    dispatch(now)
-                    action = elastic_pass(now)
-
-        for entry in queue:  # pragma: no cover - defensive (heap drained first)
-            fail_request(cfg.horizon_ms, entry, "starved at end of run")
-
-        report = ServeReport.from_records(
-            list(records.values()),
-            retries=retries,
-            displaced=displaced,
-            degraded_dispatches=degraded_dispatches,
-            gpu_busy_ms=gpu_busy,
-            horizon_ms=cfg.horizon_ms,
-            revived=revived,
-            elastic_grows=elastic_grows,
-            elastic_shrinks=elastic_shrinks,
-            sched_ms=self._sched_s * 1000.0,
-            sched_cache_hits=self._sched_cache_hits,
-            sched_cache_misses=self._sched_cache_misses,
-            warm_starts=self._warm_starts,
-        )
-        return ServeResult(
-            config=cfg,
-            report=report,
-            records=tuple(records.values()),
-        )
-
-    # ------------------------------------------------------------------
-    def _execute(
-        self,
-        now: float,
-        fl: _InFlight,
-        plan: _Plan,
-        push: Callable[[float, int, str, Any], None],
-        gpu_busy: dict[int, float],
-    ) -> None:
-        """Run the query's first segment on its lease and push its outcome."""
-        self._run_segment(
-            now, fl, plan.profile, plan.schedule, plan.predicted, push, tag=fl.qid, memo=plan
-        )
-        # without elastic resizing the outcome can never be superseded,
-        # so the busy time folds eagerly (the original accounting order)
-        if not self.config.elastic and fl.trace is not None:
-            for g_local, busy in fl.trace.gpu_busy.items():
-                gpu = fl.lease[g_local]
-                gpu_busy[gpu] = gpu_busy.get(gpu, 0.0) + busy
-
     def _replay(self, memo: _Plan, qplan: FaultPlan | None) -> ExecutionTrace | None:
         """``memo``'s fault-free trace, if ``qplan`` cannot fire before it ends.
 
@@ -799,14 +310,387 @@ class ServeSimulator:
             return memo.trace
         return None
 
-    def _run_segment(
+
+#: An event handler: ``handler(now, payload)``.
+_Handler = Callable[[float, Any], None]
+
+
+class _Run:
+    """The state of one serving run; its methods are the loop's handlers.
+
+    The event heap holds ``(time, priority, seq, handler, payload)``.
+    :meth:`drain` pops each event and calls its handler, then lets the
+    dispatcher — and, with ``elastic``, the resize pass — react.  There
+    is one handler per event kind: :meth:`on_gpu_fail`,
+    :meth:`on_gpu_repair`, :meth:`on_arrival`, :meth:`on_requeue`, and
+    the three outcomes :meth:`on_complete`, :meth:`on_abort` and
+    :meth:`on_displace`, which share their epoch check, release and
+    busy-time fold (:meth:`settle`).
+    """
+
+    def __init__(self, sim: ServeSimulator) -> None:
+        cfg = sim.config
+        self.sim = sim
+        self.cfg = cfg
+        self.pool = GpuPool(cfg.num_gpus)
+        requests = build_arrivals(cfg)
+        self.records = {
+            r.id: RequestRecord(
+                id=r.id,
+                tenant=r.tenant,
+                model=r.model,
+                priority=r.priority,
+                arrival_ms=r.arrival_ms,
+                deadline_ms=r.deadline_ms,
+            )
+            for r in requests
+        }
+        self.queue: list[_QueueEntry] = []  # always in _queue_key order
+        self.heap: list[tuple[float, int, int, _Handler, Any]] = []
+        self.seq = 0
+        self.in_flight: dict[str, _InFlight] = {}
+        self.gpu_busy: dict[int, float] = {}
+        # counters the records cannot give back
+        self.retries = 0
+        self.degraded_dispatches = 0
+        self.revived = 0
+        self.elastic_grows = 0
+        self.elastic_shrinks = 0
+        # wall-clock scheduling cost (host time, not the simulated
+        # clock) and schedule-cache traffic
+        self.sched_s = 0.0
+        self.sched_cache_hits = 0
+        self.sched_cache_misses = 0
+        self.warm_starts = 0
+        for r in requests:
+            self.push(r.arrival_ms, _PRIO_ARRIVAL, self.on_arrival, _QueueEntry(r))
+        for f in sim._plan.failures():
+            self.push(f.at, _PRIO_FAIL, self.on_gpu_fail, f.gpu)
+        for rp in sim._plan.repairs():
+            self.push(rp.at, _PRIO_REPAIR, self.on_gpu_repair, rp.gpu)
+
+    def push(self, time: float, prio: int, handler: _Handler, payload: Any) -> None:
+        heapq.heappush(self.heap, (time, prio, self.seq, handler, payload))
+        self.seq += 1
+
+    def drain(self) -> ServeResult:
+        """Process every event, then score the run."""
+        cfg = self.cfg
+        heap = self.heap
+        while heap:
+            now, _prio, _seq, handler, payload = heapq.heappop(heap)
+            handler(now, payload)
+            self.dispatch(now)
+            while cfg.elastic and self.elastic_pass(now):
+                self.dispatch(now)
+
+        for entry in self.queue:  # pragma: no cover - defensive (heap drained first)
+            self.fail_request(cfg.horizon_ms, entry, "starved at end of run")
+
+        records = list(self.records.values())
+        report = ServeReport.from_records(
+            records,
+            retries=self.retries,
+            degraded_dispatches=self.degraded_dispatches,
+            gpu_busy_ms=self.gpu_busy,
+            horizon_ms=cfg.horizon_ms,
+            revived=self.revived,
+            elastic_grows=self.elastic_grows,
+            elastic_shrinks=self.elastic_shrinks,
+            sched_ms=self.sched_s * 1000.0,
+            sched_cache_hits=self.sched_cache_hits,
+            sched_cache_misses=self.sched_cache_misses,
+            warm_starts=self.warm_starts,
+        )
+        return ServeResult(config=cfg, report=report, records=tuple(records))
+
+    # ------------------------------------------------------------------
+    # pool and admission events
+    # ------------------------------------------------------------------
+    def on_gpu_fail(self, now: float, gpu: int) -> None:
+        holder = self.pool.fail(gpu)
+        emit("serve-gpu-fail", t=now, gpu=gpu, holder=holder)
+
+    def on_gpu_repair(self, now: float, gpu: int) -> None:
+        was_dead = self.pool.revive(gpu)
+        if was_dead:
+            self.revived += 1
+        emit("serve-gpu-repair", t=now, gpu=gpu, revived=was_dead)
+
+    def on_arrival(self, now: float, entry: _QueueEntry) -> None:
+        req = entry.request
+        if len(self.queue) >= self.cfg.queue_capacity:
+            rec = self.records[req.id]
+            rec.status = "shed-queue"
+            rec.reason = f"queue full ({self.cfg.queue_capacity})"
+            emit("serve-shed", t=now, request=req.id, reason="queue-full")
+            return
+        insort(self.queue, entry, key=_queue_key)
+        emit("serve-admit", t=now, request=req.id, tenant=req.tenant, queued=len(self.queue))
+
+    def on_requeue(self, now: float, entry: _QueueEntry) -> None:
+        # re-admissions bypass the capacity check: the work was already
+        # admitted once and should not be double-punished for a fault
+        # that was not its fault
+        req = entry.request
+        insort(self.queue, entry, key=_queue_key)
+        emit(
+            "serve-admit",
+            t=now,
+            request=req.id,
+            tenant=req.tenant,
+            queued=len(self.queue),
+            readmitted=True,
+        )
+
+    # ------------------------------------------------------------------
+    # outcome events
+    # ------------------------------------------------------------------
+    def settle(self, now: float, qid: str, epoch: int) -> _InFlight | None:
+        """Release ``qid``'s lease and fold its final segment's busy time.
+
+        Returns ``None`` for the outcome of a segment an elastic resize
+        superseded: the fresh outcome event, or the release itself,
+        already happened.  Earlier segments folded their busy time at
+        their resize cuts.
+
+        Folding here, with or without ``elastic``, adds up each GPU's
+        busy time in dispatch order: leases are exclusive, and a GPU
+        that fails under a lease stays listed by it until it releases.
+        """
+        fl = self.in_flight.get(qid)
+        if fl is None or fl.epoch != epoch:
+            if not self.cfg.elastic:
+                raise ServeError(f"outcome for {qid!r} without a lease")
+            return None
+        del self.in_flight[qid]
+        self.pool.release(qid)
+        for m in fl.members:
+            self.records[m.request.id].released_ms = now
+        if fl.trace is not None:
+            gpu_busy = self.gpu_busy
+            for g_local, busy in fl.trace.gpu_busy.items():
+                gpu = fl.lease[g_local]
+                gpu_busy[gpu] = gpu_busy.get(gpu, 0.0) + busy
+        return fl
+
+    def on_complete(self, now: float, payload: tuple[str, int, int]) -> None:
+        qid, epoch, seg_repairs = payload
+        fl = self.settle(now, qid, epoch)
+        if fl is None:
+            return
+        num_repairs = fl.repairs_done + seg_repairs
+        lead = self.records[qid]
+        lead.repairs += num_repairs
+        for m in fl.members:
+            mrec = self.records[m.request.id]
+            mrec.status = "completed"
+            mrec.completed_ms = now
+            mrec.latency_ms = now - mrec.arrival_ms
+            mrec.deadline_met = now <= mrec.deadline_ms
+        emit(
+            "serve-complete",
+            t=now,
+            request=qid,
+            latency_ms=lead.latency_ms,
+            repairs=num_repairs,
+            deadline_met=lead.deadline_met,
+            batch=len(fl.members),
+        )
+
+    def on_abort(self, now: float, payload: tuple[str, int, str]) -> None:
+        qid, epoch, reason = payload
+        fl = self.settle(now, qid, epoch)
+        if fl is None:
+            return
+        emit("serve-abort", t=now, request=qid, reason=reason)
+        for m in fl.members:
+            self.retry_or_fail(now, m, reason)
+
+    def on_displace(self, now: float, payload: tuple[str, int, int]) -> None:
+        """The whole lease fail-stopped: every member retries."""
+        qid, epoch, seg_repairs = payload
+        fl = self.settle(now, qid, epoch)
+        if fl is None:
+            return
+        num_repairs = fl.repairs_done + seg_repairs
+        self.records[qid].repairs += num_repairs
+        for m in fl.members:
+            self.records[m.request.id].displaced += 1
+        emit(
+            "serve-displaced",
+            t=now,
+            request=qid,
+            gpus=list(fl.lease),
+            repairs=num_repairs,
+            batch=len(fl.members),
+        )
+        for m in fl.members:
+            self.retry_or_fail(now, m, "lease lost to GPU failure")
+
+    def fail_request(self, now: float, entry: _QueueEntry, reason: str) -> None:
+        rec = self.records[entry.request.id]
+        rec.status = "failed"
+        rec.reason = reason
+        emit("serve-fail", t=now, request=entry.request.id, reason=reason)
+
+    def retry_or_fail(self, now: float, entry: _QueueEntry, reason: str) -> None:
+        cfg = self.cfg
+        if entry.attempt > cfg.max_retries:
+            self.fail_request(now, entry, f"{reason}: retries exhausted")
+            return
+        ceiling = cfg.retry_backoff_ms * (2 ** (entry.attempt - 1))
+        delay = ceiling
+        if cfg.retry_jitter:
+            rng = random.Random(f"{cfg.seed}:retry:{entry.request.id}:{entry.attempt}")
+            delay = ceiling * rng.random()
+        self.retries += 1
+        emit(
+            "serve-retry",
+            t=now,
+            request=entry.request.id,
+            attempt=entry.attempt + 1,
+            delay_ms=delay,
+            reason=reason,
+        )
+        self.push(
+            now + delay,
+            _PRIO_ARRIVAL,
+            self.on_requeue,
+            _QueueEntry(entry.request, attempt=entry.attempt + 1),
+        )
+
+    # ------------------------------------------------------------------
+    # dispatch
+    # ------------------------------------------------------------------
+    def planned(self, model: str, k: int, algorithm: str) -> _Plan:
+        """The memoized plan of ``model`` on ``k`` GPUs, scheduled on first use."""
+        sim = self.sim
+        key = (model, k, algorithm)
+        plan = sim._schedules.get(key)
+        if plan is None:
+            profile = zoo_profile(model, k)
+            t0 = time.perf_counter()
+            result, hit = cached_schedule(
+                profile,
+                algorithm,
+                cache=sim._sched_cache,
+                **sim._alg_kwargs(algorithm),
+            )
+            self.sched_s += time.perf_counter() - t0
+            if hit:
+                self.sched_cache_hits += 1
+            else:
+                self.sched_cache_misses += 1
+            plan = _Plan(
+                profile,
+                result.schedule,
+                result.latency,
+                result.schedule.assignment(),
+            )
+            sim._schedules[key] = plan
+        return plan
+
+    def dispatch(self, now: float) -> None:
+        """Lease GPUs to queued work, in queue order, until the pool runs short.
+
+        The overload verdict is latched for the round, so a burst that
+        starts degraded drains degraded instead of flipping mid-round.
+        """
+        queue = self.queue
+        if not queue:
+            return
+        cfg = self.cfg
+        pool = self.pool
+        if pool.num_alive == 0:
+            for entry in queue:
+                self.fail_request(now, entry, "no GPUs left in the pool")
+            queue.clear()
+            return
+        overloaded = len(queue) > cfg.overload_queue
+        while queue:
+            k = cfg.degraded_gpus if overloaded else cfg.gpus_per_query
+            k = min(k, pool.num_alive)
+            if pool.num_free < k:
+                return
+            entry = queue.pop(0)
+            req = entry.request
+            rec = self.records[req.id]
+            algorithm = cfg.degraded_algorithm if overloaded else cfg.algorithm
+            plan = self.planned(req.model, k, algorithm)
+            predicted = plan.predicted
+            if cfg.shed_late and now + predicted > req.deadline_ms:
+                rec.status = "shed-deadline"
+                rec.reason = (
+                    f"predicted finish {now + predicted:.3f} ms past "
+                    f"deadline {req.deadline_ms:.3f} ms"
+                )
+                emit(
+                    "serve-shed",
+                    t=now,
+                    request=req.id,
+                    reason="deadline",
+                    predicted_ms=predicted,
+                )
+                continue
+            # merge queued same-model requests into the leader's
+            # dispatch; members predicted to miss their deadline are
+            # left queued (they shed at their own dispatch)
+            members = [entry]
+            if cfg.max_batch > 1:
+                i = 0
+                while i < len(queue) and len(members) < cfg.max_batch:
+                    cand = queue[i]
+                    if cand.request.model == req.model and not (
+                        cfg.shed_late and now + predicted > cand.request.deadline_ms
+                    ):
+                        members.append(queue.pop(i))
+                    else:
+                        i += 1
+            lease = pool.lease(req.id, k)
+            fl = _InFlight(
+                members=members,
+                lease=lease,
+                model=req.model,
+                algorithm=algorithm,
+                names=plan.profile.graph.names,
+                segment_start_ms=now,
+            )
+            self.in_flight[req.id] = fl
+            for m in members:
+                mrec = self.records[m.request.id]
+                mrec.dispatched_ms = now
+                mrec.gpus = lease
+                mrec.algorithm = algorithm
+                mrec.attempts += 1
+                mrec.batch = len(members)
+                mrec.batched_with = "" if m is entry else req.id
+                if overloaded:
+                    mrec.degraded = True
+            if overloaded:
+                self.degraded_dispatches += 1
+            emit(
+                "serve-dispatch",
+                t=now,
+                request=req.id,
+                gpus=list(lease),
+                algorithm=algorithm,
+                degraded=overloaded,
+                attempt=entry.attempt,
+                predicted_ms=predicted,
+                batch=len(members),
+            )
+            self.run_segment(
+                now, fl, plan.profile, plan.schedule, plan.predicted, tag=fl.qid, memo=plan
+            )
+
+    def run_segment(
         self,
         now: float,
         fl: _InFlight,
         profile: CostProfile,
         schedule: Schedule,
         predicted: float,
-        push: Callable[[float, int, str, Any], None],
         tag: str,
         memo: _Plan | None = None,
     ) -> None:
@@ -818,15 +702,16 @@ class ServeSimulator:
         way the pool's remaining faults are projected onto the current
         lease.  A first segment whose projected faults cannot fire
         before the plan's fault-free trace ends reuses that trace
-        (:meth:`_replay`); every other segment executes under cascading
-        repair.
+        (:meth:`ServeSimulator._replay`); every other segment executes
+        under cascading repair.
         """
-        qplan = self._query_plan(now, fl.lease, tag, fl.leader.attempt)
+        sim = self.sim
+        qplan = sim._query_plan(now, fl.lease, tag, fl.leader.attempt)
         repairs: tuple[RepairResult, ...] = ()
-        if memo is not None and (replay := self._replay(memo, qplan)) is not None:
+        if memo is not None and (replay := sim._replay(memo, qplan)) is not None:
             trace, op_gpu = replay, memo.op_gpu
         else:
-            engine_cfg = replace(self._base_engine, faults=qplan)
+            engine_cfg = replace(sim._base_engine, faults=qplan)
             try:
                 trace, repairs = run_with_repair(
                     profile,
@@ -835,8 +720,8 @@ class ServeSimulator:
                     algorithm=fl.algorithm,
                     strict=False,
                     warm_start=True,
-                    sched_cache=self._sched_cache,
-                    **self._alg_kwargs(fl.algorithm),
+                    sched_cache=sim._sched_cache,
+                    **sim._alg_kwargs(fl.algorithm),
                 )
             except FaultError as exc:
                 # transfer retry budget exhausted mid-run: the lease was held
@@ -844,15 +729,17 @@ class ServeSimulator:
                 fl.pending = "abort"
                 fl.trace = None
                 fl.seg_repairs = ()
-                push(now + predicted, _PRIO_OUTCOME, "abort", (fl.qid, fl.epoch, str(exc)))
+                self.push(
+                    now + predicted, _PRIO_OUTCOME, self.on_abort, (fl.qid, fl.epoch, str(exc))
+                )
                 return
             for r in repairs:
-                self._sched_s += r.result.scheduling_time
+                self.sched_s += r.result.scheduling_time
                 if r.warm_started:
-                    self._warm_starts += 1
-            op_gpu = _op_assignment(schedule)
+                    self.warm_starts += 1
+            op_gpu = schedule.assignment()
             for r in repairs:
-                op_gpu.update(_op_assignment(r.schedule))
+                op_gpu.update(r.schedule.assignment())
         fl.trace = trace
         fl.seg_repairs = repairs
         fl.op_gpu = op_gpu
@@ -860,20 +747,154 @@ class ServeSimulator:
             if trace.failure is None:  # pragma: no cover - defensive
                 raise ServeError(f"incomplete trace without failure for {fl.qid!r}")
             fl.pending = "displace"
-            push(
+            self.push(
                 now + trace.failure.time,
                 _PRIO_OUTCOME,
-                "displace",
+                self.on_displace,
                 (fl.qid, fl.epoch, len(repairs)),
             )
             return
         fl.pending = "complete"
-        push(
+        self.push(
             now + trace.latency,
             _PRIO_OUTCOME,
-            "complete",
+            self.on_complete,
             (fl.qid, fl.epoch, len(repairs)),
         )
+
+    # ------------------------------------------------------------------
+    # elastic leases
+    # ------------------------------------------------------------------
+    def try_resize(self, now: float, fl: _InFlight, target: int) -> bool:
+        """Cut ``fl``'s running segment and re-plan it at ``target`` GPUs.
+
+        Returns ``False`` (leaving the query untouched) when there
+        is nothing left to re-plan — the segment's remaining work
+        all finished by the cut, or its trace is already doomed.
+        """
+        pool = self.pool
+        if fl.pending != "complete" or fl.trace is None:
+            return False
+        live = tuple(g for g in fl.lease if g not in pool.dead)
+        if not live or target == len(live):
+            return False
+        cut = now - fl.segment_start_ms
+        # in trace order, so the busy-time sum below does not depend
+        # on string hashing
+        seg_done = [op for op, t in fl.trace.op_finish.items() if t <= cut]
+        finished = fl.finished.union(seg_done)
+        if len(finished) >= len(fl.names):
+            return False  # effectively done; let the outcome fire
+        grow = target > len(live)
+        if grow:
+            extra = sorted(pool.free)[: target - len(live)]
+            new_lease = tuple(sorted(live + tuple(extra)))
+        else:
+            new_lease = live[:target]
+        # fold the head's busy time now: only work finished by the
+        # cut happened (the superseded tail never runs)
+        gpu_busy = self.gpu_busy
+        for op in seg_done:
+            g_local = fl.op_gpu.get(op)
+            if g_local is None or g_local >= len(fl.lease):
+                continue
+            gpu = fl.lease[g_local]
+            gpu_busy[gpu] = gpu_busy.get(gpu, 0.0) + (
+                fl.trace.op_finish[op] - fl.trace.op_start[op]
+            )
+        fl.repairs_done += sum(1 for r in fl.seg_repairs if r.failure.time <= cut)
+        old_lease = fl.lease
+        slot_map = {
+            old_lease.index(g): new_lease.index(g) for g in old_lease if g in new_lease
+        }
+        profile = zoo_profile(fl.model, len(new_lease))
+        sim = self.sim
+        t0 = time.perf_counter()
+        try:
+            rr = resize_schedule(
+                profile,
+                finished,
+                prev_assignment=dict(fl.op_gpu),
+                slot_map=slot_map,
+                algorithm=fl.algorithm,
+                sched_cache=sim._sched_cache,
+                **sim._alg_kwargs(fl.algorithm),
+            )
+        except RepairError:  # pragma: no cover - guarded above
+            return False
+        finally:
+            self.sched_s += time.perf_counter() - t0
+        if rr.warm_started:
+            self.warm_starts += 1
+        pool.resize(fl.qid, new_lease)
+        fl.lease = new_lease
+        fl.finished = finished
+        fl.segment_start_ms = now
+        fl.epoch += 1
+        for m in fl.members:
+            self.records[m.request.id].gpus = new_lease
+        self.records[fl.qid].resizes += 1
+        emit(
+            "serve-resize",
+            t=now,
+            request=fl.qid,
+            gpus=list(new_lease),
+            grow=grow,
+            remaining_ops=len(fl.names) - len(finished),
+            predicted_ms=rr.predicted_tail_latency,
+        )
+        self.run_segment(
+            now,
+            fl,
+            rr.subprofile,
+            rr.schedule,
+            rr.predicted_tail_latency,
+            tag=f"{fl.qid}/e{fl.epoch}",
+        )
+        return True
+
+    def elastic_pass(self, now: float) -> bool:
+        """One elastic action, counted; the caller re-dispatches after each.
+
+        Grows fire when free GPUs cannot serve queued work anyway —
+        the queue is empty, or it is (non-overloaded) blocked on a
+        full-width lease the free set cannot cover; shrinks fire
+        only when an overloaded backlog cannot lease even a
+        degraded slot.  Each success strictly widens or narrows
+        one lease, so the caller's drain loop terminates.
+        """
+        cfg = self.cfg
+        pool = self.pool
+        queue = self.queue
+        in_flight = self.in_flight
+        grow_ok = pool.num_free > 0 and (
+            not queue
+            or (
+                len(queue) <= cfg.overload_queue
+                and pool.num_free < min(cfg.gpus_per_query, pool.num_alive)
+            )
+        )
+        if grow_ok:
+            for qid in sorted(in_flight):
+                fl = in_flight[qid]
+                live = [g for g in fl.lease if g not in pool.dead]
+                target = min(cfg.gpus_per_query, len(live) + pool.num_free)
+                if target > len(live) and self.try_resize(now, fl, target):
+                    self.elastic_grows += 1
+                    return True
+        if len(queue) > cfg.overload_queue:
+            k = min(cfg.degraded_gpus, pool.num_alive)
+            if 1 <= k and pool.num_free < k:
+                # widest lease first, ties by request id
+                for _, qid in sorted((-len(f.lease), q) for q, f in in_flight.items()):
+                    fl = in_flight[qid]
+                    live = [g for g in fl.lease if g not in pool.dead]
+                    if len(live) > cfg.degraded_gpus and self.try_resize(
+                        now, fl, cfg.degraded_gpus
+                    ):
+                        self.elastic_shrinks += 1
+                        return True
+        return False
 
 
 def serve(

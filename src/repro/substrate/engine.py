@@ -335,7 +335,7 @@ class MultiGpuEngine:
         host_free = [0.0] * M
         host_blocked = [False] * M
 
-        gpu_of = {op: schedule.gpu_of(op) for op in schedule.operators()}
+        gpu_of = schedule.assignment()
         remote_pending: dict[str, int] = {}
         for v in graph.names:
             remote_pending[v] = sum(

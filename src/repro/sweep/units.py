@@ -393,8 +393,7 @@ def replay_unit_trace(unit: WorkUnit) -> tuple[Any, dict[str, int]]:
     )
     result = schedule_graph(profile, unit.algorithm, **dict(unit.schedule_kwargs))
     trace = profiler.engine().run(profile.graph, result.schedule)
-    op_gpu = {op: result.schedule.gpu_of(op) for op in result.schedule.operators()}
-    return trace, op_gpu
+    return trace, result.schedule.assignment()
 
 
 def _model_builder(model: str) -> Any:

@@ -10,7 +10,7 @@ import pytest
 from repro.core import OpGraph, Schedule, Stage, priority_order, schedule_graph
 from repro.core.repair import (
     RepairError,
-    _warm_spatial_seed,
+    _spatial_seed,
     repair_schedule,
     resize_schedule,
     run_with_repair,
@@ -288,7 +288,7 @@ class TestWarmStart:
         prev.append_stage(Stage(0, ("a",)))
         prev.append_stage(Stage(1, ("b",)))
         prev.append_stage(Stage(2, ("c", "d")))
-        seed = _warm_spatial_seed(g, prev, survivors=(0, 2))
+        seed = _spatial_seed(g, prev.assignment(), {0: 0, 2: 1}, 2)  # survivors (0, 2)
         # a keeps slot 0; c,d compact GPU 2 -> slot 1; stranded b
         # re-homes onto the least-loaded survivor (slot 1: 4.0 < 5.0)
         assert seed == {"a": 0, "c": 1, "d": 1, "b": 1}
@@ -299,7 +299,7 @@ class TestWarmStart:
         g.add_operator("zz", cost=1.0, occupancy=0.5)
         prev = Schedule(2)
         prev.append_stage(Stage(0, ("a",)))
-        assert _warm_spatial_seed(g, prev, survivors=(0,)) is None
+        assert _spatial_seed(g, prev.assignment(), {0: 0}, 1) is None  # survivors (0,)
 
     def test_bad_seed_falls_back_to_cold(self, scenario):
         """A previous schedule that piled everything onto one survivor
@@ -552,8 +552,6 @@ class TestResizeSchedule:
         assert rr.result.latency > 0
 
     def test_shrink_seed_rehomes_stranded_ops(self, widths):
-        from repro.core.repair import _resize_spatial_seed
-
         narrow, wide = widths
         old = schedule_graph(wide, "hios-lp").schedule
         finished = frozenset(priority_order(wide.graph)[:10])
@@ -570,7 +568,7 @@ class TestResizeSchedule:
         assert rr.schedule.num_gpus == 2
         assert set(rr.schedule.operators()) == set(wide.graph.names) - finished
         # the projected seed covers every remaining op within the new width
-        seed = _resize_spatial_seed(rr.subgraph, assignment, {1: 0, 3: 1}, 2)
+        seed = _spatial_seed(rr.subgraph, assignment, {1: 0, 3: 1}, 2)
         assert seed is not None
         assert set(seed) == set(rr.subgraph.names)
         assert set(seed.values()) <= {0, 1}

@@ -48,6 +48,7 @@ class TestScheduleConstruction:
         assert s.num_stages == 3
         assert s.used_gpus() == [0, 1]
         assert s.gpu_order(0) == ["a", "d"]
+        assert s.assignment() == {"a": 0, "b": 1, "c": 1, "d": 0}
         assert s.max_stage_width() == 2
         assert "a" in s and "zz" not in s
 
@@ -132,6 +133,25 @@ class TestValidation:
         s.append_op(1, "c")
         with pytest.raises(ScheduleError, match="cycle"):
             s.validate(g)
+
+    def test_runs_only_the_error_rules(self, monkeypatch):
+        from repro.lint.framework import Rule
+
+        ran = []
+        real = Rule.run
+
+        def recording(rule, ctx):
+            ran.append(rule.id)
+            return real(rule, ctx)
+
+        monkeypatch.setattr(Rule, "run", recording)
+        g = wide_graph()
+        s = Schedule(2)
+        s.append_op(0, "a")
+        s.append_stage(Stage(0, ("b", "c")))
+        s.append_op(1, "d")
+        s.validate(g)
+        assert ran == ["S001", "S002", "S006", "S007", "S008"]
 
 
 class TestTransforms:

@@ -122,13 +122,21 @@ class TestLinter:
     def test_errors_only(self):
         g = diamond()
         g.add_operator("iso", cost=1.0)  # would be a G002 warning
-        report = Linter.errors_only().run(LintContext(graph=g))
+        report = Linter().errors_only().run(LintContext(graph=g))
         assert report.ok
         assert not report.diagnostics
 
     def test_for_packs(self):
         sub = Linter().for_packs("faults")
         assert {r.pack for r in sub.rules} == {"faults"}
+
+    def test_filters_compose_to_the_intersection(self):
+        expected = tuple(
+            r for r in all_rules() if r.pack == "schedule" and r.severity is Severity.ERROR
+        )
+        assert expected
+        assert Linter().errors_only().for_packs("schedule").rules == expected
+        assert Linter().for_packs("schedule").errors_only().rules == expected
 
     def test_report_sorted_by_severity(self):
         g = OpGraph()

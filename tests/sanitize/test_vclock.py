@@ -259,7 +259,7 @@ class TestLintParity:
             transfers=[],
             gpu_busy={},
         )
-        report = Linter.for_packs("trace").run(
+        report = Linter().for_packs("trace").run(
             LintContext(graph=chain, trace=trace)
         )
         t004 = [d for d in report.diagnostics if d.rule == "T004"]
@@ -280,7 +280,7 @@ class TestLintParity:
             transfers=[],
             gpu_busy={},
         )
-        report = Linter.for_packs("trace").run(
+        report = Linter().for_packs("trace").run(
             LintContext(graph=chain, schedule=split_schedule, trace=trace)
         )
         t005 = [d for d in report.diagnostics if d.rule == "T005"]

@@ -53,7 +53,6 @@ class TestServeReport:
         report = ServeReport.from_records(
             records,
             retries=2,
-            displaced=1,
             degraded_dispatches=3,
             gpu_busy_ms={0: 150.0},
             horizon_ms=200.0,
@@ -74,15 +73,23 @@ class TestServeReport:
     def test_repairs_summed_from_records(self):
         records = [_record(0, repairs=2), _record(1, repairs=1)]
         report = ServeReport.from_records(
-            records, retries=0, displaced=0, degraded_dispatches=0,
+            records, retries=0, degraded_dispatches=0,
             gpu_busy_ms={}, horizon_ms=10.0,
         )
         assert report.repairs == 3
 
+    def test_displaced_summed_from_records(self):
+        records = [_record(0, displaced=1), _record(1, displaced=2), _record(2)]
+        report = ServeReport.from_records(
+            records, retries=0, degraded_dispatches=0,
+            gpu_busy_ms={}, horizon_ms=10.0,
+        )
+        assert report.displaced == 3
+
     def test_to_dict_format_and_tenants(self):
         records = [_record(0, tenant="a"), _record(1, tenant="b")]
         report = ServeReport.from_records(
-            records, retries=0, displaced=0, degraded_dispatches=0,
+            records, retries=0, degraded_dispatches=0,
             gpu_busy_ms={1: 5.0, 0: 2.0}, horizon_ms=50.0,
         )
         doc = report.to_dict()
@@ -93,7 +100,7 @@ class TestServeReport:
     def test_to_text_mentions_every_tenant(self):
         records = [_record(0, tenant="a"), _record(1, tenant="b")]
         report = ServeReport.from_records(
-            records, retries=0, displaced=0, degraded_dispatches=0,
+            records, retries=0, degraded_dispatches=0,
             gpu_busy_ms={}, horizon_ms=50.0,
         )
         text = report.to_text()

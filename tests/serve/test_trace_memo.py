@@ -19,7 +19,7 @@ import pytest
 
 import repro
 from repro.serve import SCENARIOS, ServeConfig, TenantSpec, scenario_config, simulator
-from repro.serve.simulator import ServeSimulator, _op_assignment
+from repro.serve.simulator import ServeSimulator
 from repro.substrate import MultiGpuEngine
 
 
@@ -86,6 +86,24 @@ def test_replay_matches_execution(name, monkeypatch):
     assert _outputs(replayed) == _outputs(executed)
 
 
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_one_simulator_runs_twice(name):
+    """Run state starts fresh; only the plan memo carries over.
+
+    The second run plans nothing, so its reports differ only in the
+    scheduling counters.
+    """
+    sim = ServeSimulator(CONFIGS[name])
+    first = sim.run()
+    first_report, first_records = _outputs(first)
+    second_report, second_records = _outputs(sim.run())
+    assert second_records == first_records
+    assert _outputs(first)[1] == first_records  # the second run left them alone
+    assert first_report.pop("sched_cache_misses") > 0
+    assert second_report.pop("sched_cache_misses") == 0
+    assert second_report == first_report
+
+
 def test_churn_config_resizes_and_repairs():
     report = ServeSimulator(CONFIGS["churn"]).run().report
     assert report.elastic_grows + report.elastic_shrinks >= 10
@@ -122,7 +140,7 @@ def test_memoized_traces_are_never_mutated(name, monkeypatch):
     for plan in memo:
         fresh = MultiGpuEngine(sim._base_engine).run(plan.profile.graph, plan.schedule)
         assert plan.trace.to_dict() == fresh.to_dict()
-        assert plan.op_gpu == _op_assignment(plan.schedule)
+        assert plan.op_gpu == plan.schedule.assignment()
 
 
 def test_reports_do_not_depend_on_string_hashing(tmp_path):

@@ -7,9 +7,12 @@ idealized (non-serializing) fabric, every semantic the two share —
 per-GPU stage sequencing, cross-GPU transfer delays, and
 sender-blocking serialized sends — must produce identical makespans.
 Random graphs and random assignments probe the full space; a
-disagreement means one of the two implementations drifted.  (The
-default engine adds per-direction channel FIFOs the evaluator does not
-model, so it may only ever measure *more* — checked separately.)
+disagreement means one of the two implementations drifted.
+
+Outside that corner the gap is two-sided.  A profiler's engine adds
+launch overhead, stream contention and per-direction channel FIFOs
+the evaluator does not model, yet it can measure *less* than the
+prediction as well as more; the last test pins one case on each side.
 """
 
 from __future__ import annotations
@@ -17,10 +20,16 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import build_singleton_schedule, evaluate_latency, priority_order
+from repro.core import (
+    build_singleton_schedule,
+    evaluate_latency,
+    priority_order,
+    schedule_graph,
+)
 from repro.costmodel import CostProfile
+from repro.models import inception_v3
 from repro.models.randomdag import random_layered_dag
-from repro.substrate import EngineConfig, MultiGpuEngine
+from repro.substrate import EngineConfig, MultiGpuEngine, PlatformProfiler, dual_a40
 
 
 def _engine(send_blocking: bool) -> MultiGpuEngine:
@@ -65,10 +74,25 @@ def test_engine_matches_evaluator_on_singleton_schedules(
 def test_hios_lp_schedule_reproduced_by_engine(seed):
     """The latency HIOS-LP optimized (inter-GPU phase, singleton
     stages) is exactly what the idealized engine measures."""
-    from repro.core import schedule_graph
-
     graph = random_layered_dag(num_ops=30, num_layers=5, seed=seed)
     profile = CostProfile(graph=graph, num_gpus=3)
     res = schedule_graph(profile, "inter-lp")
     measured = _engine(send_blocking=True).run(graph, res.schedule).latency
     assert measured == pytest.approx(res.latency, rel=1e-9, abs=1e-9)
+
+
+def _measured_gap(num_gpus: int, algorithm: str, **kwargs: object) -> float:
+    """(measured - predicted) / predicted for inception_v3@299 on dual A40s."""
+    profiler = PlatformProfiler(dual_a40(num_gpus))
+    profile = profiler.profile(inception_v3(299))
+    res = schedule_graph(profile, algorithm, **kwargs)
+    measured = profiler.engine().run(profile.graph, res.schedule).latency
+    return (measured - res.latency) / res.latency
+
+
+def test_default_engine_gap_is_two_sided():
+    """A one-sided bound on measured vs. predicted latency is wrong:
+    hios-mr on 2 GPUs measures about 1.7 % under its prediction, and
+    ios on 1 GPU about 12 % over."""
+    assert _measured_gap(2, "hios-mr", window=3) < -0.01
+    assert _measured_gap(1, "ios") > 0.10
