@@ -753,9 +753,13 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     from .core.schedule import Schedule, ScheduleError
     from .costmodel.profile import CostProfile
 
-    graph = load_graph(args.graph)
-    with open(args.schedule) as fh:
-        schedule = Schedule.from_dict(json.load(fh))
+    try:
+        graph = load_graph(args.graph)
+        with open(args.schedule) as fh:
+            schedule = Schedule.from_dict(json.load(fh))
+    except (OSError, ValueError) as exc:  # GraphError/ScheduleError/JSON errors
+        print(f"error: {exc}")
+        return 2
     if args.gpus is not None and args.gpus != schedule.num_gpus:
         print(
             f"error: schedule declares {schedule.num_gpus} GPUs, "

@@ -19,7 +19,9 @@ DP states, applied to our three inner loops:
     the first operator that reads a varying assignment is *identical
     for every candidate*: :meth:`PrefixReplayer.snapshot` simulates it
     once and checkpoints ``(finish, arrival, gpu_free, latency)``;
-    :meth:`PrefixReplayer.replay` re-simulates only the suffix.
+    :meth:`PrefixReplayer.replay` re-simulates only the suffix.  A
+    snapshot whose prefix extends the previous snapshot's resumes at
+    that checkpoint instead of simulating from position 0.
 
 :class:`StageGraphEvaluator`
     Stage-graph evaluation for Alg. 2, one per ``parallelize`` call.  A
@@ -27,10 +29,11 @@ DP states, applied to our three inner loops:
     GPU into one stage, which can only move the stages downstream of
     it.  The evaluator keeps the committed stage DP's values and prices
     a candidate by re-running the DP over only the merged stage and
-    that downstream *cone*; it answers without pricing when a candidate
-    touches no stage of the committed critical path (such a candidate
-    cannot be strictly faster); and it applies an accepted merge in
-    place instead of being rebuilt.
+    that downstream *cone*; it answers without pricing the cone when a
+    candidate touches no stage of the committed critical path, or when
+    the merged stage alone already delays the next stage of that path
+    (either way the candidate cannot be strictly faster); and it applies
+    an accepted merge in place instead of being rebuilt.
 
     Internally the evaluator stores the stage graph as flat int-indexed
     lists (DESIGN.md §14): stage durations, GPU-chain predecessors,
@@ -59,7 +62,14 @@ from ..costmodel.profile import CostProfile
 from .graph import OpGraph
 from .schedule import Schedule, ScheduleError
 
-__all__ = ["EvalCounters", "PrefixReplayer", "StageGraphEvaluator", "soa_latency"]
+__all__ = [
+    "SKIP_DELAYS_PATH",
+    "SKIP_OFF_PATH",
+    "EvalCounters",
+    "PrefixReplayer",
+    "StageGraphEvaluator",
+    "soa_latency",
+]
 
 
 @dataclass
@@ -79,8 +89,14 @@ class EvalCounters:
         :class:`StageGraphEvaluator`: priced over their cone, rejected
         as cyclic, or skipped.
     window_skips:
-        Those of them skipped unpriced because they touch no stage of
-        the committed critical path (:meth:`StageGraphEvaluator.cannot_improve`).
+        Those of them skipped without pricing their cone
+        (:meth:`StageGraphEvaluator.skip_reason`): they touch no stage
+        of the committed critical path, or their merged stage delays
+        the next stage of that path.
+    window_delay_skips:
+        Those skips for the second reason (the merged stage's own
+        contribution to the next critical stage is at least that
+        stage's committed start).
     soa_evals:
         Stage-DP runs over the int-indexed lists: full sweeps (committed
         evaluations and :func:`soa_latency` calls) plus cone re-runs of
@@ -94,6 +110,7 @@ class EvalCounters:
     suffix_replays: int = 0
     window_delta_evals: int = 0
     window_skips: int = 0
+    window_delay_skips: int = 0
     soa_evals: int = 0
     cache_hits: int = 0
 
@@ -103,6 +120,7 @@ class EvalCounters:
             "suffix_replays": self.suffix_replays,
             "window_delta_evals": self.window_delta_evals,
             "window_skips": self.window_skips,
+            "window_delay_skips": self.window_delay_skips,
             "soa_evals": self.soa_evals,
             "cache_hits": self.cache_hits,
         }
@@ -146,7 +164,19 @@ class PrefixReplayer:
     a varying successor — the boundary sits at or before every
     predecessor of a varying operator under blocking — so prefix-written
     slots stay valid across candidates.  Stale values from earlier
-    replays are therefore never observed.
+    replays are therefore never observed, and for the same reason a
+    snapshot never clears the buffers: a simulation from position 0
+    reads only slots it wrote itself.
+
+    **Carried prefix.**  Successive snapshots over a growing order — one
+    per HIOS-LP path, or one per operator within a local-search round —
+    share their prefix: the new path's vertices, or the next operator,
+    enter the order at or after the new boundary.  A snapshot therefore
+    resumes at the previous one's checkpoint when it is still a prefix
+    of the new simulation (see :meth:`snapshot`), and simulates from
+    position 0 otherwise — when the boundary moves back, the order
+    changed before the old boundary, or an operator outside the old
+    varying set was reassigned (an accepted local-search move).
     """
 
     def __init__(
@@ -306,24 +336,40 @@ class PrefixReplayer:
         varying: Iterable[str],
     ) -> int:
         """Simulate the candidate-invariant prefix once and checkpoint
-        the state; returns the boundary index."""
+        the state; returns the boundary index.
+
+        The simulation resumes at the previous snapshot's boundary
+        ``k_old`` instead of position 0 when that checkpoint is still a
+        prefix of this one: the new boundary is at least ``k_old``, the
+        orders agree on their first ``k_old`` positions, and no operator
+        outside the previous varying set changed its assignment.
+        Positions before ``k_old`` read no previously varying assignment,
+        so they simulate exactly as before, and replays wrote only
+        suffix slots.
+        """
         varying = list(varying)
         k = self.prefix_boundary(order, varying)
         index = self._index
-        self._order_ids = [index[v] for v in order]
-        self._k = k
+        order_ids = [index[v] for v in order]
         assign = [-1] * self._n
         for v, g in assignment.items():
             assign[index[v]] = g
+        k_old = self._k
+        kept = self._assign
+        for vi, _name in self._varying:
+            kept[vi] = assign[vi]
+        if k >= k_old and kept == assign and order_ids[:k_old] == self._order_ids[:k_old]:
+            begin, gpu_free, latency = k_old, self._gpu_free, self._latency
+        else:
+            begin, gpu_free, latency = 0, [0.0] * self._num_gpus, 0.0
+        self._order_ids = order_ids
+        self._k = k
         self._assign = assign
         self._varying = [(index[v], v) for v in varying]
-        self._finish = [0.0] * self._n
-        self._arrival = [0.0] * self._num_edges
-        self._gpu_free = [0.0] * self._num_gpus
+        self._gpu_free = gpu_free
         self.counters.evals += 1
         self._latency = self._simulate(
-            assign, self._order_ids, 0, k, self._finish, self._arrival,
-            self._gpu_free, 0.0,
+            assign, order_ids, begin, k, self._finish, self._arrival, gpu_free, latency,
         )
         return k
 
@@ -349,18 +395,32 @@ class PrefixReplayer:
         )
 
 
+#: :meth:`StageGraphEvaluator.skip_reason` values
+SKIP_OFF_PATH = "off-critical-path"
+SKIP_DELAYS_PATH = "delays-critical-stage"
+
+
+class _Merged(NamedTuple):
+    """A window candidate's merged stage, computed before its cone; its
+    sends' arrival times stay in the scratch list ``_marr`` until the
+    next one."""
+
+    key: tuple[int, int, int]  # (gpu, pos, p)
+    group: tuple[str, ...]
+    slots: list[int]  # the merged stage's sends, in send order
+    duration: float
+    start: float
+    finish: float
+    done: float
+
+
 class _Priced(NamedTuple):
     """The last window candidate :meth:`StageGraphEvaluator.try_merge`
     priced: what :meth:`StageGraphEvaluator.commit` writes back."""
 
-    key: tuple[int, int, int]  # (gpu, pos, p)
+    merged: _Merged
     stamp: int  # marks the window and the cone in ``_mark``
     cone: list[int]  # in committed topological order
-    slots: list[int]  # the merged stage's sends, in send order
-    duration: float
-    start: float  # of the merged stage
-    finish: float
-    done: float
     latency: float
 
 
@@ -381,9 +441,10 @@ class StageGraphEvaluator:
       over only the merged stage and its *cone* — the stages reachable
       from the window in the committed graph — reading committed values
       for every other stage.
-    * :meth:`cannot_improve` answers, without pricing, whether the
-      candidate is acyclic and touches no stage of the committed
-      critical path, so it cannot be strictly faster.
+    * :meth:`skip_reason` answers, without pricing the cone, whether an
+      acyclic candidate cannot be strictly faster: it touches no stage
+      of the committed critical path, or its merged stage delays the
+      next stage of that path.
     * :meth:`commit` contracts an accepted window into one stage in
       place and writes the candidate's cone values into the committed
       state.
@@ -480,6 +541,8 @@ class StageGraphEvaluator:
         self._nfin: list[float] = []
         self._ndone: list[float] = []
         self._narr: list[float] = []
+        self._marr: list[float] = []
+        self._merged: _Merged | None = None  # the latest ``_merge``
         self._priced: _Priced | None = None
 
     # ------------------------------------------------------------------
@@ -510,34 +573,58 @@ class StageGraphEvaluator:
         candidate Alg. 2 must reject).  The committed state is not
         modified.
         """
+        key = (gpu, pos, p)
         members = self._window(gpu, pos, p)
         self.counters.window_delta_evals += 1
-        if self._cyclic(members):
-            return None
-        return self._price((gpu, pos, p), members, group).latency
+        merged = self._merged
+        if merged is None or merged.key != key or merged.group != group:
+            if self._cyclic(members):
+                return None
+            merged = self._merge(key, members, group)
+        return self._price(merged, members).latency
 
-    def cannot_improve(self, gpu: int, pos: int, p: int) -> bool:
-        """True when the :meth:`try_merge` candidate is acyclic and no
-        member lies on the committed critical path, so its latency is at
-        least the committed latency; such a candidate is counted as a
-        window evaluation and a skip, and needs no pricing.
+    def skip_reason(self, gpu: int, pos: int, p: int, group: tuple[str, ...]) -> str | None:
+        """Why the :meth:`try_merge` candidate cannot be strictly faster
+        than the committed schedule, or ``None`` when it must be priced
+        (cyclic candidates included: :meth:`try_merge` rejects those).
 
-        The merge changes no stage, duration, edge or send order along
-        that path, and float ``+`` and ``max`` are monotone, so every
-        stage on the path starts no earlier than before.  Every member
-        counts: a window whose later members run one after another along
-        the path can shorten it by running them concurrently.
+        A skipped candidate is counted as a window evaluation and a
+        skip, and its cone is not priced.  Both reasons rest on one
+        argument: along the committed critical path every stage starts
+        exactly at its predecessor's contribution, and float ``+`` and
+        ``max`` are monotone, so once a stage of the path starts no
+        earlier than before, every later stage does too and the last
+        one still ends at or after the committed latency.
+
+        * :data:`SKIP_OFF_PATH` — no member lies on the path.  The
+          merge changes no stage, duration, edge or send order along
+          it.  Every member counts: a window whose later members run
+          one after another along the path can shorten it by running
+          them concurrently.
+        * :data:`SKIP_DELAYS_PATH` — some member does, and the merged
+          stage (priced first, exactly as :meth:`try_merge` prices it)
+          ends at or after the committed latency, or its contribution
+          to a *next critical stage* — a stage of the path outside the
+          window that a member feeds — is at least that stage's
+          committed start.  Every later stage of the path lies in the
+          cone, none is a member (the candidate is acyclic), and their
+          durations, edges and send orders are unchanged.
         """
         members = self._window(gpu, pos, p)
-        crit = self._crit
-        for m in members:
-            if crit[m]:
-                return False
         if self._cyclic(members):
-            return False  # left to try_merge, which rejects it as cyclic
+            return None
+        crit = self._crit
+        if any(crit[m] for m in members):
+            merged = self._merge((gpu, pos, p), members, group)
+            if not self._delays_path(members, merged):
+                return None  # try_merge prices the cone of ``merged`` next
+            reason = SKIP_DELAYS_PATH
+            self.counters.window_delay_skips += 1
+        else:
+            reason = SKIP_OFF_PATH
         self.counters.window_delta_evals += 1
         self.counters.window_skips += 1
-        return True
+        return reason
 
     def commit(self, gpu: int, pos: int, p: int, group: tuple[str, ...]) -> float:
         """Make the :meth:`try_merge` candidate the committed schedule,
@@ -555,10 +642,11 @@ class StageGraphEvaluator:
         key = (gpu, pos, p)
         members = self._window(gpu, pos, p)
         priced = self._priced
-        if priced is None or priced.key != key:
+        if priced is None or priced.merged.key != key:
             if self._cyclic(members):
                 raise ScheduleError("merging the window makes the stage graph cyclic")
-            priced = self._price(key, members, group)
+            priced = self._price(self._merge(key, members, group), members)
+        merged = priced.merged
         rep, last = members[0], members[-1]
         window = set(members)
         start, fin, done, arr = self._start, self._fin, self._done, self._arr
@@ -567,10 +655,10 @@ class StageGraphEvaluator:
         rsrc = self._rsrc
         cone = priced.cone
 
-        start[rep] = priced.start
-        fin[rep] = priced.finish
-        done[rep] = priced.done
-        for e in priced.slots:
+        start[rep] = merged.start
+        fin[rep] = merged.finish
+        done[rep] = merged.done
+        for e in merged.slots:
             arr[e] = narr[e]
         for t in cone:
             start[t] = nstart[t]
@@ -598,13 +686,13 @@ class StageGraphEvaluator:
                 lin[t] = list({rep if u in window else u for u in lin[t]})
         for s in sources:
             succ[s] = list({rep if t in window else t for t in succ[s]})
-        for e in priced.slots:
+        for e in merged.slots:
             rsrc[e] = rep
-        self._dur[rep] = priced.duration
+        self._dur[rep] = merged.duration
         succ[rep] = list(targets)
         lin[rep] = list(local_sources)
         rin[rep] = slots_in
-        rout[rep] = priced.slots
+        rout[rep] = merged.slots
         for m in members[1:]:
             self._alive[m] = False
             succ[m] = []
@@ -615,6 +703,7 @@ class StageGraphEvaluator:
         self._topo = [s for s in self._topo if mark[s] != stamp] + [rep] + cone
         self._latency = priced.latency
         self._derived = False
+        self._merged = None
         self._priced = None
         return priced.latency
 
@@ -686,6 +775,7 @@ class StageGraphEvaluator:
         self._topo = topo
         self._latency = latency
         self._derived = False
+        self._merged = None
         self._priced = None
         return latency
 
@@ -708,6 +798,7 @@ class StageGraphEvaluator:
             self._nfin = [0.0] * n
             self._ndone = [0.0] * n
             self._narr = [0.0] * len(self._arr)
+            self._marr = [0.0] * len(self._arr)
         rank = [0] * n
         for i, s in enumerate(self._topo):
             rank[s] = i
@@ -771,26 +862,20 @@ class StageGraphEvaluator:
                     stack.append(t)
         return False
 
-    def _price(
+    def _merge(
         self, key: tuple[int, int, int], members: list[int], group: tuple[str, ...]
-    ) -> _Priced:
-        """Cone pricing of the acyclic candidate ``key`` (``(gpu, pos,
-        p)``).  Its cone values stay in the scratch lists, and the result
-        in ``_priced``, until the next pricing."""
-        self.counters.soa_evals += 1
-        self._stamp += 1
-        stamp = self._stamp
-        blocking = self._blocking
-        mark = self._mark
-        prev, succ, lin, rin, rout = self._prev, self._succ, self._lin, self._rin, self._rout
-        rw, rsrc, dur = self._rw, self._rsrc, self._dur
+    ) -> _Merged:
+        """The merged stage of the acyclic candidate ``key`` (``(gpu,
+        pos, p)``): it starts at the max over the members' incoming
+        contributions from outside the window — none comes from the
+        cone, or the merge would be cyclic — and sends the members'
+        slots in name order.  The result stays in ``_merged``, and the
+        sends' arrival times in ``_marr``, until the next merge or
+        commit."""
+        prev, lin, rin, rout = self._prev, self._lin, self._rin, self._rout
+        rw = self._rw
         fin, done, arr = self._fin, self._done, self._arr
-        nstart, nfin, ndone, narr = self._nstart, self._nfin, self._ndone, self._narr
-
-        # the merged stage starts at the max over the members' incoming
-        # contributions from outside the window — none comes from the
-        # cone, or the merge would be cyclic — and sends the members'
-        # slots in name order
+        marr = self._marr
         st = 0.0
         c = prev[members[0]]
         if c >= 0:
@@ -799,7 +884,6 @@ class StageGraphEvaluator:
                 st = v
         slots: list[int] = []
         for m in members:
-            mark[m] = stamp
             for u in lin[m]:
                 v = fin[u]
                 if v > st:
@@ -813,17 +897,71 @@ class StageGraphEvaluator:
         duration = self._profile.stage_time(group, gpu=key[0])
         f = st + duration
         cur = f
-        if blocking:
+        if self._blocking:
             for e in slots:
                 cur += rw[e]
-                narr[e] = cur
+                marr[e] = cur
         else:
             for e in slots:
-                narr[e] = f + rw[e]
+                marr[e] = f + rw[e]
+        merged = _Merged(key, group, slots, duration, st, f, cur)
+        self._merged = merged
+        return merged
+
+    def _delays_path(self, members: list[int], merged: _Merged) -> bool:
+        """Whether the merged stage ends at or after the committed
+        latency, or contributes to some next critical stage ``t`` no
+        earlier than ``t``'s committed start: its send-done time if
+        ``t`` is the window's chain successor, its finish if a member
+        feeds ``t`` locally, each member slot's arrival into ``t``."""
+        latency = self._latency
+        assert latency is not None  # ``_window`` evaluated the committed schedule
+        fin, cur = merged.finish, merged.done
+        if fin >= latency or cur >= latency:
+            return True
+        crit, start = self._crit, self._start
+        prev, succ, lin, rin, rsrc = self._prev, self._succ, self._lin, self._rin, self._rsrc
+        marr = self._marr
         for m in members:
+            for t in succ[m]:
+                if not crit[t] or t in members:
+                    continue
+                st = start[t]
+                if prev[t] == m:  # only the last member's chain successor is outside
+                    if cur >= st:
+                        return True
+                elif m in lin[t]:
+                    if fin >= st:
+                        return True
+                else:
+                    for e in rin[t]:
+                        if rsrc[e] == m and marr[e] >= st:
+                            return True
+        return False
+
+    def _price(self, merged: _Merged, members: list[int]) -> _Priced:
+        """Cone pricing of the candidate whose merged stage is
+        ``merged`` (the latest :meth:`_merge`).  Its cone values stay in
+        the scratch lists, and the result in ``_priced``, until the next
+        pricing."""
+        self.counters.soa_evals += 1
+        self._stamp += 1
+        stamp = self._stamp
+        blocking = self._blocking
+        mark = self._mark
+        prev, succ, lin, rin, rout = self._prev, self._succ, self._lin, self._rin, self._rout
+        rw, rsrc, dur = self._rw, self._rsrc, self._dur
+        fin, done, arr = self._fin, self._done, self._arr
+        nstart, nfin, ndone, narr = self._nstart, self._nfin, self._ndone, self._narr
+
+        f, cur = merged.finish, merged.done
+        for m in members:
+            mark[m] = stamp
             nfin[m] = f
         ndone[members[-1]] = cur  # only the chain successor reads it
-        merged_start, merged_fin, merged_done = st, f, cur
+        marr = self._marr
+        for e in merged.slots:
+            narr[e] = marr[e]
         latency = 0.0
         if f > latency:
             latency = f
@@ -880,10 +1018,7 @@ class StageGraphEvaluator:
                     latency = top[s]
                 break
 
-        priced = _Priced(
-            key, stamp, cone, slots, duration, merged_start, merged_fin,
-            merged_done, latency,
-        )
+        priced = _Priced(merged, stamp, cone, latency)
         self._priced = priced
         return priced
 

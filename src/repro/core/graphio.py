@@ -60,7 +60,10 @@ def graph_from_dict(data: Mapping[str, Any]) -> OpGraph:
             )
         for entry in data["edges"]:
             graph.add_edge(entry["src"], entry["dst"], float(entry.get("transfer", 0.0)))
-    except (KeyError, TypeError) as exc:
+    except GraphError:
+        raise
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        # a missing field, a non-numeric cost, an infinite byte count
         raise GraphError(f"malformed graph document: {exc}") from exc
     graph.validate()
     return graph

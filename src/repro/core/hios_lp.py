@@ -13,8 +13,9 @@ After the spatial mapping, the sliding-window pass of Alg. 2
 operators into concurrent stages.
 
 Both passes run on the incremental engine of :mod:`repro.core.fasteval`:
-prefix-replay across the ``M`` GPU candidates of one path, stage-graph
-deltas across window candidates.
+prefix-replay across the ``M`` GPU candidates of one path (each path's
+prefix simulation resuming where the previous path's stopped),
+stage-graph deltas across window candidates.
 """
 
 from __future__ import annotations
@@ -80,7 +81,8 @@ def _lp_spatial_mapping(
                 )
             continue
 
-        scheduled_order = [v for v in order if v in assignment or v in path.vertices]
+        on_path = set(path.vertices)
+        scheduled_order = [v for v in order if v in assignment or v in on_path]
         # The prefix before the first operator whose processing reads
         # this path's assignment is candidate-invariant: simulate it
         # once, replay only the suffix per GPU.

@@ -13,9 +13,12 @@ grouping is kept when
 
 One :class:`~repro.core.fasteval.StageGraphEvaluator` serves the whole
 sweep.  It prices a candidate over only the merged stage and the stages
-downstream of it, rejects unpriced (as slower) every acyclic candidate
-that touches no stage of the committed critical path — such a merge
-cannot shorten that path — and applies an accepted merge in place.
+downstream of it and applies an accepted merge in place.  Before that
+it rejects as slower, without pricing the downstream stages, every
+acyclic candidate that touches no stage of the committed critical path,
+and every one whose merged stage alone delays the next stage of that
+path — neither merge can shorten the path.  The decision log names the
+reason of each such skip.
 
 The stage duration of a group comes from the profile's concurrency
 model ``t(S)``, which is where under-utilization (small operators gain)
@@ -121,13 +124,14 @@ def parallelize(
                         outcome="rejected-dependent",
                     )
                 continue
-            if evaluator.cannot_improve(gpu, pos, p):
+            skip = evaluator.skip_reason(gpu, pos, p, group)
+            if skip is not None:
                 stats.rejected_slower += 1
                 if log is not None:
                     log.emit(
                         "window", gpu=gpu, ops=list(group),
                         outcome="rejected-slower",
-                        best_latency_ms=best_latency, priced=False,
+                        best_latency_ms=best_latency, priced=False, skip=skip,
                     )
                 continue
             lat = evaluator.try_merge(gpu, pos, p, group)

@@ -45,7 +45,8 @@ def local_search_assignment(
     passes it refines.  The per-move evaluation replays only the suffix
     after the moved operator's snapshot boundary (one prefix simulation
     per operator instead of one full simulation per (operator, GPU)
-    pair).
+    pair); within a round each snapshot resumes where the previous
+    operator's stopped unless its boundary moved back.
     """
     if max_rounds < 0:
         raise ValueError("max_rounds must be non-negative")

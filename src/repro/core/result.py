@@ -33,7 +33,7 @@ class ScheduleResult:
         Schedulers running on the incremental engine
         (:mod:`repro.core.fasteval`) additionally report ``evals``,
         ``suffix_replays``, ``window_delta_evals``, ``window_skips``,
-        ``soa_evals`` and ``cache_hits`` (see
+        ``window_delay_skips``, ``soa_evals`` and ``cache_hits`` (see
         :class:`repro.core.fasteval.EvalCounters`) plus a
         ``phase_times`` mapping of per-phase wall seconds
         (``spatial_mapping`` / ``local_search`` / ``intra_gpu``),

@@ -28,11 +28,13 @@ __all__: list[str] = []
 # ----------------------------------------------------------------------
 # document helpers
 # ----------------------------------------------------------------------
-def _doc_num_gpus(doc: Mapping[str, Any]) -> int | None:
-    try:
-        return int(doc["num_gpus"])
-    except (KeyError, TypeError, ValueError):
-        return None
+def _doc_int(value: object) -> int | None:
+    """``value`` if it is a JSON integer, else ``None`` — also for a
+    bool, a float (``2.5``, ``Infinity``, ``NaN``) or a numeric string,
+    which ``int()`` would accept, truncate or fail on."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    return None
 
 
 def _doc_entries(doc: Mapping[str, Any]) -> list[Mapping[str, Any]]:
@@ -131,7 +133,7 @@ def check_doc_duplicates(ctx: LintContext) -> Iterator[Finding]:
 def check_doc_gpus(ctx: LintContext) -> Iterator[Finding]:
     doc = ctx.schedule_doc
     assert doc is not None
-    num_gpus = _doc_num_gpus(doc)
+    num_gpus = _doc_int(doc.get("num_gpus"))
     if num_gpus is None:
         yield Finding("schedule document has no integer 'num_gpus' field")
         return
@@ -140,10 +142,8 @@ def check_doc_gpus(ctx: LintContext) -> Iterator[Finding]:
         return
     seen: set[int] = set()
     for ei, entry in enumerate(_doc_entries(doc)):
-        raw = entry.get("gpu")
-        try:
-            gpu = int(raw)  # type: ignore[arg-type]
-        except (TypeError, ValueError):
+        gpu = _doc_int(entry.get("gpu"))
+        if gpu is None:
             continue  # missing/malformed 'gpu' key is S005's problem
         if not (0 <= gpu < num_gpus):
             yield Finding(

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import replace
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -37,6 +38,7 @@ from repro.core import (
     schedule_graph,
     soa_latency,
 )
+from repro.core.fasteval import SKIP_DELAYS_PATH, SKIP_OFF_PATH
 from repro.models import random_dag_profile
 
 from .. import oracles
@@ -118,6 +120,129 @@ def test_prefix_boundary_covers_predecessor_sends():
     # earliest predecessor of d, whichever of b/c the order puts first
     assert blocking.prefix_boundary(order, ["d"]) == min(pos["b"], pos["c"])
     assert nonblocking.prefix_boundary(order, ["d"]) == pos["d"]
+
+
+class _BeginSpy(PrefixReplayer):
+    """Records the position each simulation starts at."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.begins: list[int] = []
+
+    def _simulate(self, assign, order, start, *rest):
+        self.begins.append(start)
+        return super()._simulate(assign, order, start, *rest)
+
+    def snapshot_begin(self, order, assignment, varying) -> tuple[int, int]:
+        """(boundary, position the prefix simulation resumed at)."""
+        k = self.snapshot(order, assignment, varying)
+        return k, self.begins[-1]
+
+
+def _replays_match(g, rp, order, assignment, varying, M, blocking, speeds, rng):
+    for _ in range(M):
+        for v in varying:
+            assignment[v] = rng.randrange(M)
+        want = oracles.list_schedule_latency(
+            g, assignment, order, M, send_blocking=blocking, gpu_speeds=speeds
+        )
+        assert rp.replay(assignment) == want
+
+
+@pytest.mark.parametrize("blocking", [True, False])
+@pytest.mark.parametrize("speeds", [None, (1.0, 1.5, 0.75)])
+def test_snapshot_carries_the_prefix_across_paths(blocking, speeds):
+    """The Alg. 1 sequence on one replayer: each path's snapshot
+    resumes at the previous boundary when its own boundary is not
+    earlier, and simulates from 0 when it is; every replay equals the
+    oracle either way."""
+    g = _rand_graph(seed=17, n=30)
+    M = 3
+    order = priority_order(g)
+    rng = random.Random(29)
+    rp = _BeginSpy(g, M, send_blocking=blocking, gpu_speeds=speeds)
+    assignment: dict[str, int] = {}
+    unscheduled = list(order)
+    k_old = 0
+    carried = restarted = 0
+    while unscheduled:
+        path = rng.sample(unscheduled, min(len(unscheduled), rng.randint(1, 4)))
+        for v in path:
+            unscheduled.remove(v)
+        sub_order = [v for v in order if v in assignment or v in path]
+        k, begin = rp.snapshot_begin(sub_order, assignment, path)
+        if k >= k_old:
+            assert begin == k_old
+            carried += k_old > 0
+        else:
+            assert begin == 0
+            restarted += 1
+        _replays_match(g, rp, sub_order, assignment, path, M, blocking, speeds, rng)
+        k_old = k
+    assert carried > 0 and restarted > 0
+
+
+@pytest.mark.parametrize("blocking", [True, False])
+def test_snapshot_restarts_when_its_boundary_moves_back(blocking):
+    g = _rand_graph(seed=19, n=24)
+    M = 3
+    order = priority_order(g)
+    rng = random.Random(4)
+    assignment = {v: rng.randrange(M) for v in order}
+    rp = _BeginSpy(g, M, send_blocking=blocking)
+    late = max(order, key=lambda v: rp.prefix_boundary(order, [v]))
+    early = order[0]
+    k_late, _ = rp.snapshot_begin(order, assignment, [late])
+    _replays_match(g, rp, order, assignment, [late], M, blocking, None, rng)
+    k_early, begin = rp.snapshot_begin(order, assignment, [early])
+    assert k_early < k_late and begin == 0
+    _replays_match(g, rp, order, assignment, [early], M, blocking, None, rng)
+
+
+def test_snapshot_restarts_when_the_order_changes_before_its_boundary():
+    """Two independent operators on one GPU swap places early in the
+    order: the checkpoint no longer describes the new prefix."""
+    g = OpGraph.from_edges(
+        {"a": 1.0, "b": 2.0, "c": 1.0, "d": 1.0, "e": 1.0},
+        [("a", "c", 0.5), ("b", "d", 0.5), ("c", "e", 0.5), ("d", "e", 0.5)],
+    )
+    M = 2
+    assignment = {"a": 0, "b": 0, "c": 1, "d": 0, "e": 1}
+    rp = _BeginSpy(g, M)
+    rng = random.Random(2)
+    first = ["a", "b", "c", "d", "e"]
+    k_old, _ = rp.snapshot_begin(first, assignment, ["e"])
+    _replays_match(g, rp, first, assignment, ["e"], M, True, None, rng)
+    swapped = ["b", "a", "c", "d", "e"]
+    k, begin = rp.snapshot_begin(swapped, assignment, ["e"])
+    assert k == k_old == 2 and begin == 0
+    _replays_match(g, rp, swapped, assignment, ["e"], M, True, None, rng)
+
+
+@pytest.mark.parametrize("blocking", [True, False])
+def test_snapshot_restarts_after_a_non_varying_reassignment(blocking):
+    """``refine``'s sequence: within a round successive operators'
+    snapshots carry; an accepted move between rounds reassigns an
+    operator outside the last varying set, so the next snapshot must
+    simulate from 0 even though its boundary moved forward."""
+    g = _rand_graph(seed=21, n=24)
+    M = 3
+    order = priority_order(g)
+    rng = random.Random(8)
+    assignment = {v: rng.randrange(M) for v in order}
+    rp = _BeginSpy(g, M, send_blocking=blocking)
+    by_boundary = sorted(order, key=lambda v: rp.prefix_boundary(order, [v]))
+    first, second = by_boundary[len(order) // 2], by_boundary[-1]
+    k_old, _ = rp.snapshot_begin(order, assignment, [first])
+    _replays_match(g, rp, order, assignment, [first], M, blocking, None, rng)
+    k, begin = rp.snapshot_begin(order, assignment, [second])
+    assert k >= k_old > 0 and begin == k_old  # same assignment: carried
+    _replays_match(g, rp, order, assignment, [second], M, blocking, None, rng)
+    moved = order[0]  # runs before both boundaries; never varying
+    assignment[moved] = (assignment[moved] + 1) % M
+    k_new, begin = rp.snapshot_begin(order, assignment, [second])
+    assert k_new == k and begin == 0
+    _replays_match(g, rp, order, assignment, [second], M, blocking, None, rng)
 
 
 def test_list_schedule_rejects_unassigned_operator():
@@ -208,11 +333,16 @@ def _check_merges_and_commits(prof):
 
 
 @settings(max_examples=40, deadline=None)
-@given(profile=dag_profiles(), seed=st.integers(0, 2**16))
-def test_skipped_candidates_are_never_faster(profile, seed):
-    """Whenever the evaluator skips a candidate as off the committed
-    critical path, the oracle's latency of that candidate is at least
-    the committed latency — also after in-place commits."""
+@given(profile=dag_profiles(), seed=st.integers(0, 2**16), hetero=st.booleans())
+def test_skipped_candidates_are_never_faster(profile, seed, hetero):
+    """Whenever the evaluator skips a candidate — off the committed
+    critical path, or delaying the next stage of that path — the
+    oracle's latency of that candidate is at least the committed
+    latency, also after in-place commits, under blocking and
+    non-blocking sends and homogeneous and heterogeneous speeds."""
+    if hetero:
+        speeds = tuple(1.0 + 0.5 * g for g in range(profile.num_gpus))
+        profile = replace(profile, gpu_speeds=speeds)
     rng = random.Random(seed)
     order = priority_order(profile.graph)
     assignment = {v: rng.randrange(profile.num_gpus) for v in order}
@@ -222,7 +352,7 @@ def test_skipped_candidates_are_never_faster(profile, seed):
     for _ in range(4):
         acyclic = []
         for gpu, pos, p, group, candidate, want in _candidates(profile, schedule):
-            if ev.cannot_improve(gpu, pos, p):
+            if ev.skip_reason(gpu, pos, p, group) is not None:
                 assert want is not None and want >= committed
             assert ev.try_merge(gpu, pos, p, group) == want
             if want is not None:
@@ -252,8 +382,96 @@ def test_window_along_the_critical_path_is_priced():
     merged = schedule.with_stages_on_gpu(1, [Stage(1, ("a", "b", "c"))])
     want = oracles.evaluate_latency(prof, merged)
     assert want < committed
-    assert not ev.cannot_improve(1, 0, 2)
+    assert ev.skip_reason(1, 0, 2, ("a", "b", "c")) is None
     assert ev.try_merge(1, 0, 2, ("a", "b", "c")) == want
+
+
+def _hand_built(ops, edges, assignment, order):
+    """Profile and singleton schedule on 2 GPUs; ``ops`` maps each
+    operator to its ``(cost, occupancy)``."""
+    g = OpGraph()
+    for name, (cost, occupancy) in ops.items():
+        g.add_operator(name, cost=cost, occupancy=occupancy)
+    for u, v, w in edges:
+        g.add_edge(u, v, w)
+    return make_profile(g, num_gpus=2), build_singleton_schedule(assignment, order, 2)
+
+
+def _skip_and_price(prof, schedule, gpu, pos, p):
+    """(skip reason, committed latency, oracle latency of the merge) for
+    the window at ``pos .. pos + p`` of ``gpu``; also checks that
+    ``try_merge`` prices the candidate exactly after the skip test."""
+    stages = schedule.stages_on(gpu)
+    group = tuple(st.ops[0] for st in stages[pos : pos + p + 1])
+    merged = stages[:pos] + [Stage(gpu, group)] + stages[pos + 1 + p :]
+    want = oracles.evaluate_latency(prof, schedule.with_stages_on_gpu(gpu, merged))
+    ev = StageGraphEvaluator(prof, schedule)
+    committed = ev.evaluate()
+    reason = ev.skip_reason(gpu, pos, p, group)
+    assert ev.try_merge(gpu, pos, p, group) == want
+    return reason, committed, want
+
+
+def test_serialized_sends_delay_the_chain_successor():
+    """``b`` waits for ``z`` on the other GPU; merged with ``a`` it still
+    waits, and then sends ``a``'s slot before the chain may go on, so the
+    critical chain successor ``c`` starts later: skipped unpriced."""
+    prof, schedule = _hand_built(
+        {"a": (1.0, 0.3), "b": (1.0, 0.3), "c": (5.0, 1.0), "x": (0.1, 0.1), "z": (3.0, 0.3)},
+        [("a", "x", 2.0), ("z", "b", 0.5)],
+        {"a": 0, "b": 0, "c": 0, "x": 1, "z": 1},
+        ["z", "a", "b", "x", "c"],
+    )
+    reason, committed, want = _skip_and_price(prof, schedule, 0, 0, 1)
+    assert reason == SKIP_DELAYS_PATH
+    assert want > committed
+
+
+def test_serialized_sends_delay_a_remote_consumer():
+    """As above, but the critical stage after the window is ``t`` on the
+    other GPU, fed by ``b``'s slot, which the merged stage sends after
+    ``a``'s."""
+    prof, schedule = _hand_built(
+        {"a": (1.0, 0.3), "b": (1.0, 0.3), "y": (0.1, 0.1), "z": (3.0, 0.3), "t": (10.0, 1.0)},
+        [("a", "y", 2.0), ("z", "b", 0.5), ("b", "t", 1.0)],
+        {"a": 0, "b": 0, "y": 1, "z": 1, "t": 1},
+        ["z", "a", "y", "b", "t"],
+    )
+    reason, committed, want = _skip_and_price(prof, schedule, 0, 0, 1)
+    assert reason == SKIP_DELAYS_PATH
+    assert want > committed
+
+
+@pytest.mark.parametrize("occupancy", [0.3, 1.0])
+def test_critical_path_ending_inside_the_window(occupancy):
+    """The path ends at the window's last member, so no critical stage
+    follows it: the candidate is priced unless the merged stage alone
+    ends at or after the committed latency (saturating operators)."""
+    prof, schedule = _hand_built(
+        {"a": (5.0, occupancy), "b": (5.0, occupancy), "x": (1.0, 0.3)},
+        [("a", "x", 0.5)],
+        {"a": 0, "b": 0, "x": 1},
+        ["a", "b", "x"],
+    )
+    reason, committed, want = _skip_and_price(prof, schedule, 0, 0, 1)
+    if occupancy < 0.5:
+        assert reason is None and want < committed
+    else:
+        assert reason == SKIP_DELAYS_PATH and want >= committed
+
+
+def test_window_that_does_not_delay_its_critical_successor_is_priced():
+    """Both members lie on the critical path, and the merged stage
+    finishes before the next critical stage ``c`` started: the
+    candidate is priced, and it improves."""
+    prof, schedule = _hand_built(
+        {"a": (2.0, 0.3), "b": (2.0, 0.3), "c": (5.0, 1.0), "t": (1.0, 0.3)},
+        [("b", "t", 0.5)],
+        {"a": 0, "b": 0, "c": 0, "t": 1},
+        ["a", "b", "c", "t"],
+    )
+    reason, committed, want = _skip_and_price(prof, schedule, 0, 0, 1)
+    assert reason is None and want < committed
 
 
 def test_commit_orders_the_merged_stage_after_its_sources():
@@ -278,25 +496,33 @@ def test_commit_orders_the_merged_stage_after_its_sources():
 
 
 def test_skip_is_counted_and_never_prices():
-    """A skip counts as a window evaluation and a skip, runs no stage
-    DP, and leaves ``try_merge`` exact for the same candidate."""
-    prof = random_dag_profile(seed=3, num_gpus=3, num_ops=40, num_layers=6)
-    order = priority_order(prof.graph)
-    schedule = build_singleton_schedule({v: i % 3 for i, v in enumerate(order)}, order, 3)
-    counters = EvalCounters()
-    ev = StageGraphEvaluator(prof, schedule, counters=counters)
-    committed = ev.evaluate()
-    skipped = 0
-    for gpu, pos, p, group, _candidate, want in _candidates(prof, schedule):
-        before = (counters.window_delta_evals, counters.soa_evals)
-        if ev.cannot_improve(gpu, pos, p):
-            skipped += 1
-            assert counters.window_delta_evals == before[0] + 1
-            assert counters.soa_evals == before[1]
-            assert want is not None and want >= committed
+    """A skip counts as a window evaluation and a skip (a delay skip
+    also in ``window_delay_skips``), runs no stage DP, and leaves
+    ``try_merge`` exact for the same candidate; both reasons occur under
+    blocking and non-blocking sends, homogeneous and heterogeneous."""
+    base = random_dag_profile(seed=3, num_gpus=3, num_ops=40, num_layers=6)
+    for blocking, speeds in product((True, False), (None, (1.0, 1.5, 0.75))):
+        prof = replace(base, send_blocking=blocking, gpu_speeds=speeds)
+        order = priority_order(prof.graph)
+        schedule = build_singleton_schedule(
+            {v: i % 3 for i, v in enumerate(order)}, order, 3
+        )
+        counters = EvalCounters()
+        ev = StageGraphEvaluator(prof, schedule, counters=counters)
+        committed = ev.evaluate()
+        reasons = {SKIP_OFF_PATH: 0, SKIP_DELAYS_PATH: 0}
+        for gpu, pos, p, group, _candidate, want in _candidates(prof, schedule):
+            before = (counters.window_delta_evals, counters.soa_evals)
+            reason = ev.skip_reason(gpu, pos, p, group)
+            if reason is not None:
+                reasons[reason] += 1
+                assert counters.window_delta_evals == before[0] + 1
+                assert counters.soa_evals == before[1]
+                assert want is not None and want >= committed
             assert ev.try_merge(gpu, pos, p, group) == want
-    assert skipped > 0
-    assert counters.window_skips == skipped
+        assert reasons[SKIP_OFF_PATH] > 0 and reasons[SKIP_DELAYS_PATH] > 0
+        assert counters.window_skips == sum(reasons.values())
+        assert counters.window_delay_skips == reasons[SKIP_DELAYS_PATH]
 
 
 def test_parallelize_edge_cases():
@@ -389,14 +615,18 @@ def test_stats_counters_present_and_plausible():
         assert res.stats[key] >= 0
     assert res.stats["suffix_replays"] > 0  # the replayer actually ran
     assert res.stats["window_delta_evals"] > 0  # Alg. 2 used the delta path
-    assert res.stats["window_skips"] > 0  # and skipped off-path candidates
+    assert res.stats["window_skips"] > 0  # and skipped candidates unpriced
+    assert res.stats["window_delay_skips"] > 0  # some as delaying the path
     assert "phase_times" in res.stats
     assert "spatial_mapping" in res.stats["phase_times"]
 
     with oracles.reference_components():
         ref = schedule_graph(prof, "hios-lp")
     # the oracles keep no counters: every engine seam was swapped out
-    for key in ("evals", "suffix_replays", "window_delta_evals", "window_skips", "soa_evals"):
+    for key in (
+        "evals", "suffix_replays", "window_delta_evals", "window_skips",
+        "window_delay_skips", "soa_evals",
+    ):
         assert ref.stats[key] == 0
 
 
@@ -519,6 +749,7 @@ def test_counters_shared_across_phases():
         "suffix_replays",
         "window_delta_evals",
         "window_skips",
+        "window_delay_skips",
         "soa_evals",
         "cache_hits",
     }

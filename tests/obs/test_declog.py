@@ -1,10 +1,13 @@
 """Decision logging: capture semantics, scheduler hooks, JSONL output."""
 
 import json
+from itertools import product
 
 import pytest
 
 from repro.core.api import schedule_graph
+from repro.core.fasteval import SKIP_DELAYS_PATH, SKIP_OFF_PATH
+from repro.models import random_dag_profile
 from repro.obs import DecisionLog, capture_decisions
 from repro.obs import declog
 
@@ -109,24 +112,34 @@ class TestSchedulerHooks:
 
     def test_skipped_windows_are_marked_and_counted(self, profiled):
         """A ``rejected-slower`` window was either priced no faster than
-        the best latency or skipped unpriced as off the critical path;
-        the skipped records are exactly the evaluator's skip counter."""
+        the best latency or skipped unpriced, and a skipped record names
+        its reason: off the critical path, or delaying the next stage of
+        that path.  The reasons partition the skipped records, and each
+        reason's count is the evaluator's counter for it.  (On
+        inception_v3 no window delays the path; the random DAG has both
+        kinds.)"""
         _, profile = profiled
-        total_skipped = 0
-        for alg in ("hios-lp", "hios-mr"):
+        dag = random_dag_profile(seed=2, num_gpus=3, num_ops=40, num_layers=6)
+        totals = {SKIP_OFF_PATH: 0, SKIP_DELAYS_PATH: 0}
+        for prof, alg in product((profile, dag), ("hios-lp", "hios-mr")):
             with capture_decisions() as log:
-                result = schedule_graph(profile, alg)
+                result = schedule_graph(prof, alg)
             slower = [r for r in log.events("window") if r["outcome"] == "rejected-slower"]
             skipped = [r for r in slower if r.get("priced") is False]
             for r in slower:
                 if r.get("priced") is False:
                     assert "latency_ms" not in r
                     assert "best_latency_ms" in r
+                    assert r["skip"] in totals
                 else:
                     assert r["latency_ms"] >= r["best_latency_ms"]
+                    assert "skip" not in r
+            delays = sum(r["skip"] == SKIP_DELAYS_PATH for r in skipped)
             assert len(skipped) == result.stats["window_skips"]
-            total_skipped += len(skipped)
-        assert total_skipped > 0
+            assert delays == result.stats["window_delay_skips"]
+            totals[SKIP_DELAYS_PATH] += delays
+            totals[SKIP_OFF_PATH] += len(skipped) - delays
+        assert totals[SKIP_OFF_PATH] > 0 and totals[SKIP_DELAYS_PATH] > 0
 
     def test_scheduling_without_capture_emits_nothing(self, profiled):
         _, profile = profiled

@@ -367,7 +367,7 @@ def mr_fill(
 # Adapters: the oracles behind the production components' interfaces.
 # They leave the evaluation counters alone, so a reference run reports
 # zero ``evals`` / ``suffix_replays`` / ``window_delta_evals`` /
-# ``window_skips`` / ``soa_evals``.
+# ``window_skips`` / ``window_delay_skips`` / ``soa_evals``.
 
 
 class _ListScheduleOracle:
@@ -429,8 +429,10 @@ class _StageGraphOracle:
         except ScheduleError:
             return None
 
-    def cannot_improve(self, gpu: int, pos: int, p: int) -> bool:
-        return False
+    def skip_reason(
+        self, gpu: int, pos: int, p: int, group: tuple[str, ...]
+    ) -> str | None:
+        return None
 
     def commit(self, gpu: int, pos: int, p: int, group: tuple[str, ...]) -> float:
         self._schedule = self._merged(gpu, pos, p, group)

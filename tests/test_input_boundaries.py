@@ -1,0 +1,103 @@
+"""Malformed graph and schedule documents fail with a typed error at the
+library boundary, and as an exit code with one ``error:`` line (never a
+traceback) through ``repro lint`` and ``repro validate``."""
+
+from __future__ import annotations
+
+import copy
+import json
+
+import pytest
+
+from repro.cli import main
+from repro.core import OpGraph, Schedule, ScheduleError
+from repro.core.graph import GraphError
+from repro.core.graphio import graph_from_dict, graph_to_dict
+
+
+def _graph_doc() -> dict:
+    g = OpGraph()
+    for name in "abc":
+        g.add_operator(name, cost=1.0)
+    g.add_edge("a", "b", 0.2)
+    return graph_to_dict(g)
+
+
+SCHEDULE_DOC = {
+    "num_gpus": 2,
+    "gpus": [
+        {"gpu": 0, "stages": [["a"], ["b"]]},
+        {"gpu": 1, "stages": [["c"]]},
+    ],
+}
+
+#: JSON values that are not integers, though ``int()`` takes or chokes on them
+NOT_INTEGERS = [float("inf"), float("nan"), 2.5, "2", True]
+
+
+def _bad_schedule(field: str, value: object) -> dict:
+    doc = copy.deepcopy(SCHEDULE_DOC)
+    if field == "num_gpus":
+        doc["num_gpus"] = value
+    else:
+        doc["gpus"][1]["gpu"] = value
+    return doc
+
+
+def _write(tmp_path, name: str, doc: dict) -> str:
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))  # Infinity / NaN as JavaScript literals
+    return str(path)
+
+
+def _run(capsys, argv: list[str]) -> tuple[int, str]:
+    code = main(argv)  # an escaping exception fails the test
+    out = capsys.readouterr()
+    text = out.out + out.err
+    assert "Traceback" not in text
+    return code, text
+
+
+@pytest.mark.parametrize("value", NOT_INTEGERS, ids=repr)
+@pytest.mark.parametrize("field", ["num_gpus", "gpu"])
+def test_non_integer_gpu_fields_are_typed_failures(tmp_path, capsys, field, value):
+    doc = _bad_schedule(field, value)
+    with pytest.raises(ScheduleError):
+        Schedule.from_dict(json.loads(json.dumps(doc)))
+
+    graph = _write(tmp_path, "g.json", _graph_doc())
+    sched = _write(tmp_path, "s.json", doc)
+    code, text = _run(capsys, ["lint", graph, sched])
+    # S004 owns the GPU count; a non-integer 'gpu' entry is S005's finding
+    # (S004 skips it rather than reading it as some integer)
+    assert code == 1
+    assert ("S004" if field == "num_gpus" else "S005") in text
+
+    code, text = _run(capsys, ["validate", graph, sched])
+    assert code == 2
+    assert text.startswith("error: malformed schedule document")
+
+
+@pytest.mark.parametrize(
+    "field, value", [("cost", "fast"), ("output_bytes", float("inf"))]
+)
+def test_malformed_graph_is_a_typed_failure(tmp_path, capsys, field, value):
+    doc = _graph_doc()
+    doc["operators"][0][field] = value
+    with pytest.raises(GraphError, match="malformed graph document"):
+        graph_from_dict(json.loads(json.dumps(doc)))
+
+    graph = _write(tmp_path, "g.json", doc)
+    sched = _write(tmp_path, "s.json", SCHEDULE_DOC)
+    code, text = _run(capsys, ["lint", graph, sched])
+    assert code == 2 and text.startswith("error: malformed graph document")
+
+    code, text = _run(capsys, ["validate", graph, sched])
+    assert code == 2 and text.startswith("error: malformed graph document")
+
+
+def test_valid_documents_still_validate(tmp_path, capsys):
+    graph = _write(tmp_path, "g.json", _graph_doc())
+    sched = _write(tmp_path, "s.json", SCHEDULE_DOC)
+    code, text = _run(capsys, ["validate", graph, sched])
+    assert code == 0 and text.startswith("OK:")
