@@ -315,7 +315,7 @@ def build_hb_graph(
             for op in before:
                 hb.add_edge(ev_finish(op), ev_launch(head), "stage")
         if model.max_streams > 0:
-            # exactly MultiGpuEngine.assign_streams: round-robin lanes
+            # exactly the engine's _EngineRun.assign_streams: round-robin lanes
             for ops in stages:
                 tails: dict[int, str] = {}
                 for i, op in enumerate(ops):
@@ -347,7 +347,7 @@ def build_hb_graph(
                 hb.add_edge(ev_recv(u, v), ev_launch(v), "host")
     if blocking_sends:
         # the host posts one blocking MPI_Send at a time, to remote
-        # consumers in sorted order (finish_kernel's loop)
+        # consumers in sorted order (the engine's _EngineRun.send_outputs)
         for u in known:
             remote = sorted(
                 s

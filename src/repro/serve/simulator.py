@@ -235,7 +235,6 @@ class ServeSimulator:
             launch_overhead_ms=0.0,
             launch_included_in_cost=False,
             contention_penalty=0.06,
-            transfer_from_edges=True,
         )
         # (model, lease size, algorithm) -> plan (schedule + fault-free
         # trace); memoized across runs (the zoo is small and leases

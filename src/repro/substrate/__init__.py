@@ -4,7 +4,6 @@ turns model graphs into scheduler-ready cost profiles."""
 
 from .device import A40, DEVICE_PRESETS, RTX_A5500, V100S, GpuDeviceModel, KernelWork
 from .engine import EngineConfig, EngineError, ExecutionTrace, MultiGpuEngine
-from .events import Event, EventQueue
 from .faults import (
     BACKOFF_CAP_DOUBLINGS,
     FailureEvent,
@@ -34,8 +33,6 @@ __all__ = [
     "DEVICE_PRESETS",
     "EngineConfig",
     "EngineError",
-    "Event",
-    "EventQueue",
     "ExecutionTrace",
     "FailureEvent",
     "FaultError",

@@ -23,25 +23,35 @@ identical to the analytic evaluator the schedulers optimize:
   resident kernel slows by ``U * (1 + penalty * (U - 1))`` — consistent
   with (but not numerically equal to) the analytic ``t(S)`` model.
 * **Transfers** serialize per link direction through
-  :class:`~repro.substrate.mpi.SimFabric`.
+  :class:`~repro.substrate.mpi.SimFabric`; each takes the graph's edge
+  weight ``t(u, v)`` (which :class:`~repro.substrate.profiler.
+  PlatformProfiler` prices through the link model).
 
 Stages on one GPU still execute as barriers: no operator of stage
 ``j+1`` is launched before every operator of stage ``j`` completed on
 that GPU.
+
+:meth:`MultiGpuEngine.run` checks its inputs and then drains one
+private run-state object, ``_EngineRun``: an event heap whose entries
+carry their handler, and the trace being written, which is also the
+run's bookkeeping.
 """
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
 from dataclasses import asdict, dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
 
 from ..core.graph import OpGraph
 from ..core.schedule import Schedule
-from .events import EventQueue
-from .faults import FailureEvent, FaultPlan, GpuFailure, GpuRepair
+from .faults import FailureEvent, FaultPlan, GpuFailure, GpuRepair, GpuSlowdown
 from .link import LinkModel, NVLINK_BRIDGE
 from .mpi import SimFabric, TransferRecord
+
+if TYPE_CHECKING:
+    from ..sanitize.runtime import RuntimeSanitizer
 
 __all__ = [
     "EngineError",
@@ -61,13 +71,14 @@ def replays_fault_free(plan: FaultPlan | None, latency: float) -> bool:
     True for an empty plan, and for a plan holding only
     :class:`~repro.substrate.faults.GpuFailure` specs that all fire
     after ``latency + _EPS`` (:class:`~repro.substrate.faults.GpuRepair`
-    specs are ignored, as :meth:`MultiGpuEngine.run` ignores them).  The
-    main loop pops discrete events up to ``now + _EPS`` and stops at the
-    last kernel finish, which is ``latency``; a later failure therefore
-    never pops, and its heap entry never reorders the others.  For such
-    failure-only plans the test is exact.  Any slowdown, link
-    degradation or transfer loss makes it false, whatever its time.
-    The plan is assumed valid for the run's GPU count
+    specs are ignored, as :meth:`MultiGpuEngine.run` ignores them).  Each
+    tick of the run pops every discrete event due by ``now + _EPS``
+    before it handles any, and the run stops at the last kernel finish,
+    which is ``latency``; a later failure therefore never pops, and its
+    heap entry never reorders the others.  For such failure-only plans
+    the test is exact.  Any slowdown, link degradation or transfer loss
+    makes it false, whatever its time.  The plan is assumed valid for
+    the run's GPU count
     (:meth:`~repro.substrate.faults.FaultPlan.validate_for`).
 
     The test only gets stricter as ``latency`` grows, so a plan that
@@ -98,9 +109,8 @@ class EngineConfig:
     kernel's device-side duration is ``t(v) - launch_overhead_ms``.
     ``contention_penalty`` matches the analytic saturation model's
     ``lam``.  ``overlap_launch`` selects the NCCL-style eager-launch
-    mode.  ``transfer_from_edges`` prices messages with graph edge
-    weights instead of the link model (used by the synthetic Section V
-    workloads whose edges carry transfer times directly).
+    mode.  ``link`` gives the fabric its duplex mode; a message's
+    duration is always the graph's edge weight.
 
     ``faults`` injects a :class:`~repro.substrate.faults.FaultPlan`:
     per-GPU speeds and link bandwidths become time-varying, transfers
@@ -129,7 +139,6 @@ class EngineConfig:
     stream_overhead: float = 0.0
     overlap_launch: bool = False
     send_blocking: bool = True
-    transfer_from_edges: bool = True
     max_streams: int = 0
     fabric_serializes: bool = True
     gpu_speeds: Sequence[float] | None = None
@@ -255,6 +264,11 @@ class ExecutionTrace:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "ExecutionTrace":
+        if not isinstance(data, Mapping):
+            raise EngineError(
+                "malformed trace document: expected a JSON object, "
+                f"got {type(data).__name__}"
+            )
         fmt = data.get("format", "repro.trace/v1")
         if fmt != "repro.trace/v1":
             raise EngineError(f"unsupported trace format {fmt!r}")
@@ -269,13 +283,18 @@ class ExecutionTrace:
                     f"got {type(raw_failure).__name__}"
                 )
             try:
+                gpu = raw_failure["gpu"]
+                # a JSON integer only: int() would take true as GPU 1,
+                # truncate 2.5, parse "2" and overflow on 1e400
+                if not isinstance(gpu, int) or isinstance(gpu, bool):
+                    raise TypeError(f"failure 'gpu' must be an integer, got {gpu!r}")
                 failure = FailureEvent(
-                    gpu=int(raw_failure["gpu"]),  # type: ignore[arg-type]
+                    gpu=gpu,
                     time=float(raw_failure["time"]),  # type: ignore[arg-type]
                     finished=cls._op_name_set(raw_failure["finished"], "finished"),
                     in_flight=cls._op_name_set(raw_failure["in_flight"], "in_flight"),
                 )
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise EngineError(f"malformed trace document: {exc}") from exc
         try:
             return cls(
@@ -287,7 +306,7 @@ class ExecutionTrace:
                 gpu_busy={int(k): float(v) for k, v in dict(data.get("gpu_busy", {})).items()},  # type: ignore[arg-type]
                 failure=failure,
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise EngineError(f"malformed trace document: {exc}") from exc
 
 
@@ -316,333 +335,348 @@ class MultiGpuEngine:
         # TSan-style happens-before sanitizer (HIOS_SANITIZE / cfg.sanitize).
         # Imported lazily: repro.sanitize depends on this module for its
         # exception hierarchy.  Construction statically detects deadlocked
-        # schedules and raises with a witness cycle before the event loop
-        # (and in particular the stall watchdog) is ever reached.
+        # schedules and raises with a witness cycle before the run state
+        # (and in particular its first event) exists.
         from ..sanitize.runtime import sanitizer_for
 
         sanitizer = sanitizer_for(graph, schedule, cfg)
-        fabric = SimFabric(
+        return _EngineRun(graph, schedule, cfg, plan, sanitizer).drain()
+
+
+_Handler = Callable[[float, Any], None]
+
+
+class _EngineRun:
+    """The state of one engine run; its methods are the loop's handlers.
+
+    The event heap holds ``(time, seq, handler, payload)``, so ties
+    break by push order.  There is one handler per discrete event kind:
+    :meth:`on_launch` (a host's launch call returned), :meth:`on_arrival`
+    (a remote input was delivered), :meth:`on_slowdown` and
+    :meth:`on_failure` (injected faults).  Kernel completions are
+    projected from each GPU's running set instead (:meth:`drain`).
+
+    The trace being written is the bookkeeping: an operator has been
+    launched, started or finished exactly when it has an entry in
+    ``op_launch``, ``op_start`` or ``op_finish``, and the run is over
+    when every operator has a finish.
+    """
+
+    def __init__(
+        self,
+        graph: OpGraph,
+        schedule: Schedule,
+        cfg: EngineConfig,
+        plan: FaultPlan | None,
+        sanitizer: RuntimeSanitizer | None,
+    ) -> None:
+        M = schedule.num_gpus
+        self.graph = graph
+        self.cfg = cfg
+        self.sanitizer = sanitizer
+        self.num_gpus = M
+        self.fabric = SimFabric(
             max(M, 1), cfg.link, serialize=cfg.fabric_serializes, faults=plan
         )
-        events = EventQueue()
-
-        stage_lists = [schedule.stages_on(g) for g in range(M)]
-        stage_idx = [0] * M
-        stage_remaining = [len(q[0]) if q else 0 for q in stage_lists]
-        pending: list[deque[str]] = [
-            deque(q[0].ops) if q else deque() for q in stage_lists
-        ]
-        host_free = [0.0] * M
-        host_blocked = [False] * M
-
-        gpu_of = schedule.assignment()
-        remote_pending: dict[str, int] = {}
-        for v in graph.names:
-            remote_pending[v] = sum(
-                1 for u in graph.predecessors(v) if gpu_of[u] != gpu_of[v]
-            )
-
-        running: list[dict[str, float]] = [dict() for _ in range(M)]  # op -> remaining
-        slowdown = [1.0] * M
-        fault_speed = [1.0] * M  # time-varying speed factor from injected faults
-        last_update = [0.0] * M
-        awaiting_data: set[str] = set()  # launched, waiting for remote input (overlap)
-        finished: set[str] = set()
-        launched: set[str] = set()
-        started: set[str] = set()
-
-        # CUDA-stream serialization: within each stage, operators are
-        # dealt round-robin onto L streams; stream_pred[op] is the op
-        # that must finish before op's kernel may start.
-        stream_pred: dict[str, str | None] = {}
-        stream_succ: dict[str, str] = {}
-
-        def assign_streams(ops: tuple[str, ...]) -> None:
-            if cfg.max_streams <= 0:
-                for op in ops:
-                    stream_pred[op] = None
-                return
-            tails: dict[int, str] = {}
-            for i, op in enumerate(ops):
-                lane = i % cfg.max_streams
-                prev = tails.get(lane)
-                stream_pred[op] = prev
-                if prev is not None:
-                    stream_succ[prev] = op
-                tails[lane] = op
-
-        for g0 in range(M):
-            for st in stage_lists[g0]:
-                assign_streams(st.ops)
-
-        op_launch: dict[str, float] = {}
-        op_start: dict[str, float] = {}
-        op_finish: dict[str, float] = {}
-        gpu_busy = dict.fromkeys(range(M), 0.0)
-        unfinished = len(graph)
-        now = 0.0
-        last_progress = 0.0  # last launch / delivery / kernel completion
-        failure: FailureEvent | None = None
-
-        # -------------------------------- helpers
-        def recompute_slowdown(g: int) -> None:
-            total = sum(graph.operator(op).occupancy for op in running[g])
-            if total <= 1.0:
-                base = 1.0
-            else:
-                base = total * (1.0 + cfg.contention_penalty * (total - 1.0))
-            streams = 1.0 + cfg.stream_overhead * max(0, len(running[g]) - 1)
-            rate = base * streams
-            if fault_speed[g] != 1.0:
-                rate /= fault_speed[g]
-            slowdown[g] = rate
-
-        def settle(g: int, t: float) -> None:
-            """Account execution progress of GPU g up to time t."""
-            dt = t - last_update[g]
-            if dt > 0 and running[g]:
-                step = dt / slowdown[g]
-                for op in running[g]:
-                    running[g][op] -= step
-                gpu_busy[g] += dt
-            last_update[g] = t
-
-        def gpu_speed(g: int) -> float:
-            if cfg.gpu_speeds is None:
-                return 1.0
-            return cfg.gpu_speeds[g]
-
-        def exec_duration(op: str, g: int) -> float:
-            cost = graph.cost(op)
-            if cfg.launch_included_in_cost:
-                cost = max(0.0, cost - cfg.launch_overhead_ms)
-            return cost / gpu_speed(g)
-
-        def start_kernel(g: int, op: str, t: float) -> None:
-            settle(g, t)
-            started.add(op)
-            op_start[op] = t
-            if sanitizer is not None:
-                sanitizer.observe_start(op, t)
-            running[g][op] = exec_duration(op, g)
-            recompute_slowdown(g)
-
-        def try_start(g: int, op: str, t: float) -> None:
-            """Start the kernel once launched, fed, and stream-clear."""
-            if op in started:
-                return
-            if op not in launched:
-                return
-            if cfg.overlap_launch and remote_pending[op] > 0:
-                return
-            pred = stream_pred.get(op)
-            if pred is not None and pred not in finished:
-                return
-            start_kernel(g, op, t)
-
-        def advance_host(g: int, t: float) -> None:
-            """Issue launches for the active stage until blocked/done."""
-            host_blocked[g] = False
-            while pending[g]:
-                head = pending[g][0]
-                if not cfg.overlap_launch and remote_pending[head] > 0:
-                    host_blocked[g] = True
-                    return
-                pending[g].popleft()
-                t_done = max(host_free[g], t) + cfg.launch_overhead_ms
-                host_free[g] = t_done
-                events.push(t_done, "launch_done", (g, head))
-
-        def stall_diagnostic() -> str:
-            """Name who is stuck on what (deadlock / watchdog reports)."""
-            parts: list[str] = []
-            for g in range(M):
-                if pending[g]:
-                    head = pending[g][0]
-                    need = remote_pending.get(head, 0)
-                    msg = f"GPU {g} host blocked on {head!r}"
-                    if need > 0:
-                        msg += f" ({need} remote input(s) outstanding)"
-                    parts.append(msg)
-            waiting = sorted(
-                op
-                for op in graph.names
-                if op not in finished and remote_pending.get(op, 0) > 0
-            )
-            if waiting:
-                shown = ", ".join(repr(op) for op in waiting[:8])
-                if len(waiting) > 8:
-                    shown += f", ... ({len(waiting) - 8} more)"
-                parts.append(f"operators awaiting remote data: {shown}")
-            return "; ".join(parts) if parts else "no host is blocked"
-
-        def finish_kernel(g: int, op: str, t: float) -> None:
-            nonlocal unfinished, last_progress
-            last_progress = t
-            del running[g][op]
-            recompute_slowdown(g)
-            op_finish[op] = t
-            finished.add(op)
-            if sanitizer is not None:
-                sanitizer.observe_finish(op, t)
-            unfinished -= 1
-            succ = stream_succ.get(op)
-            if succ is not None:
-                try_start(g, succ, t)
-            # transfers to remote consumers (sorted for determinism).
-            # Under send_blocking the host issues them one blocking
-            # MPI_Send at a time, so each send is posted only after the
-            # previous one delivered (matching the analytic evaluator's
-            # serialized-send semantics).
-            blocking = cfg.send_blocking and not cfg.overlap_launch
-            cursor = t
-            last_delivery = t
-            for s in sorted(graph.successors(op)):
-                gs = gpu_of[s]
-                if gs == g:
-                    continue
-                post_at = cursor if blocking else t
-                if cfg.transfer_from_edges:
-                    delivery = fabric.post_send(
-                        post_at, g, gs, num_bytes=graph.operator(op).output_bytes,
-                        duration=graph.transfer(op, s), tag=f"{op}->{s}",
-                    )
-                else:
-                    delivery = fabric.post_send(
-                        post_at, g, gs, num_bytes=graph.operator(op).output_bytes,
-                        tag=f"{op}->{s}",
-                    )
-                events.push(delivery, "data_arrival", (s, op))
-                if sanitizer is not None:
-                    # transfer events are reported at post time with
-                    # their real timestamps; observation is idempotent
-                    # so the later data_arrival needs no second report
-                    sanitizer.observe_send(op, s, post_at)
-                    sanitizer.observe_recv(op, s, delivery)
-                cursor = delivery
-                last_delivery = max(last_delivery, delivery)
-            if blocking and last_delivery > t:
-                # the host's blocking MPI sends stall subsequent launches
-                host_free[g] = max(host_free[g], last_delivery)
-            # stage bookkeeping
-            stage_remaining[g] -= 1
-            if stage_remaining[g] == 0:
-                stage_idx[g] += 1
-                if stage_idx[g] < len(stage_lists[g]):
-                    nxt = stage_lists[g][stage_idx[g]]
-                    stage_remaining[g] = len(nxt)
-                    pending[g].extend(nxt.ops)
-                    advance_host(g, t)
-
-        # -------------------------------- schedule injected faults
+        self.heap: list[tuple[float, int, _Handler, Any]] = []
+        self.seq = 0
+        self.gpu_of = gpu_of = schedule.assignment()
+        self.speed = [1.0] * M if cfg.gpu_speeds is None else list(cfg.gpu_speeds)
+        # per GPU: the stages after the active one, how many of the
+        # active one's operators have not finished, and which of them
+        # the host has not launched yet
+        stages = [schedule.stages_on(g) for g in range(M)]
+        self.later_stages = [iter(q[1:]) for q in stages]
+        self.stage_remaining = [len(q[0]) if q else 0 for q in stages]
+        self.pending = [deque(q[0].ops) if q else deque() for q in stages]
+        self.host_free = [0.0] * M
+        self.remote_pending = {
+            v: sum(1 for u in graph.predecessors(v) if gpu_of[u] != gpu_of[v])
+            for v in graph.names
+        }
+        self.running: list[dict[str, float]] = [{} for _ in range(M)]  # op -> remaining
+        self.slowdown = [1.0] * M
+        self.fault_speed = [1.0] * M  # time-varying speed factor from injected faults
+        self.last_update = [0.0] * M
+        # CUDA-stream serialization: an operator's kernel starts only
+        # after its stream predecessor's finished (assign_streams)
+        self.stream_pred: dict[str, str] = {}
+        self.stream_succ: dict[str, str] = {}
+        if cfg.max_streams > 0:
+            for per_gpu in stages:
+                for st in per_gpu:
+                    self.assign_streams(st.ops)
+        self.op_launch: dict[str, float] = {}
+        self.op_start: dict[str, float] = {}
+        self.op_finish: dict[str, float] = {}
+        self.gpu_busy = dict.fromkeys(range(M), 0.0)
+        self.now = 0.0
+        self.last_progress = 0.0  # last launch / delivery / kernel completion
+        self.failure: FailureEvent | None = None
         if plan is not None:
             for slow in plan.slowdowns():
-                events.push(slow.at, "gpu_slowdown", slow)
+                self.push(slow.at, self.on_slowdown, slow)
             first_failure = plan.first_failure()
             if first_failure is not None:
-                events.push(first_failure.at, "gpu_failure", first_failure)
-
-        # -------------------------------- prime the hosts
+                self.push(first_failure.at, self.on_failure, first_failure)
         for g in range(M):
-            advance_host(g, 0.0)
+            self.advance_host(g, 0.0)
 
-        # -------------------------------- main loop
-        while unfinished > 0:
+    def push(self, time: float, handler: _Handler, payload: Any) -> None:
+        heapq.heappush(self.heap, (time, self.seq, handler, payload))
+        self.seq += 1
+
+    def assign_streams(self, ops: tuple[str, ...]) -> None:
+        """Deal a stage's operators round-robin onto ``max_streams``
+        lanes: each follows the operator ``max_streams`` places earlier."""
+        for prev, op in zip(ops, ops[self.cfg.max_streams :]):
+            self.stream_pred[op] = prev
+            self.stream_succ[prev] = op
+
+    def drain(self) -> ExecutionTrace:
+        """Run until every operator finished or a GPU failed."""
+        cfg = self.cfg
+        heap = self.heap
+        running = self.running
+        op_finish = self.op_finish
+        gpus = range(self.num_gpus)
+        n = len(self.graph)
+        while len(op_finish) < n:
             # next discrete event vs. next projected kernel finish
-            t_next = events.peek_time()
-            for g in range(M):
+            t_next = heap[0][0] if heap else None
+            for g in gpus:
                 if running[g]:
-                    proj = last_update[g] + min(running[g].values()) * slowdown[g]
+                    proj = self.last_update[g] + min(running[g].values()) * self.slowdown[g]
                     if t_next is None or proj < t_next:
                         t_next = proj
             if t_next is None:
                 raise EngineError(
                     "engine deadlock: no pending events but "
-                    f"{unfinished} operators unfinished; {stall_diagnostic()}"
+                    f"{n - len(op_finish)} operators unfinished; "
+                    f"{self.stall_diagnostic()}"
                 )
             if (
                 cfg.watchdog_horizon_ms > 0
                 and not any(running)
-                and t_next - last_progress > cfg.watchdog_horizon_ms
+                and t_next - self.last_progress > cfg.watchdog_horizon_ms
             ):
                 raise EngineError(
                     "engine watchdog: no launch, delivery or kernel completion "
-                    f"since t={last_progress:.3f} ms, no kernel running, and "
+                    f"since t={self.last_progress:.3f} ms, no kernel running, and "
                     f"the next event is only at t={t_next:.3f} ms (horizon "
-                    f"{cfg.watchdog_horizon_ms:g} ms); {stall_diagnostic()}"
+                    f"{cfg.watchdog_horizon_ms:g} ms); {self.stall_diagnostic()}"
                 )
-            t_next = max(t_next, now)
-            now = t_next
-
-            for g in range(M):
-                settle(g, now)
+            now = self.now = max(t_next, self.now)
+            for g in gpus:
+                self.settle(g, now)
             # kernels that ran out of work
-            for g in range(M):
-                done = [op for op, rem in running[g].items() if rem <= _EPS]
-                for op in done:
-                    finish_kernel(g, op, now)
-            # discrete events due now
-            for ev in events.pop_until(now + _EPS):
-                if ev.kind == "launch_done":
-                    g, op = ev.payload
-                    op_launch[op] = ev.time
-                    launched.add(op)
-                    if sanitizer is not None:
-                        sanitizer.observe_launch(op, ev.time)
-                    last_progress = now
-                    if cfg.overlap_launch and remote_pending[op] > 0:
-                        awaiting_data.add(op)
-                    else:
-                        try_start(g, op, now)
-                elif ev.kind == "data_arrival":
-                    consumer, _producer = ev.payload
-                    remote_pending[consumer] -= 1
-                    last_progress = now
-                    if remote_pending[consumer] == 0:
-                        g = gpu_of[consumer]
-                        if consumer in awaiting_data:
-                            awaiting_data.discard(consumer)
-                            try_start(g, consumer, now)
-                        elif host_blocked[g]:
-                            advance_host(g, now)
-                elif ev.kind == "gpu_slowdown":
-                    slow = ev.payload
-                    fault_speed[slow.gpu] *= slow.factor
-                    recompute_slowdown(slow.gpu)
-                elif ev.kind == "gpu_failure":
-                    spec = ev.payload
-                    failure = FailureEvent(
-                        gpu=spec.gpu,
-                        time=now,
-                        finished=frozenset(finished),
-                        in_flight=frozenset(
-                            op for per_gpu in running for op in per_gpu
-                        ),
-                    )
-                    break  # fail-stop: discard the rest of this tick
-                else:  # pragma: no cover - defensive
-                    raise EngineError(f"unknown event kind {ev.kind!r}")
-            if failure is not None:
-                break
+            for g in gpus:
+                for op in [op for op, rem in running[g].items() if rem <= _EPS]:
+                    self.finish_kernel(g, op, now)
+            # every discrete event due now is popped before any is
+            # handled, so what the handlers push waits for the next tick
+            due = []
+            while heap and heap[0][0] <= now + _EPS:
+                due.append(heapq.heappop(heap))
+            for time, _seq, handler, payload in due:
+                handler(time, payload)
+                if self.failure is not None:
+                    return self.trace()  # fail-stop: the rest of the tick is discarded
+        return self.trace()
 
+    def trace(self) -> ExecutionTrace:
+        # a failure cuts the trace at its instant; in-flight operators
+        # keep their start time but have no finish
+        failure = self.failure
         if failure is not None:
-            # partial trace, cut at the failure instant; in-flight
-            # operators keep their start time but have no finish
-            return ExecutionTrace(
-                latency=failure.time,
-                op_launch=op_launch,
-                op_start=op_start,
-                op_finish=op_finish,
-                transfers=fabric.records,
-                gpu_busy=gpu_busy,
-                failure=failure,
-            )
-        latency = max(op_finish.values(), default=0.0)
+            latency = failure.time
+        else:
+            latency = max(self.op_finish.values(), default=0.0)
         return ExecutionTrace(
             latency=latency,
-            op_launch=op_launch,
-            op_start=op_start,
-            op_finish=op_finish,
-            transfers=fabric.records,
-            gpu_busy=gpu_busy,
+            op_launch=self.op_launch,
+            op_start=self.op_start,
+            op_finish=self.op_finish,
+            transfers=self.fabric.records,
+            gpu_busy=self.gpu_busy,
+            failure=failure,
         )
+
+    # ------------------------------------------------------------------
+    # discrete events
+    # ------------------------------------------------------------------
+    def on_launch(self, time: float, op: str) -> None:
+        """The host's launch call for ``op`` returned at ``time``."""
+        self.op_launch[op] = time
+        if self.sanitizer is not None:
+            self.sanitizer.observe_launch(op, time)
+        self.last_progress = self.now
+        self.try_start(self.gpu_of[op], op, self.now)
+
+    def on_arrival(self, time: float, consumer: str) -> None:
+        """One of ``consumer``'s remote inputs was delivered."""
+        self.last_progress = self.now
+        self.remote_pending[consumer] -= 1
+        if self.remote_pending[consumer] > 0:
+            return
+        g = self.gpu_of[consumer]
+        if consumer in self.op_launch:
+            # overlap_launch: it was launched while this input was out
+            self.try_start(g, consumer, self.now)
+        elif self.pending[g] and self.pending[g][0] == consumer:
+            # the host was blocked on this operator's MPI_Recv
+            self.advance_host(g, self.now)
+
+    def on_slowdown(self, time: float, slow: GpuSlowdown) -> None:
+        self.fault_speed[slow.gpu] *= slow.factor
+        self.recompute_slowdown(slow.gpu)
+
+    def on_failure(self, time: float, spec: GpuFailure) -> None:
+        self.failure = FailureEvent(
+            gpu=spec.gpu,
+            time=self.now,
+            finished=frozenset(self.op_finish),
+            in_flight=frozenset(op for per_gpu in self.running for op in per_gpu),
+        )
+
+    # ------------------------------------------------------------------
+    # hosts and kernels
+    # ------------------------------------------------------------------
+    def advance_host(self, g: int, t: float) -> None:
+        """Issue launches for GPU ``g``'s active stage until its host
+        blocks on an operator's remote input or runs out of operators.
+
+        Only the head can block the host, and only in the blocking
+        (CUDA-aware MPI) mode; :meth:`on_arrival` resumes the host when
+        the head's last input lands.
+        """
+        cfg = self.cfg
+        pending = self.pending[g]
+        while pending:
+            head = pending[0]
+            if not cfg.overlap_launch and self.remote_pending[head] > 0:
+                return
+            pending.popleft()
+            t_done = max(self.host_free[g], t) + cfg.launch_overhead_ms
+            self.host_free[g] = t_done
+            self.push(t_done, self.on_launch, head)
+
+    def try_start(self, g: int, op: str, t: float) -> None:
+        """Start ``op``'s kernel once it is launched, fed and stream-clear."""
+        cfg = self.cfg
+        if op in self.op_start or op not in self.op_launch:
+            return
+        if cfg.overlap_launch and self.remote_pending[op] > 0:
+            return
+        pred = self.stream_pred.get(op)
+        if pred is not None and pred not in self.op_finish:
+            return
+        self.settle(g, t)
+        self.op_start[op] = t
+        if self.sanitizer is not None:
+            self.sanitizer.observe_start(op, t)
+        cost = self.graph.cost(op)
+        if cfg.launch_included_in_cost:
+            cost = max(0.0, cost - cfg.launch_overhead_ms)
+        self.running[g][op] = cost / self.speed[g]
+        self.recompute_slowdown(g)
+
+    def finish_kernel(self, g: int, op: str, t: float) -> None:
+        self.last_progress = t
+        del self.running[g][op]
+        self.recompute_slowdown(g)
+        self.op_finish[op] = t
+        if self.sanitizer is not None:
+            self.sanitizer.observe_finish(op, t)
+        succ = self.stream_succ.get(op)
+        if succ is not None:
+            self.try_start(g, succ, t)
+        self.send_outputs(g, op, t)
+        # stage barrier: the next stage's launches wait for this one
+        self.stage_remaining[g] -= 1
+        if self.stage_remaining[g] == 0:
+            nxt = next(self.later_stages[g], None)
+            if nxt is not None:
+                self.stage_remaining[g] = len(nxt)
+                self.pending[g].extend(nxt.ops)
+                self.advance_host(g, t)
+
+    def send_outputs(self, g: int, op: str, t: float) -> None:
+        """Post ``op``'s output to its remote consumers, in sorted order.
+
+        Under ``send_blocking`` the host issues them one blocking
+        MPI_Send at a time, so each send is posted only after the
+        previous one delivered (the analytic evaluator's serialized
+        sends), and the host launches nothing until the last delivery.
+        """
+        cfg = self.cfg
+        graph = self.graph
+        blocking = cfg.send_blocking and not cfg.overlap_launch
+        cursor = t
+        last_delivery = t
+        for s in sorted(graph.successors(op)):
+            gs = self.gpu_of[s]
+            if gs == g:
+                continue
+            post_at = cursor if blocking else t
+            delivery = self.fabric.post_send(
+                post_at, g, gs, graph.transfer(op, s),
+                num_bytes=graph.operator(op).output_bytes, tag=f"{op}->{s}",
+            )
+            self.push(delivery, self.on_arrival, s)
+            if self.sanitizer is not None:
+                # transfer events are reported at post time with their
+                # real timestamps; observation is idempotent, so the
+                # arrival needs no second report
+                self.sanitizer.observe_send(op, s, post_at)
+                self.sanitizer.observe_recv(op, s, delivery)
+            cursor = delivery
+            last_delivery = max(last_delivery, delivery)
+        if blocking and last_delivery > t:
+            self.host_free[g] = max(self.host_free[g], last_delivery)
+
+    def recompute_slowdown(self, g: int) -> None:
+        running = self.running[g]
+        total = sum(self.graph.operator(op).occupancy for op in running)
+        if total <= 1.0:
+            base = 1.0
+        else:
+            base = total * (1.0 + self.cfg.contention_penalty * (total - 1.0))
+        rate = base * (1.0 + self.cfg.stream_overhead * max(0, len(running) - 1))
+        if self.fault_speed[g] != 1.0:
+            rate /= self.fault_speed[g]
+        self.slowdown[g] = rate
+
+    def settle(self, g: int, t: float) -> None:
+        """Account GPU ``g``'s execution progress up to ``t``."""
+        dt = t - self.last_update[g]
+        running = self.running[g]
+        if dt > 0 and running:
+            step = dt / self.slowdown[g]
+            for op in running:
+                running[op] -= step
+            self.gpu_busy[g] += dt
+        self.last_update[g] = t
+
+    def stall_diagnostic(self) -> str:
+        """Name who is stuck on what (deadlock / watchdog reports)."""
+        parts: list[str] = []
+        for g, pending in enumerate(self.pending):
+            if pending:
+                head = pending[0]
+                need = self.remote_pending.get(head, 0)
+                msg = f"GPU {g} host blocked on {head!r}"
+                if need > 0:
+                    msg += f" ({need} remote input(s) outstanding)"
+                parts.append(msg)
+        waiting = sorted(
+            op
+            for op in self.graph.names
+            if op not in self.op_finish and self.remote_pending.get(op, 0) > 0
+        )
+        if waiting:
+            shown = ", ".join(repr(op) for op in waiting[:8])
+            if len(waiting) > 8:
+                shown += f", ... ({len(waiting) - 8} more)"
+            parts.append(f"operators awaiting remote data: {shown}")
+        return "; ".join(parts) if parts else "no host is blocked"

@@ -38,22 +38,11 @@ class LinkModel:
     def bytes_per_ms(self) -> float:
         return self.bandwidth_gbs * 1e9 / 1e3
 
-    def transfer_time(self, num_bytes: int, bw_factor: float = 1.0) -> float:
-        """One-way transfer time for ``num_bytes`` bytes, in ms.
-
-        ``bw_factor`` scales the effective bandwidth (fault injection:
-        a degraded link delivers ``bw_factor`` of nominal, so the
-        payload term grows by ``1/bw_factor``; the fixed per-message
-        latency is unaffected).
-        """
+    def transfer_time(self, num_bytes: int) -> float:
+        """One-way transfer time for ``num_bytes`` bytes, in ms."""
         if num_bytes < 0:
             raise ValueError("negative transfer size")
-        if bw_factor <= 0:
-            raise ValueError("bandwidth factor must be positive")
-        payload = num_bytes / self.bytes_per_ms
-        if bw_factor != 1.0:
-            payload /= bw_factor
-        return self.latency_ms + payload
+        return self.latency_ms + num_bytes / self.bytes_per_ms
 
 
 NVLINK_BRIDGE = LinkModel(name="NVLink bridge", bandwidth_gbs=56.25)

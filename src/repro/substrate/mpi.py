@@ -4,10 +4,11 @@ The paper's runtime uses one MPI process per GPU and CUDA-aware MPI
 point-to-point transfers over NVLink/PCIe.  :class:`SimFabric` models
 that transport: each ordered GPU pair ``(src, dst)`` is a FIFO channel —
 messages in the same direction serialize, opposite directions share the
-channel only when the link is not full duplex.  Transfer durations come
-either from the link model (bytes / bandwidth + latency) or from an
-explicit per-message duration (the synthetic Section V workloads carry
-transfer times directly on graph edges).
+channel only when the link is not full duplex.  Each message carries
+its duration: the engine posts the graph's edge weight, which
+:class:`~repro.substrate.profiler.PlatformProfiler` prices through the
+link model (latency + bytes / bandwidth) and the synthetic Section V
+workloads carry directly.
 """
 
 from __future__ import annotations
@@ -78,9 +79,7 @@ class SimFabric:
         # fault-free runs stay bit-identical to the pre-fault fabric
         self.faults = faults if faults else None
         self._busy_until: dict[tuple[int, int], float] = {}
-        self._last_post = 0.0  # latest post time seen, for introspection
         self.records: list[TransferRecord] = []
-        self.lost_attempts = 0  # total failed posts across all messages
 
     def _channel(self, src: int, dst: int) -> tuple[int, int]:
         if not (0 <= src < self.num_gpus and 0 <= dst < self.num_gpus):
@@ -97,14 +96,13 @@ class SimFabric:
         time: float,
         src: int,
         dst: int,
+        duration: float,
+        *,
         num_bytes: int = 0,
-        duration: float | None = None,
         tag: str = "",
     ) -> float:
-        """Post a message at ``time``; returns its delivery time.
-
-        ``duration`` overrides the link-model pricing when given (used
-        by workloads that carry transfer times on graph edges).
+        """Post a message of ``duration`` ms at ``time``; returns its
+        delivery time.  ``num_bytes`` is recorded, not priced.
 
         Under an injected :class:`~repro.substrate.faults.TransferLoss`,
         a lost attempt occupies the channel until its timeout, then the
@@ -114,13 +112,15 @@ class SimFabric:
         successful attempt starts stretches the transfer by the inverse
         of the compound bandwidth factor.
         """
-        self._last_post = max(self._last_post, time)
+        if duration < 0:
+            raise ValueError("negative transfer duration")
         chan = self._channel(src, dst)
         if self.serialize:
             start = max(time, self._busy_until.get(chan, 0.0))
         else:
             start = time  # idealized fabric: unlimited channel capacity
         attempt = 1
+        cost = duration
         if self.faults is not None:
             while True:
                 loss = self.faults.lost(tag, attempt)
@@ -131,7 +131,6 @@ class SimFabric:
                         f"transfer {tag!r} ({src}->{dst}) lost {attempt} "
                         f"attempts, exceeding max_retries={loss.max_retries}"
                     )
-                self.lost_attempts += 1
                 detect = start + loss.timeout_ms
                 if self.serialize:
                     # the failed attempt held the channel until detection
@@ -140,19 +139,11 @@ class SimFabric:
                     )
                 start = detect + loss.backoff_delay(self.faults.seed, tag, attempt)
                 attempt += 1
-        if duration is None:
-            bw = 1.0 if self.faults is None else self.faults.bw_factor(src, dst, start)
-            cost = self.link.transfer_time(num_bytes, bw_factor=bw)
-        else:
-            cost = duration
-            if cost < 0:
-                raise ValueError("negative transfer duration")
-            if self.faults is not None:
-                # duration-priced workloads: degradation stretches the
-                # whole message (no separable latency term to spare)
-                bw = self.faults.bw_factor(src, dst, start)
-                if bw != 1.0:
-                    cost /= bw
+            # a degradation stretches the whole message: a duration has
+            # no separable latency term to spare
+            bw = self.faults.bw_factor(src, dst, start)
+            if bw != 1.0:
+                cost /= bw
         finish = start + cost
         self._busy_until[chan] = finish
         self.records.append(
@@ -168,11 +159,3 @@ class SimFabric:
             )
         )
         return finish
-
-    @property
-    def total_bytes(self) -> int:
-        return sum(r.num_bytes for r in self.records)
-
-    @property
-    def num_transfers(self) -> int:
-        return len(self.records)

@@ -147,7 +147,6 @@ class PlatformProfiler:
                 contention_penalty=self.contention_penalty,
                 stream_overhead=self.stream_overhead,
                 overlap_launch=overlap_launch,
-                transfer_from_edges=True,
                 max_streams=self.max_streams,
                 link=self.platform.link,
             )

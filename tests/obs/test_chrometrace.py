@@ -25,7 +25,6 @@ def two_gpu_run():
         launch_overhead_ms=0.0,
         launch_included_in_cost=False,
         contention_penalty=0.0,
-        transfer_from_edges=True,
     )
     trace = MultiGpuEngine(cfg).run(g, s)
     return trace, {"a": 0, "b": 1}
@@ -100,7 +99,6 @@ class TestFailureTraces:
             launch_overhead_ms=0.0,
             launch_included_in_cost=False,
             contention_penalty=0.0,
-            transfer_from_edges=True,
             faults=FaultPlan([GpuFailure(gpu=1, at=2.0)]),
         )
         trace = MultiGpuEngine(cfg).run(g, s)

@@ -58,7 +58,6 @@ class TestRepairSplices:
             launch_overhead_ms=0.0,
             launch_included_in_cost=False,
             contention_penalty=0.0,
-            transfer_from_edges=True,
             faults=FaultPlan.from_strings(["fail:1@2.0"]),
         )
         trace, repairs = run_with_repair(profile, schedule, cfg)

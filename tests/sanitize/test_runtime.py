@@ -58,17 +58,20 @@ class TestStaticDeadlockPreemption:
         graph, schedule = deadlock_pair
         from repro.substrate import engine as engine_mod
 
-        started = []
+        pushed = []
         monkeypatch.setattr(
-            engine_mod.EventQueue,
+            engine_mod._EngineRun,
             "push",
-            lambda self, *a, **k: started.append(a),
+            lambda self, *a: pushed.append(a),
         )
+        # both hosts block on their first operator, so only the fault
+        # plan's slowdown is pushed as the run state is built
+        plan = FaultPlan.from_strings(["slow:0@0x0.5"])
         with pytest.raises(SanitizeViolation) as err:
-            make_engine(sanitize=True).run(graph, schedule, validate=False)
+            make_engine(sanitize=True, faults=plan).run(graph, schedule, validate=False)
         assert "witness cycle" in str(err.value)
         assert "watchdog" not in str(err.value)
-        assert started == []  # the event loop never saw a single event
+        assert pushed == []  # the event loop never saw a single event
 
     def test_watchdog_never_reached(self, deadlock_pair):
         graph, schedule = deadlock_pair
@@ -198,3 +201,21 @@ class TestEngineIntegration:
         base = make_engine(sanitize=False).run(diamond, diamond_schedule)
         checked = make_engine(sanitize=True).run(diamond, diamond_schedule)
         assert checked == base  # observation must not perturb the run
+
+    @pytest.mark.parametrize(
+        "knobs",
+        [
+            {"overlap_launch": True, "launch_overhead_ms": 0.01},
+            {"max_streams": 2, "stream_overhead": 0.1},
+            {"send_blocking": False},
+            {"faults": FaultPlan.from_strings(["slow:0@0.5x0.5", "fail:1@2.0"])},
+        ],
+        ids=["overlap", "streams2", "nonblocking", "slow-fail"],
+    )
+    def test_sanitized_trace_equals_unsanitized_per_mode(
+        self, diamond, diamond_schedule, knobs
+    ):
+        base = make_engine(sanitize=False, **knobs).run(diamond, diamond_schedule)
+        checked = make_engine(sanitize=True, **knobs).run(diamond, diamond_schedule)
+        assert checked == base
+        assert (base.failure is None) == ("faults" not in knobs)

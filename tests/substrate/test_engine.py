@@ -11,7 +11,6 @@ def engine(**kwargs):
         launch_overhead_ms=0.0,
         launch_included_in_cost=False,
         contention_penalty=0.0,
-        transfer_from_edges=True,
     )
     defaults.update(kwargs)
     return MultiGpuEngine(EngineConfig(**defaults))
@@ -148,6 +147,36 @@ class TestCommunicationModes:
         assert tr.op_start["c"] == pytest.approx(0.0)
         assert tr.op_start["b"] == pytest.approx(4.0)
 
+    def test_blocked_head_holds_back_a_fed_later_op(self):
+        # GPU1 runs [b, c]; c's input (from p) lands at 1.6, b's (from
+        # a, queued behind it on the channel) only at 4.6: the host
+        # stays blocked on b, so c launches after b though fed first
+        g = OpGraph.from_edges(
+            {"a": 1.0, "p": 0.5, "b": 1.0, "c": 1.0},
+            [("a", "b", 3.0), ("p", "c", 0.9)],
+            occupancy=0.4,
+        )
+        s = Schedule(2, [Stage(0, ("a", "p")), Stage(1, ("b", "c"))])
+        tr = engine(launch_overhead_ms=0.1, send_blocking=False).run(g, s)
+        assert tr.transfers[0].tag == "p->c"
+        assert tr.transfers[0].finish_time == pytest.approx(1.6)
+        assert tr.transfers[1].finish_time == pytest.approx(4.6)
+        assert tr.op_launch["b"] == pytest.approx(4.7)
+        assert tr.op_launch["c"] == pytest.approx(4.8)
+        assert tr.op_start["c"] == pytest.approx(4.8)
+
+    def test_overlap_consumer_fed_before_launch_starts_at_launch(self):
+        # b's input lands at 0.21, but b sits behind x's stage on GPU1
+        # and is launched only at 2.02: it starts right there
+        g = OpGraph.from_edges(
+            {"a": 0.1, "x": 2.0, "b": 1.0}, [("a", "b", 0.1)]
+        )
+        s = Schedule(2, [Stage(0, ("a",)), Stage(1, ("x",)), Stage(1, ("b",))])
+        tr = engine(launch_overhead_ms=0.01, overlap_launch=True).run(g, s)
+        assert tr.transfers[0].finish_time == pytest.approx(0.21)
+        assert tr.op_launch["b"] == pytest.approx(2.02)
+        assert tr.op_start["b"] == pytest.approx(tr.op_launch["b"])
+
 
 class TestTraceAndValidation:
     def test_utilization(self):
@@ -186,6 +215,51 @@ class TestTraceAndValidation:
         tr = engine().run(g, s)
         prof = CostProfile(graph=g, num_gpus=1)
         assert tr.latency == pytest.approx(evaluate_latency(prof, s))
+
+
+class TestEngineReuse:
+    def test_runs_share_no_state(self):
+        """One engine gives a failure trace, raises mid-run and then runs
+        clean; each trace equals a fresh engine's."""
+        from repro.substrate import EngineError, FaultPlan
+
+        diamond = OpGraph.from_edges(
+            {"a": 1.0, "b": 1.0, "c": 1.0, "d": 1.0},
+            [("a", "b", 0.5), ("a", "c", 0.5), ("b", "d", 0.5), ("c", "d", 0.5)],
+            occupancy=0.4,
+        )
+        # b runs 1.5-2.5 on GPU 1, which fails at 2.0
+        failing = Schedule(
+            2, [Stage(0, ("a",)), Stage(1, ("b",)), Stage(0, ("c",)), Stage(0, ("d",))]
+        )
+        # each GPU's first operator waits on the other's second: the
+        # watchdog fires before the failure does (sanitizer off, so the
+        # static deadlock check does not preempt the run)
+        pair = OpGraph.from_edges(
+            {"a": 1.0, "b": 1.0, "c": 1.0, "d": 1.0}, [("a", "b"), ("c", "d")]
+        )
+        cyclic = Schedule(
+            2, [Stage(0, ("d",)), Stage(0, ("a",)), Stage(1, ("b",)), Stage(1, ("c",))]
+        )
+        small = OpGraph.from_edges({"a": 0.5, "b": 0.5}, [("a", "b", 0.5)])
+        clean = Schedule(2, [Stage(0, ("a",)), Stage(0, ("b",))])
+
+        def fresh():
+            return engine(
+                faults=FaultPlan.from_strings(["fail:1@2.0"]),
+                watchdog_horizon_ms=1.0,
+                sanitize=False,
+            )
+
+        reused = fresh()
+        partial = reused.run(diamond, failing)
+        assert partial.failure is not None and partial.latency == pytest.approx(2.0)
+        with pytest.raises(EngineError, match="watchdog"):
+            reused.run(pair, cyclic, validate=False)
+        done = reused.run(small, clean)
+        assert done.failure is None and done.latency == pytest.approx(1.0)
+        assert partial == fresh().run(diamond, failing)
+        assert done == fresh().run(small, clean)
 
 
 class TestStreamLimits:
@@ -241,3 +315,38 @@ class TestDeadlockDetection:
         s.append_op(1, "c")
         with pytest.raises(EngineError, match="deadlock"):
             engine().run(g, s, validate=False)
+
+
+class TestCommittedTraceArtifact:
+    """The engine still reproduces the committed ``repro.trace/v1``
+    artifact that ``repro lint``, ``trace`` and ``sanitize`` are fed."""
+
+    def test_inception_hios_lp_trace(self):
+        import json
+        import pathlib
+
+        from repro.core.graphio import graph_from_dict
+        from repro.experiments.realmodels import default_profiler
+
+        lint_dir = pathlib.Path(__file__).resolve().parents[2] / "benchmarks/results/lint"
+
+        def load(name):
+            return json.loads((lint_dir / name).read_text())
+
+        graph = graph_from_dict(load("graph_inception_299.json"))
+        schedule = Schedule.from_dict(load("schedule_inception_299_hios-lp.json"))
+        want = load("trace_inception_299_hios-lp.json")
+        got = default_profiler(num_gpus=2).engine().run(graph, schedule).to_dict()
+
+        # exact structure; times to a relative 1e-9, since how float sum()
+        # rounds may differ between Python versions
+        assert got.keys() == want.keys()
+        assert got["latency"] == pytest.approx(want["latency"], rel=1e-9)
+        for key in ("op_launch", "op_start", "op_finish", "gpu_busy"):
+            assert got[key].keys() == want[key].keys()
+            assert got[key] == pytest.approx(want[key], rel=1e-9)
+        assert [t["tag"] for t in got["transfers"]] == [t["tag"] for t in want["transfers"]]
+        exact = ("src", "dst", "tag", "num_bytes", "attempts")
+        for g, w in zip(got["transfers"], want["transfers"]):
+            assert {k: g[k] for k in exact} == {k: w[k] for k in exact}
+            assert g == pytest.approx(w, rel=1e-9)

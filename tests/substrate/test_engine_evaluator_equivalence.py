@@ -39,7 +39,6 @@ def _engine(send_blocking: bool) -> MultiGpuEngine:
             launch_included_in_cost=False,
             contention_penalty=0.0,
             send_blocking=send_blocking,
-            transfer_from_edges=True,
             fabric_serializes=False,
         )
     )

@@ -27,7 +27,6 @@ def engine(**kwargs):
         launch_overhead_ms=0.0,
         launch_included_in_cost=False,
         contention_penalty=0.0,
-        transfer_from_edges=True,
     )
     defaults.update(kwargs)
     return MultiGpuEngine(EngineConfig(**defaults))

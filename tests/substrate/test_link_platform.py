@@ -1,9 +1,8 @@
-"""Unit tests for link models, platforms, events and the MPI fabric."""
+"""Unit tests for link models, platforms and the MPI fabric."""
 
 import pytest
 
 from repro.substrate import (
-    EventQueue,
     LinkModel,
     NVLINK_BRIDGE,
     PCIE_GEN3_X16,
@@ -52,33 +51,6 @@ class TestPlatform:
         assert p.transfer_time(1000) == p.link.transfer_time(1000)
 
 
-class TestEventQueue:
-    def test_ordering_and_ties(self):
-        q = EventQueue()
-        q.push(2.0, "b")
-        q.push(1.0, "a")
-        q.push(1.0, "a2")
-        assert q.peek_time() == 1.0
-        assert [q.pop().kind for _ in range(3)] == ["a", "a2", "b"]
-
-    def test_pop_until(self):
-        q = EventQueue()
-        for t in (0.5, 1.0, 2.0):
-            q.push(t, f"e{t}")
-        evs = q.pop_until(1.0)
-        assert [e.kind for e in evs] == ["e0.5", "e1.0"]
-        assert len(q) == 1
-
-    def test_errors(self):
-        q = EventQueue()
-        with pytest.raises(IndexError):
-            q.pop()
-        with pytest.raises(ValueError):
-            q.push(-1.0, "x")
-        assert q.peek_time() is None
-        assert not q
-
-
 class TestSimFabric:
     def test_fifo_serialization_same_direction(self):
         fabric = SimFabric(2, LinkModel("t", bandwidth_gbs=1.0, latency_ms=0.0))
@@ -99,13 +71,6 @@ class TestSimFabric:
         fabric.post_send(0.0, 0, 1, duration=5.0)
         back = fabric.post_send(0.0, 1, 0, duration=1.0)
         assert back == pytest.approx(6.0)
-
-    def test_bytes_pricing(self):
-        fabric = SimFabric(2, LinkModel("t", bandwidth_gbs=1.0, latency_ms=0.5))
-        done = fabric.post_send(0.0, 0, 1, num_bytes=1_000_000)
-        assert done == pytest.approx(1.5)
-        assert fabric.total_bytes == 1_000_000
-        assert fabric.num_transfers == 1
 
     def test_out_of_order_posts_still_serialize(self):
         fabric = SimFabric(2, NVLINK_BRIDGE)

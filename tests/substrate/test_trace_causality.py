@@ -37,7 +37,6 @@ def test_trace_causality(seed, algorithm, num_gpus, overlap):
             launch_overhead_ms=0.002,
             overlap_launch=overlap,
             contention_penalty=0.06,
-            transfer_from_edges=True,
         )
     )
     trace = engine.run(profile.graph, result.schedule)

@@ -25,7 +25,6 @@ def run_pair(faults=None):
         launch_overhead_ms=0.0,
         launch_included_in_cost=False,
         contention_penalty=0.0,
-        transfer_from_edges=True,
         faults=faults,
     )
     return MultiGpuEngine(cfg).run(g, s)

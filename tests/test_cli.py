@@ -473,7 +473,6 @@ class TestTraceCommands:
             launch_overhead_ms=0.0,
             launch_included_in_cost=False,
             contention_penalty=0.0,
-            transfer_from_edges=True,
         )
         trace = MultiGpuEngine(cfg).run(g, s)
         tpath = tmp_path / "t.json"
@@ -636,7 +635,6 @@ class TestSanitizeCommand:
             launch_overhead_ms=0.0,
             launch_included_in_cost=False,
             contention_penalty=0.0,
-            transfer_from_edges=True,
         )
         trace = MultiGpuEngine(cfg).run(g, s)
         tpath = tmp_path / "t.json"

@@ -1,6 +1,7 @@
-"""Malformed graph and schedule documents fail with a typed error at the
-library boundary, and as an exit code with one ``error:`` line (never a
-traceback) through ``repro lint`` and ``repro validate``."""
+"""Malformed graph, schedule and trace documents fail with a typed error
+at the library boundary, and as an exit code with one ``error:`` line
+(never a traceback) through ``repro lint``, ``repro validate`` and
+``repro trace diff``."""
 
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ from repro.cli import main
 from repro.core import OpGraph, Schedule, ScheduleError
 from repro.core.graph import GraphError
 from repro.core.graphio import graph_from_dict, graph_to_dict
+from repro.substrate import EngineError, ExecutionTrace
 
 
 def _graph_doc() -> dict:
@@ -101,3 +103,43 @@ def test_valid_documents_still_validate(tmp_path, capsys):
     sched = _write(tmp_path, "s.json", SCHEDULE_DOC)
     code, text = _run(capsys, ["validate", graph, sched])
     assert code == 0 and text.startswith("OK:")
+
+
+#: A one-operator partial trace; ``failure.gpu`` is filled in as raw JSON
+TRACE_TEMPLATE = json.dumps(
+    {
+        "format": "repro.trace/v1",
+        "latency": 1.0,
+        "op_launch": {"a": 0.0},
+        "op_start": {"a": 0.0},
+        "op_finish": {},
+        "transfers": [],
+        "gpu_busy": {"0": 1.0},
+        "failure": {"gpu": "GPU", "time": 1.0, "finished": [], "in_flight": ["a"]},
+    }
+)
+
+#: ``failure.gpu`` values that are not JSON integers, as raw JSON text
+#: (``1e400`` parses to infinity), plus a document that is no object
+BAD_TRACES = {
+    raw: TRACE_TEMPLATE.replace('"GPU"', raw)
+    for raw in ("Infinity", "1e400", "NaN", "2.5", '"2"', "true")
+}
+BAD_TRACES["top-level array"] = "[1, 2]"
+
+
+@pytest.mark.parametrize("text", list(BAD_TRACES.values()), ids=list(BAD_TRACES))
+def test_malformed_trace_is_a_typed_failure(tmp_path, capsys, text):
+    with pytest.raises(EngineError, match="malformed trace document"):
+        ExecutionTrace.from_dict(json.loads(text))
+
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    good = tmp_path / "good.json"
+    good.write_text(TRACE_TEMPLATE.replace('"GPU"', "1"))
+    for argv in (["lint", str(bad)], ["trace", "diff", str(bad), str(good)]):
+        code, out = _run(capsys, argv)
+        assert code == 2
+        lines = out.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), out
+
