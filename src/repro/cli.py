@@ -4,7 +4,7 @@ Commands
 --------
 ``list``
     Show available experiments, algorithms and models.
-``run FIG [--full] [--jobs N] [--batch-units N] [--no-cache] [--cache-dir DIR]``
+``run FIG [--full] [--jobs N] [--no-cache] [--cache-dir DIR]``
     Run one experiment driver (e.g. ``fig7``) through the parallel
     sweep engine and print its table.  ``--jobs`` defaults to one
     worker per CPU; results are cached content-addressed under
@@ -46,11 +46,11 @@ Commands
     (``--trace-out``) and the per-request decision log
     (``--decisions-out``).  Exit 1 when any admitted query failed.
 ``lint [FILES...] [--fault SPEC ...] [--json] [--rules]``
-    Run the :mod:`repro.lint` rule packs over any mix of JSON artifacts
-    (graphs, schedules, traces, Chrome-trace exports, sweep cache
-    entries — auto-detected) and fault specs, and report *every*
-    finding with its rule ID and severity instead of stopping at the
-    first.  Exit 1 when an error-severity rule fires.
+    Run the :mod:`repro.lint` rule packs over JSON documents of any
+    format in :data:`repro.formats.FORMATS` (auto-detected) and fault
+    specs, and report *every* finding with its rule ID, severity and
+    file instead of stopping at the first.  Exit 1 when an
+    error-severity rule fires.
 ``trace export|report|diff``
     Observability over persisted traces (:mod:`repro.obs`):
     ``export`` converts a ``repro.trace/v1`` document to Chrome/Perfetto
@@ -68,6 +68,9 @@ from .core.api import ALGORITHMS, schedule_graph
 from .core.fasteval import EvalCounters
 from .experiments import EXPERIMENTS, ExperimentConfig, default_config
 from .experiments.realmodels import MODEL_BUILDERS, default_profiler
+from .formats import FORMATS, Document, DocumentError, read_document
+from .serve.config import ServeConfigError
+from .substrate.faults import FaultError
 from .utils import render_schedule_table
 
 __all__ = ["main", "build_parser"]
@@ -91,11 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--jobs", "-j", type=int, default=None, metavar="N",
         help="sweep worker processes (default: one per CPU; 1 = serial)",
-    )
-    run.add_argument(
-        "--batch-units", type=int, default=None, metavar="N",
-        help="units per worker batch on the parallel path "
-        "(default: auto-tune from unit kind and count)",
     )
     run.add_argument(
         "--no-cache", action="store_true",
@@ -281,19 +279,16 @@ def build_parser() -> argparse.ArgumentParser:
     lint = sub.add_parser(
         "lint",
         help="static-analyze graph/schedule/trace JSON documents and fault specs",
-        description="Run the repro.lint rule packs over any mix of JSON "
-        "artifacts (graph, schedule, trace, cache entry — auto-detected by "
-        "their 'format' field / shape) plus optional --fault specs, and "
-        "report every finding. Exit 1 when any error-severity rule fires.",
+        description="Run the repro.lint rule packs over JSON documents "
+        "(auto-detected) and --fault specs: one graph, schedule and trace "
+        "together, every other document on its own. Exit 1 when any "
+        "error-severity rule fires, 2 on an input that cannot be used.",
     )
     lint.add_argument(
         "files",
         nargs="*",
         metavar="FILE",
-        help="JSON documents: repro.opgraph/v1, schedule, repro.trace/v1, "
-        "repro.cache/v1, repro.schedcache/v1, repro.serve/v1, "
-        "repro.servereport/v1, repro.hbreport/v1, Chrome trace_event "
-        "exports",
+        help="JSON documents: " + ", ".join(fmt.label for fmt in FORMATS),
     )
     lint.add_argument(
         "--fault",
@@ -419,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_list() -> int:
+def _cmd_list(args: argparse.Namespace) -> int:
     print("experiments:")
     for name in sorted(EXPERIMENTS):
         print(f"  {name}")
@@ -436,9 +431,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.jobs is not None and args.jobs < 0:
         print("error: --jobs must be >= 0 (0 = one per CPU)")
         return 2
-    if args.batch_units is not None and args.batch_units < 1:
-        print("error: --batch-units must be >= 1")
-        return 2
     config = ExperimentConfig.full() if args.full else default_config()
     if args.instances is not None:
         config = config.with_(instances=args.instances)
@@ -446,7 +438,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         # CLI default: one worker per CPU, cache on, progress on —
         # the library default stays serial/uncached for embedders
         jobs=args.jobs if args.jobs is not None else 0,
-        batch_units=args.batch_units if args.batch_units is not None else config.batch_units,
         use_cache=not args.no_cache,
         cache_dir=args.cache_dir,
         progress=not args.no_progress,
@@ -594,13 +585,9 @@ def _cmd_faults(args: argparse.Namespace) -> int:
     from .core.repair import run_with_repair
     from .experiments.reporting import format_table
     from .substrate.engine import EngineError, MultiGpuEngine
-    from .substrate.faults import FaultError, FaultPlan
+    from .substrate.faults import FaultPlan
 
-    try:
-        plan = FaultPlan.from_strings(args.fault, seed=args.seed)
-    except FaultError as exc:
-        print(f"error: {exc}")
-        return 2
+    plan = FaultPlan.from_strings(args.fault, seed=args.seed)
     builder = MODEL_BUILDERS[args.model]
     size = args.size if args.size is not None else (299 if args.model == "inception_v3" else 331)
     profiler = default_profiler(num_gpus=args.gpus)
@@ -669,29 +656,19 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import json
     from dataclasses import replace
 
-    from .serve.config import ServeConfig, ServeConfigError
     from .serve.report import serve_timeline
     from .serve.scenarios import scenario_config
     from .serve.simulator import ServeError, serve
 
     if args.config:
-        try:
-            with open(args.config) as fh:
-                doc = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"error: cannot read {args.config}: {exc}")
-            return 2
         from .lint import lint_serve_config
 
-        lint_report = lint_serve_config(doc)
+        doc = read_document(args.config, ("serve config",))
+        lint_report = lint_serve_config(doc.data)
         if lint_report.errors:
             print(lint_report.to_text())
             return 2
-        try:
-            config = ServeConfig.from_dict(doc)
-        except ServeConfigError as exc:
-            print(f"error: bad serving config {args.config}: {exc}")
-            return 2
+        config = doc.parse()
     else:
         config = scenario_config(args.scenario)
     overrides: dict[str, object] = {}
@@ -700,11 +677,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.horizon is not None:
         overrides["horizon_ms"] = args.horizon
     if overrides:
-        try:
-            config = replace(config, **overrides)  # type: ignore[arg-type]
-        except ServeConfigError as exc:
-            print(f"error: {exc}")
-            return 2
+        config = replace(config, **overrides)  # type: ignore[arg-type]
 
     sched_cache = None
     if args.sched_cache:
@@ -746,26 +719,17 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    import json
-
     from .core.evaluator import evaluate_schedule
-    from .core.graphio import load_graph
-    from .core.schedule import Schedule, ScheduleError
+    from .core.schedule import ScheduleError
     from .costmodel.profile import CostProfile
 
-    try:
-        graph = load_graph(args.graph)
-        with open(args.schedule) as fh:
-            schedule = Schedule.from_dict(json.load(fh))
-    except (OSError, ValueError) as exc:  # GraphError/ScheduleError/JSON errors
-        print(f"error: {exc}")
-        return 2
+    graph = read_document(args.graph, ("graph",)).parse()
+    schedule = read_document(args.schedule, ("schedule",)).parse()
     if args.gpus is not None and args.gpus != schedule.num_gpus:
-        print(
-            f"error: schedule declares {schedule.num_gpus} GPUs, "
+        raise DocumentError(
+            f"schedule {args.schedule} declares {schedule.num_gpus} GPUs, "
             f"--gpus says {args.gpus}"
         )
-        return 2
     profile = CostProfile(graph=graph, num_gpus=schedule.num_gpus)
     try:
         result = evaluate_schedule(profile, schedule, validate=True)
@@ -780,41 +744,28 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _detect_document(data: object) -> str | None:
-    """Classify a loaded JSON document by its format tag / shape."""
-    if not isinstance(data, dict):
-        return None
-    fmt = data.get("format")
-    if fmt == "repro.opgraph/v1":
-        return "graph"
-    if fmt == "repro.trace/v1":
-        return "trace"
-    if fmt in ("repro.cache/v1", "repro.schedcache/v1") or (
-        "key" in data and "payload" in data
-    ):
-        return "cache"
-    if fmt == "repro.serve/v1":
-        return "serve"
-    if fmt == "repro.servereport/v1":
-        return "servereport"
-    if fmt == "repro.hbreport/v1":
-        return "hb"
-    if "traceEvents" in data:
-        return "chrome"
-    if "num_gpus" in data and "gpus" in data:
-        return "schedule"
-    return None
+#: The kinds ``lint`` checks together; every other document stands alone
+#: (no rule combines the subjects they fill with another).
+_COMBINED = ("graph", "schedule", "trace")
+
+
+def _claim(files: dict[str, str], doc: Document) -> None:
+    """Record ``doc`` as the one file behind its subject."""
+    subject = doc.format.subject
+    if subject in files:
+        raise DocumentError(
+            f"two {doc.format.kind} documents: {files[subject]} and {doc.path}; "
+            "pass one"
+        )
+    files[subject] = doc.path
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
     import json
+    from dataclasses import replace
 
-    from .core.graph import GraphError
-    from .core.graphio import graph_from_dict
-    from .core.schedule import Schedule, ScheduleError
-    from .lint import LintContext, Linter, rule_catalog
-    from .substrate.engine import EngineError, ExecutionTrace
-    from .substrate.faults import FaultError, FaultPlan
+    from .lint import LintContext, Linter, LintReport, get_rule, rule_catalog
+    from .substrate.faults import FaultPlan
 
     if args.rules:
         catalog = rule_catalog()
@@ -831,78 +782,41 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         print("error: nothing to lint (pass JSON files and/or --fault specs)")
         return 2
 
-    graph = schedule = schedule_doc = trace = None
-    cache_doc = chrome_doc = serve_doc = serve_report_doc = hb_doc = None
+    # each lint run pairs a context with the file behind each subject
+    combined: dict[str, object] = {}
+    files: dict[str, str] = {}
+    runs: list[tuple[LintContext, dict[str, str]]] = []
     for path in args.files:
-        try:
-            with open(path) as fh:
-                data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"error: cannot read {path}: {exc}")
-            return 2
-        kind = _detect_document(data)
-        if kind == "graph":
+        doc = read_document(path)
+        subject = doc.format.subject
+        if doc.format.kind not in _COMBINED:
+            runs.append((LintContext(**{subject: doc.data}), {subject: path}))
+            continue
+        _claim(files, doc)
+        if subject == "schedule_doc":
+            combined[subject], files["schedule"] = doc.data, path
             try:
-                graph = graph_from_dict(data)
-            except (GraphError, ValueError) as exc:
-                print(f"error: malformed graph document {path}: {exc}")
-                return 2
-        elif kind == "schedule":
-            schedule_doc = data
-            try:
-                schedule = Schedule.from_dict(data)
-            except ScheduleError:
-                schedule = None  # the document rules report the details
-        elif kind == "trace":
-            try:
-                trace = ExecutionTrace.from_dict(data)
-            except EngineError as exc:
-                print(f"error: malformed trace document {path}: {exc}")
-                return 2
-        elif kind == "cache":
-            cache_doc = data  # the cache rules report the details
-        elif kind == "chrome":
-            chrome_doc = data  # the chrome rules report the details
-        elif kind == "serve":
-            serve_doc = data  # the serve rules report the details
-        elif kind == "servereport":
-            serve_report_doc = data  # the report rules check the counters
-        elif kind == "hb":
-            hb_doc = data  # the hb rules report the details
+                combined["schedule"] = doc.parse()
+            except DocumentError:
+                pass  # the document rules S003-S005 report the details
         else:
-            print(
-                f"error: cannot classify {path}: expected a repro.opgraph/v1, "
-                "repro.trace/v1, repro.cache/v1, repro.schedcache/v1, "
-                "repro.serve/v1, repro.servereport/v1, repro.hbreport/v1, "
-                "Chrome trace_event (traceEvents) or schedule "
-                "(num_gpus/gpus) document"
-            )
-            return 2
+            combined[subject] = doc.parse()
+    plan = FaultPlan.from_strings(args.fault, seed=args.seed) if args.fault else None
+    combined.update(plan=plan, window=args.window, num_gpus=args.gpus, horizon=args.horizon)
+    runs.insert(0, (LintContext(**combined), files))  # type: ignore[arg-type]
 
-    plan = None
-    if args.fault:
-        try:
-            plan = FaultPlan.from_strings(args.fault, seed=args.seed)
-        except FaultError as exc:
-            print(f"error: {exc}")
-            return 2
-
-    ctx = LintContext(
-        graph=graph,
-        schedule=schedule,
-        schedule_doc=schedule_doc,
-        trace=trace,
-        plan=plan,
-        cache_doc=cache_doc,
-        chrome_doc=chrome_doc,
-        serve_doc=serve_doc,
-        serve_report_doc=serve_report_doc,
-        hb_doc=hb_doc,
-        window=args.window,
-        num_gpus=args.gpus,
-        horizon=args.horizon,
-    )
-    report = Linter().run(ctx)
+    # a rule's last required subject is the one it judges (rules list
+    # graph, schedule, trace in that order), so it names the file
+    linter = Linter()
+    diagnostics = []
+    for ctx, files in runs:
+        for diag in linter.run(ctx):
+            path = files.get(get_rule(diag.rule).requires[-1])
+            if path is not None:
+                where = f"{path}:{diag.location}" if diag.location else path
+                diag = replace(diag, location=where)
+            diagnostics.append(diag)
+    report = LintReport(tuple(diagnostics))
     if args.json:
         doc = report.to_dict()
         doc["rules"] = rule_catalog()
@@ -915,47 +829,21 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 def _cmd_sanitize(args: argparse.Namespace) -> int:
     import json
 
-    from .core.graph import GraphError
-    from .core.graphio import graph_from_dict
-    from .core.schedule import Schedule, ScheduleError
     from .sanitize import ExecModel, analyze, timeline_findings
-    from .substrate.engine import EngineError, ExecutionTrace
 
     graph = schedule = None
     traces = []
+    files: dict[str, str] = {}
     for path in args.files:
-        try:
-            with open(path) as fh:
-                data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"error: cannot read {path}: {exc}")
-            return 2
-        kind = _detect_document(data)
-        if kind == "graph":
-            try:
-                graph = graph_from_dict(data)
-            except (GraphError, ValueError) as exc:
-                print(f"error: malformed graph document {path}: {exc}")
-                return 2
-        elif kind == "schedule":
-            try:
-                schedule = Schedule.from_dict(data)
-            except ScheduleError as exc:
-                print(f"error: malformed schedule document {path}: {exc}")
-                return 2
-        elif kind == "trace":
-            try:
-                traces.append(ExecutionTrace.from_dict(data))
-            except EngineError as exc:
-                print(f"error: malformed trace document {path}: {exc}")
-                return 2
+        doc = read_document(path, _COMBINED)
+        if doc.format.kind == "trace":
+            traces.append(doc.parse())
+            continue
+        _claim(files, doc)
+        if doc.format.kind == "graph":
+            graph = doc.parse()
         else:
-            print(
-                f"error: cannot classify {path}: sanitize takes a "
-                "repro.opgraph/v1 graph, a schedule (num_gpus/gpus) and "
-                "repro.trace/v1 traces"
-            )
-            return 2
+            schedule = doc.parse()
     if (graph is None) != (schedule is None):
         print("error: sanitize needs the graph and the schedule together")
         return 2
@@ -1016,51 +904,14 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def _load_trace_doc(path: str):
-    """Load a ``repro.trace/v1`` file; returns the trace or an exit code."""
-    import json
-
-    from .substrate.engine import EngineError, ExecutionTrace
-
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: cannot read {path}: {exc}")
-        return None
-    try:
-        return ExecutionTrace.from_dict(data)
-    except EngineError as exc:
-        print(f"error: malformed trace document {path}: {exc}")
-        return None
-
-
-def _load_op_gpu(path: str) -> dict[str, int] | None:
-    """Operator-to-GPU map from a schedule JSON document."""
-    import json
-
-    from .core.schedule import Schedule, ScheduleError
-
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-        schedule = Schedule.from_dict(data)
-    except (OSError, json.JSONDecodeError, ScheduleError) as exc:
-        print(f"error: cannot load schedule {path}: {exc}")
-        return None
-    return schedule.assignment()
-
-
 def _cmd_trace(args: argparse.Namespace) -> int:
     import json
 
     if args.trace_command == "diff":
         from .obs import diff_traces, render_trace_diff
 
-        trace_a = _load_trace_doc(args.trace_a)
-        trace_b = _load_trace_doc(args.trace_b)
-        if trace_a is None or trace_b is None:
-            return 2
+        trace_a = read_document(args.trace_a, ("trace",)).parse()
+        trace_b = read_document(args.trace_b, ("trace",)).parse()
         diff = diff_traces(trace_a, trace_b, eps=args.eps)
         if args.json:
             print(json.dumps(diff.to_dict(), indent=2))
@@ -1068,18 +919,15 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             print(render_trace_diff(diff, name_a=args.trace_a, name_b=args.trace_b))
         return 0
 
-    trace = _load_trace_doc(args.trace)
-    op_gpu = _load_op_gpu(args.schedule)
-    if trace is None or op_gpu is None:
-        return 2
+    trace = read_document(args.trace, ("trace",)).parse()
+    op_gpu = read_document(args.schedule, ("schedule",)).parse().assignment()
     missing = sorted(set(trace.op_start) - set(op_gpu))
     if missing:
-        print(
-            f"error: schedule {args.schedule} does not place "
+        raise DocumentError(
+            f"schedule {args.schedule} does not place "
             f"{len(missing)} traced operator(s) (e.g. {missing[0]!r}); "
             "is it the schedule this trace was executed under?"
         )
-        return 2
 
     if args.trace_command == "export":
         from .obs import chrome_trace_document
@@ -1097,50 +945,46 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             print(payload)
         return 0
 
-    if args.trace_command == "report":
-        from .obs import attribute_latency, render_attribution
+    from .obs import attribute_latency, render_attribution  # trace report
 
-        report = attribute_latency(trace, op_gpu)
-        if args.json:
-            print(json.dumps(report.to_dict(), indent=2))
-        else:
-            print(render_attribution(report, title=args.trace))
-        return 0
-    raise AssertionError(
-        f"unhandled trace command {args.trace_command!r}"
-    )  # pragma: no cover
+    report = attribute_latency(trace, op_gpu)
+    if args.json:
+        print(json.dumps(report.to_dict(), indent=2))
+    else:
+        print(render_attribution(report, title=args.trace))
+    return 0
+
+
+def _cmd_report(args: argparse.Namespace) -> int:
+    from .experiments.summary import build_report
+
+    print(build_report(args.results))
+    return 0
+
+
+_COMMANDS = {
+    "list": _cmd_list,
+    "run": _cmd_run,
+    "schedule": _cmd_schedule,
+    "report": _cmd_report,
+    "validate": _cmd_validate,
+    "lint": _cmd_lint,
+    "sanitize": _cmd_sanitize,
+    "cache": _cmd_cache,
+    "faults": _cmd_faults,
+    "serve": _cmd_serve,
+    "compare": _cmd_compare,
+    "trace": _cmd_trace,
+}
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "list":
-        return _cmd_list()
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "schedule":
-        return _cmd_schedule(args)
-    if args.command == "report":
-        from .experiments.summary import build_report
-
-        print(build_report(args.results))
-        return 0
-    if args.command == "validate":
-        return _cmd_validate(args)
-    if args.command == "lint":
-        return _cmd_lint(args)
-    if args.command == "sanitize":
-        return _cmd_sanitize(args)
-    if args.command == "cache":
-        return _cmd_cache(args)
-    if args.command == "faults":
-        return _cmd_faults(args)
-    if args.command == "serve":
-        return _cmd_serve(args)
-    if args.command == "compare":
-        return _cmd_compare(args)
-    if args.command == "trace":
-        return _cmd_trace(args)
-    raise AssertionError(f"unhandled command {args.command!r}")  # pragma: no cover
+    try:
+        return _COMMANDS[args.command](args)
+    except (DocumentError, FaultError, ServeConfigError) as exc:
+        print(f"error: {exc}")  # an input the command cannot use
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -13,17 +13,16 @@ import json
 from pathlib import Path
 from typing import Any, Mapping
 
+from ..formats import GRAPH_FORMAT
 from .graph import GraphError, Operator, OpGraph
 
 __all__ = ["graph_to_dict", "graph_from_dict", "save_graph", "load_graph"]
-
-_FORMAT = "repro.opgraph/v1"
 
 
 def graph_to_dict(graph: OpGraph) -> dict[str, object]:
     """Serializable document for a (typically cost-annotated) graph."""
     return {
-        "format": _FORMAT,
+        "format": GRAPH_FORMAT,
         "operators": [
             {
                 "name": op.name,
@@ -43,7 +42,7 @@ def graph_to_dict(graph: OpGraph) -> dict[str, object]:
 
 def graph_from_dict(data: Mapping[str, Any]) -> OpGraph:
     """Inverse of :func:`graph_to_dict`; validates structure and DAG-ness."""
-    if data.get("format") != _FORMAT:
+    if data.get("format") != GRAPH_FORMAT:
         raise GraphError(f"unsupported graph document format {data.get('format')!r}")
     graph = OpGraph()
     try:

@@ -216,13 +216,27 @@ class Schedule:
         Linter().errors_only().run(ctx).raise_errors(
             ScheduleError, prefix="malformed schedule document: "
         )
+        return cls.from_unlinted_dict(data)
+
+    @classmethod
+    def from_unlinted_dict(cls, data: Mapping[str, Any]) -> "Schedule":
+        """:meth:`from_dict` without the lint, for the schedule cache;
+        raises :class:`ScheduleError` on anything that does not build.
+        A document lists every GPU it declares (:meth:`to_dict` writes
+        idle ones), which bounds ``num_gpus`` before any allocation."""
         try:
-            sched = cls(int(data["num_gpus"]))
-            for entry in data["gpus"]:
-                gpu = int(entry["gpu"])
+            num_gpus, entries = data["num_gpus"], data["gpus"]
+            if not isinstance(num_gpus, int) or num_gpus > len(entries):
+                raise ScheduleError(
+                    f"malformed schedule document: num_gpus {num_gpus!r} for "
+                    f"{len(entries)} 'gpus' entries"
+                )
+            sched = cls(num_gpus)
+            for entry in entries:
+                gpu = entry["gpu"]
                 for ops in entry["stages"]:
                     sched.append_stage(Stage(gpu, tuple(ops)))
-        except (KeyError, TypeError) as exc:  # pragma: no cover - lint catches
+        except (KeyError, TypeError) as exc:
             raise ScheduleError(f"malformed schedule document: {exc}") from exc
         return sched
 

@@ -11,8 +11,6 @@ config so benchmarks and the CLI share one mechanism:
 
 * ``jobs`` — worker processes for the sweep engine (``1`` = the
   historical serial path, ``0`` = one per CPU); env ``REPRO_JOBS``.
-* ``batch_units`` — units per worker batch on the parallel path
-  (``None`` = auto-tune from unit kind); env ``REPRO_BATCH_UNITS``.
 * ``use_cache`` / ``cache_dir`` — content-addressed result cache
   (:mod:`repro.sweep.cache`); env ``REPRO_CACHE=1`` and
   ``REPRO_CACHE_DIR``.
@@ -54,7 +52,6 @@ class ExperimentConfig:
     num_gpus: int = 4
     window: int = 3
     jobs: int = 1
-    batch_units: int | None = None
     use_cache: bool = False
     cache_dir: str | None = None
     progress: bool = False
@@ -67,8 +64,6 @@ class ExperimentConfig:
             raise ValueError("need at least one GPU")
         if self.jobs < 0:
             raise ValueError("jobs must be >= 0 (0 = one per CPU)")
-        if self.batch_units is not None and self.batch_units < 1:
-            raise ValueError("batch_units must be >= 1 (None = auto)")
 
     @classmethod
     def full(cls) -> "ExperimentConfig":
@@ -91,9 +86,6 @@ def default_config() -> ExperimentConfig:
     jobs = os.environ.get("REPRO_JOBS", "").strip()
     if jobs:
         cfg = cfg.with_(jobs=int(jobs))
-    batch_units = os.environ.get("REPRO_BATCH_UNITS", "").strip()
-    if batch_units:
-        cfg = cfg.with_(batch_units=int(batch_units))
     if _env_flag("REPRO_CACHE"):
         cfg = cfg.with_(use_cache=True)
     if _env_flag("REPRO_PROGRESS"):

@@ -67,9 +67,7 @@ def dispatch_units(
         cache = ResultCache(cfg.cache_dir)
     if progress is None:
         progress = SweepProgress(figure, len(units), enabled=cfg.progress)
-    return run_units(
-        units, jobs=jobs, cache=cache, progress=progress, batch_units=cfg.batch_units
-    )
+    return run_units(units, jobs=jobs, cache=cache, progress=progress)
 
 
 def sweep_random_dags(

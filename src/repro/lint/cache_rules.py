@@ -20,9 +20,9 @@ import math
 import string
 from typing import Any, Iterator, Mapping
 
-from ..sweep.cache import CACHE_FORMAT
+from ..formats import CACHE_FORMAT, SCHED_CACHE_FORMAT
 from ..sweep.keying import CACHE_SCHEMA_VERSION
-from ..sweep.schedcache import SCHED_CACHE_FORMAT, SCHED_CACHE_KIND
+from ..sweep.schedcache import SCHED_CACHE_KIND
 from ..sweep.units import UNIT_KINDS
 from .diagnostics import Severity
 from .framework import Finding, LintContext, rule

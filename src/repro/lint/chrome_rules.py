@@ -16,14 +16,11 @@ from __future__ import annotations
 import math
 from typing import Any, Iterator, Mapping
 
+from ..formats import CHROME_TRACE_FORMAT
 from .diagnostics import Severity
 from .framework import Finding, LintContext, rule
 
 __all__: list[str] = []
-
-# mirrors repro.obs.chrometrace.CHROME_TRACE_FORMAT; spelled out here so
-# the lint pack keeps its subject duck-typed (no obs import needed)
-CHROME_TRACE_FORMAT = "repro.chrometrace/v1"
 
 _KNOWN_PHASES = frozenset("BEXiIMsftPNODCbnevRcS(")
 
@@ -156,6 +153,9 @@ def check_flow_pairs(ctx: LintContext) -> Iterator[Finding]:
         ts = ev.get("ts")
         if fid is None or not isinstance(ts, (int, float)):
             continue  # T103 reports the structural problem
+        if isinstance(fid, (list, dict)):
+            yield Finding(f"flow id {fid!r} is not a scalar", location="traceEvents")
+            continue
         table = starts if ph == "s" else finishes
         if fid in table:
             yield Finding(
@@ -202,6 +202,7 @@ def check_named_tracks(ctx: LintContext) -> Iterator[Finding]:
             isinstance(ev, Mapping)
             and ev.get("ph") == "M"
             and ev.get("name") == "thread_name"
+            and not isinstance(ev.get("tid"), (list, dict))
         ):
             named.add(ev.get("tid"))
     reported: set[object] = set()
@@ -209,7 +210,12 @@ def check_named_tracks(ctx: LintContext) -> Iterator[Finding]:
         if not isinstance(ev, Mapping) or ev.get("ph") != "X":
             continue
         tid = ev.get("tid")
-        if tid not in named and tid not in reported:
+        if isinstance(tid, (list, dict)):
+            yield Finding(
+                f"slice tid {tid!r} is not a track id",
+                location=f"traceEvents[{i}]",
+            )
+        elif tid not in named and tid not in reported:
             reported.add(tid)
             yield Finding(
                 f"slice tid {tid!r} has no thread_name metadata event",

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 from typing import Any, Iterator, Mapping
 
-from ..sanitize.api import FINDING_KINDS, HBREPORT_FORMAT
+from ..formats import HBREPORT_FORMAT
+from ..sanitize.api import FINDING_KINDS
 from .diagnostics import Severity
 from .framework import Finding, LintContext, rule
 
@@ -87,7 +88,7 @@ def check_finding_taxonomy(ctx: LintContext) -> Iterator[Finding]:
         kind = entry.get("kind")
         severity = entry.get("severity")
         message = entry.get("message")
-        if kind not in FINDING_KINDS:
+        if not isinstance(kind, str) or kind not in FINDING_KINDS:
             yield Finding(
                 f"{where} has unknown kind {kind!r}", location=where
             )

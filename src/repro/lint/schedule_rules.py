@@ -128,7 +128,8 @@ def check_doc_duplicates(ctx: LintContext) -> Iterator[Finding]:
     pack="schedule",
     title="GPU count and indices must be valid (document)",
     requires=("schedule_doc",),
-    hint="GPU indices must be unique integers in [0, num_gpus)",
+    hint="GPU indices must be unique integers in [0, num_gpus), and "
+    "'gpus' lists every declared GPU (an idle one with no stages)",
 )
 def check_doc_gpus(ctx: LintContext) -> Iterator[Finding]:
     doc = ctx.schedule_doc
@@ -140,6 +141,10 @@ def check_doc_gpus(ctx: LintContext) -> Iterator[Finding]:
     if num_gpus < 1:
         yield Finding(f"schedule declares {num_gpus} GPUs; need at least one")
         return
+    listed = doc.get("gpus")
+    if isinstance(listed, (list, tuple)) and num_gpus > len(listed):
+        # the bound on what building the schedule allocates
+        yield Finding(f"schedule declares {num_gpus} GPUs but lists {len(listed)}")
     seen: set[int] = set()
     for ei, entry in enumerate(_doc_entries(doc)):
         gpu = _doc_int(entry.get("gpu"))

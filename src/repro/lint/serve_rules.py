@@ -29,13 +29,11 @@ import math
 from typing import Any, Iterator, Mapping
 
 from ..core.api import ALGORITHMS
+from ..formats import SERVE_CONFIG_FORMAT, SERVE_REPORT_FORMAT
 from .diagnostics import Severity
 from .framework import Finding, LintContext, rule
 
 __all__: list[str] = []
-
-SERVE_CONFIG_FORMAT = "repro.serve/v1"
-SERVE_REPORT_FORMAT = "repro.servereport/v1"
 
 
 def _num(value: Any) -> float | None:
@@ -243,7 +241,7 @@ def check_algorithms(ctx: LintContext) -> Iterator[Finding]:
     assert doc is not None
     for field in ("algorithm", "degraded_algorithm"):
         alg = doc.get(field)
-        if alg is not None and alg not in ALGORITHMS:
+        if alg is not None and (not isinstance(alg, str) or alg not in ALGORITHMS):
             yield Finding(
                 f"{field} is {alg!r}, not a registered algorithm",
                 location=field,

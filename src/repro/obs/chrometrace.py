@@ -25,16 +25,14 @@ import json
 from pathlib import Path
 from typing import Any, Mapping
 
+from ..formats import CHROME_TRACE_FORMAT
+
 __all__ = [
     "CHROME_TRACE_FORMAT",
     "trace_to_events",
     "chrome_trace_document",
     "save_chrome_trace",
 ]
-
-#: Format marker carried in ``otherData`` so tooling (and the T1xx lint
-#: rules) can recognize documents this exporter produced.
-CHROME_TRACE_FORMAT = "repro.chrometrace/v1"
 
 _MS_TO_US = 1000.0
 

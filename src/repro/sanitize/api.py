@@ -16,6 +16,7 @@ from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
 from ..core.graph import OpGraph
 from ..core.schedule import Schedule
+from ..formats import HBREPORT_FORMAT
 from .detectors import (
     find_deadlock,
     find_nondeterminism,
@@ -37,7 +38,6 @@ __all__ = [
     "timeline_findings",
 ]
 
-HBREPORT_FORMAT = "repro.hbreport/v1"
 
 #: kind -> severity; the fixed taxonomy H002 validates against.
 FINDING_KINDS: dict[str, str] = {

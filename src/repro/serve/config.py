@@ -19,10 +19,9 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 from ..core.api import ALGORITHMS
+from ..formats import SERVE_CONFIG_FORMAT, scalar_fields
 
 __all__ = ["SERVE_CONFIG_FORMAT", "ServeConfig", "ServeConfigError", "TenantSpec"]
-
-SERVE_CONFIG_FORMAT = "repro.serve/v1"
 
 
 class ServeConfigError(ValueError):
@@ -77,14 +76,13 @@ class TenantSpec:
 
     @classmethod
     def from_dict(cls, doc: Mapping[str, Any]) -> "TenantSpec":
-        return cls(
-            name=str(doc["name"]),
-            model=str(doc["model"]),
-            rate_qps=float(doc.get("rate_qps", 0.0)),
-            arrivals_ms=tuple(float(t) for t in doc.get("arrivals_ms", ())),
-            priority=int(doc.get("priority", 0)),
-            deadline_ms=float(doc.get("deadline_ms", 1000.0)),
-        )
+        scalars = scalar_fields(cls, doc, ServeConfigError, "tenant")
+        arrivals = doc.get("arrivals_ms", ())
+        if not isinstance(arrivals, (list, tuple)) or any(
+            isinstance(t, bool) or not isinstance(t, (int, float)) for t in arrivals
+        ):
+            raise ServeConfigError(f"tenant arrivals_ms is {arrivals!r}, expected an array of times")
+        return cls(arrivals_ms=tuple(arrivals), **scalars)
 
 
 @dataclass(frozen=True)
@@ -235,30 +233,13 @@ class ServeConfig:
             raise ServeConfigError(
                 f"not a serving config: format={fmt!r} (expected {SERVE_CONFIG_FORMAT!r})"
             )
-        tenants = tuple(TenantSpec.from_dict(t) for t in doc.get("tenants", ()))
-        kwargs: dict[str, Any] = {}
-        for name in (
-            "num_gpus",
-            "gpus_per_query",
-            "horizon_ms",
-            "seed",
-            "algorithm",
-            "window",
-            "queue_capacity",
-            "overload_queue",
-            "degraded_gpus",
-            "degraded_algorithm",
-            "shed_late",
-            "max_batch",
-            "elastic",
-            "max_retries",
-            "retry_backoff_ms",
-            "retry_jitter",
-        ):
-            if name in doc:
-                kwargs[name] = doc[name]
+        tenants, faults = doc.get("tenants", ()), doc.get("faults", ())
+        if not isinstance(tenants, (list, tuple)):
+            raise ServeConfigError(f"tenants is {tenants!r}, expected an array")
+        if not isinstance(faults, (list, tuple)) or not all(isinstance(f, str) for f in faults):
+            raise ServeConfigError(f"faults is {faults!r}, expected an array of spec strings")
         return cls(
-            tenants=tenants,
-            faults=tuple(str(f) for f in doc.get("faults", ())),
-            **kwargs,
+            tenants=tuple(TenantSpec.from_dict(t) for t in tenants),
+            faults=tuple(faults),
+            **scalar_fields(cls, doc, ServeConfigError, "serve config"),
         )

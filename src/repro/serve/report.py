@@ -23,6 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
+from ..formats import SERVE_REPORT_FORMAT
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..substrate.engine import ExecutionTrace
     from .config import ServeConfig
@@ -36,7 +38,6 @@ __all__ = [
     "serve_timeline",
 ]
 
-SERVE_REPORT_FORMAT = "repro.servereport/v1"
 
 #: Terminal request statuses and what they mean.
 STATUSES = (

@@ -46,6 +46,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
 
 from ..core.graph import OpGraph
 from ..core.schedule import Schedule
+from ..formats import TRACE_FORMAT, scalar_fields
 from .faults import FailureEvent, FaultPlan, GpuFailure, GpuRepair, GpuSlowdown
 from .link import LinkModel, NVLINK_BRIDGE
 from .mpi import SimFabric, TransferRecord
@@ -224,7 +225,7 @@ class ExecutionTrace:
     # ------------------------------------------------------------------
     def to_dict(self) -> dict[str, object]:
         doc: dict[str, object] = {
-            "format": "repro.trace/v1",
+            "format": TRACE_FORMAT,
             "latency": self.latency,
             "op_launch": dict(self.op_launch),
             "op_start": dict(self.op_start),
@@ -269,8 +270,8 @@ class ExecutionTrace:
                 "malformed trace document: expected a JSON object, "
                 f"got {type(data).__name__}"
             )
-        fmt = data.get("format", "repro.trace/v1")
-        if fmt != "repro.trace/v1":
+        fmt = data.get("format", TRACE_FORMAT)
+        if fmt != TRACE_FORMAT:
             raise EngineError(f"unsupported trace format {fmt!r}")
         raw_failure = data.get("failure")
         failure = None
@@ -297,17 +298,27 @@ class ExecutionTrace:
             except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise EngineError(f"malformed trace document: {exc}") from exc
         try:
-            return cls(
+            trace = cls(
                 latency=float(data["latency"]),  # type: ignore[arg-type]
                 op_launch={str(k): float(v) for k, v in dict(data.get("op_launch", {})).items()},  # type: ignore[arg-type]
                 op_start={str(k): float(v) for k, v in dict(data.get("op_start", {})).items()},  # type: ignore[arg-type]
                 op_finish={str(k): float(v) for k, v in dict(data.get("op_finish", {})).items()},  # type: ignore[arg-type]
-                transfers=[TransferRecord(**t) for t in data.get("transfers", [])],  # type: ignore[arg-type, union-attr]
+                transfers=[
+                    TransferRecord(**scalar_fields(TransferRecord, t, TypeError, "transfer"))
+                    for t in data.get("transfers", [])  # type: ignore[union-attr]
+                ],
                 gpu_busy={int(k): float(v) for k, v in dict(data.get("gpu_busy", {})).items()},  # type: ignore[arg-type]
                 failure=failure,
             )
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise EngineError(f"malformed trace document: {exc}") from exc
+        unstarted = sorted(trace.op_finish.keys() - trace.op_start.keys())
+        if unstarted:  # attribution walks from each finish back to its start
+            raise EngineError(
+                f"malformed trace document: operator {unstarted[0]!r} finishes "
+                "without a start"
+            )
+        return trace
 
 
 class MultiGpuEngine:

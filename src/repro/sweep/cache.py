@@ -36,11 +36,11 @@ import tempfile
 from pathlib import Path
 from typing import Any, Iterator, Mapping
 
+from ..formats import CACHE_FORMAT
 from .keying import CACHE_SCHEMA_VERSION
 
 __all__ = ["CACHE_FORMAT", "ContentStore", "ResultCache", "default_cache_dir"]
 
-CACHE_FORMAT = "repro.cache/v1"
 _ENV_VAR = "REPRO_CACHE_DIR"
 
 
@@ -175,7 +175,7 @@ class ContentStore:
                     doc = json.load(fh)
                 kind = doc.get("kind", "?")
                 fmt = doc.get("format", "?")
-            except (OSError, json.JSONDecodeError, UnicodeDecodeError):
+            except (OSError, ValueError, AttributeError):  # not a JSON object
                 kind = "corrupt"
                 fmt = "corrupt"
             by_kind[str(kind)] = by_kind.get(str(kind), 0) + 1
@@ -202,7 +202,7 @@ class ContentStore:
                 try:
                     with open(path, encoding="utf-8") as fh:
                         entry_kind = str(json.load(fh).get("kind", "?"))
-                except (OSError, json.JSONDecodeError, UnicodeDecodeError):
+                except (OSError, ValueError, AttributeError):  # not a JSON object
                     entry_kind = "corrupt"
                 if entry_kind != kind:
                     continue

@@ -33,9 +33,7 @@ aggregate identically no matter how the work was dispatched:
 
 Batch size is auto-tuned from the unit kind (large batches for cheap
 ``latency`` units, small ones for engine-measured kinds so the pool
-stays load-balanced) and can be pinned via ``run_units(...,
-batch_units=N)`` / ``repro run --batch-units N`` /
-``REPRO_BATCH_UNITS``.
+stays load-balanced).
 """
 
 from __future__ import annotations
@@ -181,16 +179,9 @@ def run_units(
     jobs: int | None = 1,
     cache: ResultCache | None = None,
     progress: SweepProgress | None = None,
-    batch_units: int | None = None,
 ) -> tuple[list[dict[str, float]], SweepStats]:
-    """Evaluate ``units``; returns ``(payloads_in_input_order, stats)``.
-
-    ``batch_units`` pins the parallel path's batch size (``None`` =
-    auto-tune from unit kind and count); the serial path ignores it.
-    """
+    """Evaluate ``units``; returns ``(payloads_in_input_order, stats)``."""
     jobs = resolve_jobs(jobs)
-    if batch_units is not None and batch_units < 1:
-        raise ValueError("batch_units must be >= 1 (None = auto)")
     t0 = time.perf_counter()
     stats = SweepStats(total=len(units), jobs=jobs)
     if progress is None:
@@ -246,7 +237,7 @@ def run_units(
         # measured on one core), so run the *batched* path inline —
         # same batches, same workload memo, no pool.  Payloads are
         # identical either way; only wall time differs.
-        size = batch_units or _auto_batch_units(units, to_run, jobs)
+        size = _auto_batch_units(units, to_run, jobs)
         batches = _plan_batches(units, to_run, size)
         stats.batches = len(batches)
         clear_workload_memo()  # fresh per run, like a fresh pool
@@ -262,7 +253,7 @@ def run_units(
         finally:
             clear_workload_memo()
     else:
-        size = batch_units or _auto_batch_units(units, to_run, jobs)
+        size = _auto_batch_units(units, to_run, jobs)
         batches = _plan_batches(units, to_run, size)
         stats.batches = len(batches)
         max_workers = min(max_workers, len(batches))

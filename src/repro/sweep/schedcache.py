@@ -27,8 +27,8 @@ never collide across the two entry species sharing the tree.
                  "latency": 12.5},
      "meta": {"scheduling_time_s": 0.31}}
 
-Reads reconstruct the :class:`~repro.core.schedule.Schedule` directly
-(stage by stage, inside a ``try``) instead of the linting
+Reads build the :class:`~repro.core.schedule.Schedule` with
+``Schedule.from_unlinted_dict`` instead of the linting
 ``Schedule.from_dict`` — a hot read-path must not pay the lint
 framework, and any malformed document is discarded as a miss exactly
 like a corrupt sweep entry.  Hits are bit-identical replays of the
@@ -42,7 +42,7 @@ import math
 from typing import Any, Mapping
 
 from ..core.result import ScheduleResult
-from ..core.schedule import Schedule, ScheduleError, Stage
+from ..core.schedule import Schedule, ScheduleError
 from ..costmodel.concurrency import (
     MaxConcurrencyModel,
     SaturationConcurrencyModel,
@@ -50,6 +50,7 @@ from ..costmodel.concurrency import (
     TableConcurrencyModel,
 )
 from ..costmodel.profile import CostProfile
+from ..formats import SCHED_CACHE_FORMAT
 from .cache import ContentStore
 from .keying import content_key
 
@@ -63,7 +64,6 @@ __all__ = [
     "schedule_key",
 ]
 
-SCHED_CACHE_FORMAT = "repro.schedcache/v1"
 SCHED_CACHE_KIND = "schedule"
 
 
@@ -163,21 +163,16 @@ class ScheduleCache(ContentStore):
     def get_schedule(self, key: str) -> tuple[Schedule, float] | None:
         """``(schedule, latency)`` for ``key``, or ``None`` on a miss.
 
-        Reconstructs the schedule without the linting ``from_dict``
-        path; a document that fails reconstruction is discarded and
-        reported as a miss.
+        Builds the schedule without the linting ``from_dict`` path; a
+        document that does not build is discarded and reported as a
+        miss.
         """
         payload = self.get(key)
         if payload is None:
             return None
-        doc = payload["schedule"]
         try:
-            schedule = Schedule(int(doc["num_gpus"]))
-            for entry in doc["gpus"]:
-                gpu = int(entry["gpu"])
-                for ops in entry["stages"]:
-                    schedule.append_stage(Stage(gpu, tuple(ops)))
-        except (KeyError, TypeError, ValueError, ScheduleError):
+            schedule = Schedule.from_unlinted_dict(payload["schedule"])
+        except ScheduleError:
             self._discard(self.path_for(key))
             self.hits -= 1
             self.misses += 1

@@ -1,5 +1,7 @@
 """T1xx rules: each has one triggering and one passing case."""
 
+import pytest
+
 from repro.lint import lint_chrome_trace
 from repro.lint.chrome_rules import CHROME_TRACE_FORMAT
 
@@ -114,6 +116,13 @@ class TestT104FlowPairs:
         ok["traceEvents"] += [self.flow("s", 7, 100.0), self.flow("f", 7, 200.0)]
         assert "T104" not in fired(ok)
 
+    @pytest.mark.parametrize("fid", [[7], {"id": 7}], ids=["array", "object"])
+    def test_non_scalar_id_is_a_finding(self, fid):
+        bad = doc()
+        bad["traceEvents"] += [self.flow("s", fid, 100.0), self.flow("f", 7, 200.0)]
+        messages = [d.message for d in lint_chrome_trace(bad) if d.rule == "T104"]
+        assert f"flow id {fid!r} is not a scalar" in messages
+
 
 class TestT105NamedTracks:
     def test_undeclared_tid(self):
@@ -132,6 +141,18 @@ class TestT105NamedTracks:
 
     def test_pass(self):
         assert "T105" not in fired(doc())
+
+    @pytest.mark.parametrize("tid", [[0], {"id": 0}], ids=["array", "object"])
+    def test_non_scalar_tid_is_a_finding(self, tid):
+        def t105(document):
+            return [d.message for d in lint_chrome_trace(document) if d.rule == "T105"]
+
+        on_slice = doc()
+        on_slice["traceEvents"][1]["tid"] = tid
+        assert t105(on_slice) == [f"slice tid {tid!r} is not a track id"]
+        on_metadata = doc()
+        on_metadata["traceEvents"][0]["tid"] = tid  # names no track
+        assert t105(on_metadata) == ["slice tid 0 has no thread_name metadata event"]
 
 
 class TestT106FailureMarker:

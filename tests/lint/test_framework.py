@@ -90,6 +90,19 @@ class TestRegistry:
             def bad(ctx):
                 return iter(())
 
+    def test_subjects_each_file_is_linted_by(self):
+        """``repro lint`` lints every document outside the graph,
+        schedule and trace on its own, and names a finding's file by its
+        rule's last required subject."""
+        from repro.formats import FORMATS
+
+        combined = {"graph", "schedule", "schedule_doc", "trace", "plan"}
+        standalone = {fmt.subject for fmt in FORMATS} - combined
+        for r in all_rules():
+            assert list(r.requires) == sorted(r.requires, key=SUBJECTS.index)
+            if standalone & set(r.requires):
+                assert len(r.requires) == 1, r.id
+
     def test_catalog_is_serializable(self):
         catalog = rule_catalog()
         assert len(catalog) == len(all_rules())

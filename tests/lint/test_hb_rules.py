@@ -65,6 +65,10 @@ class TestH002Taxonomy:
         )
         assert "unknown kind 'ghost'" in messages(d, "H002")[0]
 
+    def test_unhashable_kind(self):
+        d = doc(findings=[{"kind": ["deadlock"], "severity": "error", "message": "m"}])
+        assert "unknown kind ['deadlock']" in messages(d, "H002")[0]
+
     def test_severity_mismatch(self):
         d = doc(
             findings=[

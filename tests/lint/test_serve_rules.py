@@ -117,6 +117,11 @@ class TestV005Algorithms:
     def test_absent_fields_use_defaults(self):
         assert "V005" not in fired(doc())
 
+    @pytest.mark.parametrize("value", [["hios-lp"], {"name": "hios-lp"}], ids=["array", "object"])
+    @pytest.mark.parametrize("field", ["algorithm", "degraded_algorithm"])
+    def test_non_string_algorithm(self, field, value):
+        assert "V005" in fired(doc(**{field: value}))
+
 
 class TestV006Faults:
     def test_unparseable_spec(self):

@@ -127,6 +127,13 @@ class TestStatsAndClear:
         assert cache.stats()["entries"] == 0
         assert cache.get(KEY) is None
 
+    def test_non_object_entry_counts_as_corrupt(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        put_one(cache)
+        cache.path_for(KEY).write_text("[1, 2]")
+        assert cache.stats()["by_kind"] == {"corrupt": 1}
+        assert cache.clear(kind="corrupt") == 1
+
     def test_empty_cache_stats(self, tmp_path):
         stats = ResultCache(tmp_path / "nope").stats()
         assert stats["entries"] == 0

@@ -157,6 +157,11 @@ def shared_spec_units():
     return units
 
 
+def pin_batch_size(monkeypatch, size: int) -> None:
+    """Replace the parallel path's auto-tuned batch size with ``size``."""
+    monkeypatch.setattr(executor_mod, "_auto_batch_units", lambda *args: size)
+
+
 class TestBatched:
     """The persistent-worker batched path: parity, counters, planning."""
 
@@ -164,9 +169,10 @@ class TestBatched:
         # cpu_count=1 caps workers at one, forcing the pool-free inline
         # batched path regardless of the machine running the tests
         monkeypatch.setattr(executor_mod.os, "cpu_count", lambda: 1)
+        pin_batch_size(monkeypatch, 3)
         units = shared_spec_units()
         serial, _ = run_units(units, jobs=1)
-        batched, stats = run_units(units, jobs=4, batch_units=3)
+        batched, stats = run_units(units, jobs=4)
         assert batched == serial
         assert stats.batches == 2  # one spec group per batch, kept whole
         assert stats.worker_workload_reuses == 4  # 2 reuses per 3-unit group
@@ -175,25 +181,23 @@ class TestBatched:
         # pretend there are CPUs to spare so a real worker pool spins up
         # even on a single-core machine
         monkeypatch.setattr(executor_mod.os, "cpu_count", lambda: 4)
+        pin_batch_size(monkeypatch, 3)
         units = shared_spec_units()
         serial, _ = run_units(units, jobs=1)
-        pooled, stats = run_units(units, jobs=2, batch_units=3)
+        pooled, stats = run_units(units, jobs=2)
         assert pooled == serial
         assert stats.batches == 2
         assert stats.worker_workload_reuses == 4
 
-    def test_batch_units_one_matches_serial(self):
+    def test_batch_units_one_matches_serial(self, monkeypatch):
+        pin_batch_size(monkeypatch, 1)
         units = shared_spec_units()
         serial, _ = run_units(units, jobs=1)
-        forced, stats = run_units(units, jobs=2, batch_units=1)
+        forced, stats = run_units(units, jobs=2)
         assert forced == serial
         assert stats.batches == len(units)  # every unit its own batch
         # reuse count is path-dependent here (workers persist across
         # singleton batches), so only parity and batching are pinned
-
-    def test_batch_units_validated(self):
-        with pytest.raises(ValueError, match="batch_units"):
-            run_units([unit(1), unit(2)], jobs=2, batch_units=0)
 
     def test_missing_payload_raises_sweep_error(self, monkeypatch):
         monkeypatch.setattr(executor_mod.os, "cpu_count", lambda: 1)
@@ -204,8 +208,9 @@ class TestBatched:
             return results[:-1], reuses  # lose the last unit of the batch
 
         monkeypatch.setattr(executor_mod, "execute_batch", dropping)
+        pin_batch_size(monkeypatch, 2)
         with pytest.raises(SweepError, match=r"1 of 2 units \(input indices 1\)"):
-            run_units([unit(1), unit(2)], jobs=2, batch_units=2)
+            run_units([unit(1), unit(2)], jobs=2)
 
     def test_plan_batches_keeps_spec_groups_whole(self):
         units = shared_spec_units()

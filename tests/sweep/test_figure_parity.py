@@ -12,6 +12,7 @@ import pytest
 from repro.experiments import ExperimentConfig
 from repro.experiments import fig08_num_operators, fig10_parallelism_degree
 from repro.sweep import RandomDagSpec
+from repro.sweep import executor
 
 
 def identical(a, b):
@@ -46,10 +47,11 @@ class TestFig8:
         identical(serial, parallel)
         assert parallel.extras["sweep"]["jobs"] == 4
 
-    def test_batch_units_one_matches_serial(self, tiny_figures):
+    def test_batch_units_one_matches_serial(self, tiny_figures, monkeypatch):
         # degenerate batching (one unit per batch) must change nothing
+        monkeypatch.setattr(executor, "_auto_batch_units", lambda *args: 1)
         serial = fig08_num_operators.run(config(jobs=1))
-        forced = fig08_num_operators.run(config(jobs=4, batch_units=1))
+        forced = fig08_num_operators.run(config(jobs=4))
         identical(serial, forced)
 
     def test_cache_warm_rerun_matches(self, tiny_figures, tmp_path):
@@ -78,9 +80,10 @@ class TestFig10:
         parallel = fig10_parallelism_degree.run(config(jobs=4))
         identical(serial, parallel)
 
-    def test_batch_units_one_matches_serial(self, tiny_figures):
+    def test_batch_units_one_matches_serial(self, tiny_figures, monkeypatch):
+        monkeypatch.setattr(executor, "_auto_batch_units", lambda *args: 1)
         serial = fig10_parallelism_degree.run(config(jobs=1))
-        forced = fig10_parallelism_degree.run(config(jobs=4, batch_units=1))
+        forced = fig10_parallelism_degree.run(config(jobs=4))
         identical(serial, forced)
 
     def test_cache_warm_rerun_matches(self, tiny_figures, tmp_path):

@@ -456,6 +456,48 @@ class TestLintCommand:
         assert main(["lint", str(path)]) == 2
         assert "cannot classify" in capsys.readouterr().out
 
+    def test_every_file_is_checked(self, artifacts, capsys):
+        import json
+        from pathlib import Path
+
+        gpath, _, _, tmp = artifacts
+        lint_dir = Path(__file__).resolve().parents[1] / "benchmarks/results/lint"
+        entry = json.loads((lint_dir / "cache_entry.json").read_text())
+        good, bad = tmp / "good_cache.json", tmp / "bad_cache.json"
+        good.write_text(json.dumps(entry))
+        bad.write_text(json.dumps(dict(entry, format="repro.bogus/v1")))
+        dep = tmp / "dep_schedule.json"  # a -> b share one stage
+        dep.write_text(json.dumps({"num_gpus": 1, "gpus": [{"gpu": 0, "stages": [["a", "b"]]}]}))
+        assert main(["lint", str(bad), str(good)]) == 1
+        assert f"error[C001] {bad}:format" in capsys.readouterr().out
+        assert main(["lint", str(good), gpath, str(dep), str(bad)]) == 1
+        out = capsys.readouterr().out
+        assert f"error[S006] {dep}:gpu:0/op:a" in out
+        assert f"error[C001] {bad}:format" in out
+        assert "2 error(s)" in out
+
+    @pytest.mark.parametrize("command", ["lint", "sanitize"])
+    def test_second_schedule_exits_2(self, artifacts, capsys, command):
+        gpath, spath, _, tmp = artifacts
+        other = tmp / "other.json"
+        other.write_text((tmp / "s.json").read_text())
+        assert main([command, gpath, spath, str(other)]) == 2
+        assert capsys.readouterr().out.splitlines() == [
+            f"error: two schedule documents: {spath} and {other}; pass one"
+        ]
+
+    def test_help_and_docs_list_every_format(self):
+        from pathlib import Path
+
+        from repro.formats import FORMATS
+
+        lint = build_parser()._subparsers._group_actions[0].choices["lint"]
+        (files,) = [action.help for action in lint._actions if action.dest == "files"]
+        docs = (Path(__file__).resolve().parents[1] / "docs/linting.md").read_text()
+        for fmt in FORMATS:
+            assert fmt.label in files
+            assert fmt.marker is None or f"`{fmt.marker}`" in docs
+
 
 class TestTraceCommands:
     @pytest.fixture

@@ -1,7 +1,7 @@
-"""Malformed graph, schedule and trace documents fail with a typed error
-at the library boundary, and as an exit code with one ``error:`` line
-(never a traceback) through ``repro lint``, ``repro validate`` and
-``repro trace diff``."""
+"""Malformed graph, schedule, trace and serve-config documents fail with
+a typed error at the library boundary, and as an exit code with one
+``error:`` line (never a traceback) through ``repro lint``,
+``repro validate``, ``repro trace`` and ``repro serve --config``."""
 
 from __future__ import annotations
 
@@ -143,3 +143,111 @@ def test_malformed_trace_is_a_typed_failure(tmp_path, capsys, text):
         lines = out.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), out
 
+
+
+def test_malformed_trace_names_its_cause_once(tmp_path, capsys):
+    bad = _write(tmp_path, "bad.json", {"format": "repro.trace/v1", "latency": "soon"})
+    code, out = _run(capsys, ["trace", "diff", bad, bad])
+    assert code == 2
+    assert out.strip().splitlines() == [
+        f"error: malformed trace document {bad}: could not convert string to float: 'soon'"
+    ]
+
+
+@pytest.fixture
+def transfer_trace(tmp_path) -> tuple[dict, str]:
+    """A two-GPU trace with one transfer, and its schedule's path."""
+    from repro.substrate import MultiGpuEngine
+
+    g = OpGraph.from_edges({"a": 1.0, "b": 2.0}, [("a", "b", 0.5)])
+    s = Schedule(2)
+    s.append_op(0, "a")
+    s.append_op(1, "b")
+    doc = MultiGpuEngine().run(g, s).to_dict()
+    assert len(doc["transfers"]) == 1
+    return doc, _write(tmp_path, "s.json", s.to_dict())
+
+
+#: transfer fields of the wrong JSON type, as raw JSON text
+BAD_TRANSFERS = [
+    ("src", "[]"), ("dst", "true"), ("num_bytes", "2.5"), ("attempts", '"2"'),
+    ("tag", "7"), ("post_time", '"x"'), ("start_time", "true"), ("finish_time", "null"),
+]
+
+
+@pytest.mark.parametrize("field, raw", BAD_TRANSFERS)
+def test_malformed_transfer_is_a_typed_failure(tmp_path, capsys, transfer_trace, field, raw):
+    doc, sched = transfer_trace
+    doc["transfers"][0][field] = "@"
+    text = json.dumps(doc).replace('"@"', raw)
+    with pytest.raises(EngineError, match=f"transfer {field} is"):
+        ExecutionTrace.from_dict(json.loads(text))
+
+    trace = tmp_path / "t.json"
+    trace.write_text(text)
+    for argv in (
+        ["lint", str(trace)],
+        ["trace", "export", str(trace), "--schedule", sched],
+        ["trace", "report", str(trace), "--schedule", sched],
+    ):
+        code, out = _run(capsys, argv)
+        assert code == 2
+        assert out.strip().splitlines() == [out.strip()] and out.startswith(
+            f"error: malformed trace document {trace}: transfer {field} is"
+        )
+
+
+#: serve-config fields ``repro lint`` passes but the parser must reject
+BAD_SERVE_FIELDS = [
+    (("window",), '"x"'), (("queue_capacity",), '"x"'), (("overload_queue",), '"x"'),
+    (("max_retries",), '"x"'), (("retry_backoff_ms",), '"x"'),
+    (("tenants", 0, "priority"), "null"), (("tenants", 0, "priority"), "Infinity"),
+    (("tenants", 0, "priority"), "NaN"),
+]
+
+
+@pytest.mark.parametrize("path, raw", BAD_SERVE_FIELDS, ids=repr)
+def test_malformed_serve_config_is_a_typed_failure(tmp_path, capsys, path, raw):
+    from repro.serve import ServeConfig, ServeConfigError, scenario_config
+
+    doc = scenario_config("steady-state").to_dict()
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = "@"
+    text = json.dumps(doc).replace('"@"', raw)
+    with pytest.raises(ServeConfigError, match=f"{path[-1]} is"):
+        ServeConfig.from_dict(json.loads(text))
+
+    config = tmp_path / "serve.json"
+    config.write_text(text)
+    assert _run(capsys, ["lint", str(config)])[0] == 0
+    code, out = _run(capsys, ["serve", "--config", str(config)])
+    assert code == 2
+    assert out.strip().splitlines() == [out.strip()] and out.startswith(
+        f"error: malformed serve config document {config}:"
+    )
+
+
+@pytest.mark.parametrize("num_gpus", [10**12, 10**30], ids=["1e12", "1e30"])
+def test_num_gpus_is_bounded_by_the_listed_gpus(tmp_path, capsys, num_gpus):
+    doc = dict(SCHEDULE_DOC, num_gpus=num_gpus)
+    graph = _write(tmp_path, "g.json", _graph_doc())
+    sched = _write(tmp_path, "s.json", doc)
+    code, text = _run(capsys, ["lint", graph, sched])
+    assert code == 1 and f"error[S004] {sched}: schedule declares {num_gpus} GPUs" in text
+
+    code, text = _run(capsys, ["validate", graph, sched])
+    assert code == 2 and text.startswith("error: malformed schedule document")
+
+    from repro.core.result import ScheduleResult
+    from repro.sweep import ScheduleCache
+
+    cache = ScheduleCache(tmp_path / "cache")
+    key = "cd" * 32
+    cache.put_schedule(key, ScheduleResult("hios-lp", Schedule.from_dict(SCHEDULE_DOC), 1.0))
+    entry = json.loads(cache.path_for(key).read_text())
+    entry["payload"]["schedule"]["num_gpus"] = num_gpus
+    cache.path_for(key).write_text(json.dumps(entry))
+    assert cache.get_schedule(key) is None
+    assert cache.misses == 1 and not cache.path_for(key).exists()
