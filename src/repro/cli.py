@@ -64,7 +64,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .core.api import ALGORITHMS, schedule_graph
+from .core.api import ALGORITHMS, algorithm_options, schedule_graph
 from .core.fasteval import EvalCounters
 from .experiments import EXPERIMENTS, ExperimentConfig, default_config
 from .experiments.realmodels import MODEL_BUILDERS, default_profiler
@@ -459,7 +459,7 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
     profiler = default_profiler(num_gpus=args.gpus)
     profile = profiler.profile(builder(size))
     kwargs: dict[str, object] = (
-        {"window": args.window} if args.algorithm in ("hios-lp", "hios-mr") else {}
+        {"window": args.window} if "window" in algorithm_options(args.algorithm) else {}
     )
 
     def run_scheduler():  # -> ScheduleResult

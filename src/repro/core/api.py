@@ -20,6 +20,8 @@ hios-lp-ls  extension: Alg. 1 + local search + Alg. 2
 
 from __future__ import annotations
 
+import inspect
+from functools import cache
 from typing import Callable
 
 from ..costmodel.concurrency import ConcurrencyModel
@@ -32,7 +34,7 @@ from .refine import schedule_hios_lp_ls
 from .result import ScheduleResult
 from .sequential import schedule_sequential
 
-__all__ = ["ALGORITHMS", "SPATIAL_CACHE_ALGORITHMS", "schedule_graph", "make_profile"]
+__all__ = ["ALGORITHMS", "algorithm_options", "schedule_graph", "make_profile"]
 
 ALGORITHMS: dict[str, Callable[..., ScheduleResult]] = {
     "sequential": schedule_sequential,
@@ -45,12 +47,17 @@ ALGORITHMS: dict[str, Callable[..., ScheduleResult]] = {
     "hios-lp-ls": schedule_hios_lp_ls,
 }
 
-#: Algorithms that accept a ``spatial_cache`` kwarg: their inter-GPU
-#: mapping phase is window-independent and can be shared across calls
-#: on the same profile (``cached_spatial_lp`` / ``cached_spatial_mr``).
-SPATIAL_CACHE_ALGORITHMS = frozenset(
-    {"hios-lp", "hios-mr", "inter-lp", "inter-mr", "hios-lp-ls"}
-)
+
+def algorithm_options(algorithm: str) -> frozenset[str]:
+    """The keyword options ``algorithm`` takes (e.g. ``"window"``,
+    ``"spatial_cache"``), read off the function :data:`ALGORITHMS` maps
+    it to."""
+    return _options(ALGORITHMS[algorithm])
+
+
+@cache
+def _options(fn: Callable[..., ScheduleResult]) -> frozenset[str]:
+    return frozenset(list(inspect.signature(fn).parameters)[1:])
 
 
 def make_profile(

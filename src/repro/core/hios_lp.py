@@ -10,7 +10,10 @@ distinguishes HIOS-LP from the operator-at-a-time HIOS-MR.
 
 After the spatial mapping, the sliding-window pass of Alg. 2
 (:func:`repro.core.intra_gpu.parallelize`) regroups small co-located
-operators into concurrent stages.
+operators into concurrent stages.  :func:`schedule_hios` runs that
+hierarchy for every HIOS registry entry: HIOS-MR
+(:mod:`repro.core.hios_mr`) and HIOS-LP + local search
+(:mod:`repro.core.refine`) swap in their own spatial phase.
 
 Both passes run on the incremental engine of :mod:`repro.core.fasteval`:
 prefix-replay across the ``M`` GPU candidates of one path (each path's
@@ -21,7 +24,7 @@ stage-graph deltas across window candidates.
 from __future__ import annotations
 
 import time
-from typing import Any, MutableMapping, cast
+from typing import Any, Callable, MutableMapping
 
 from ..costmodel.profile import CostProfile
 from ..obs import declog
@@ -34,15 +37,31 @@ from .priority import priority_order
 from .result import ScheduleResult
 from .schedule import Schedule
 
-__all__ = ["cached_spatial_lp", "schedule_hios_lp", "schedule_inter_gpu_lp"]
+__all__ = [
+    "SpatialMapping", "cached_spatial_lp", "memo_spatial", "schedule_hios", "schedule_hios_lp",
+    "schedule_inter_gpu_lp",
+]
+
+#: One inter-GPU mapping: operator -> GPU, the priority order it was
+#: built in, and the phase's own stats (e.g. ``{"paths": 7}`` for Alg. 1).
+SpatialMapping = tuple[dict[str, int], list[str], dict[str, object]]
+
+
+#: ``spatial(profile, counters=..., spatial_cache=...)``: ``cached_spatial_lp``
+#: or :func:`repro.core.hios_mr.cached_spatial_mr`.
+SpatialPhase = Callable[..., SpatialMapping]
+#: ``local_search(profile, assignment, order, counters=...)`` ->
+#: ``(assignment, latency, moves)``, as
+#: :func:`repro.core.refine.local_search_assignment`.
+LocalSearch = Callable[..., tuple[dict[str, int], float, int]]
 
 
 def _lp_spatial_mapping(
     profile: CostProfile,
     counters: EvalCounters | None = None,
-) -> tuple[dict[str, int], list[str], int]:
-    """Run the iterative longest-path mapping; returns (assignment,
-    priority order, number of extracted paths)."""
+) -> SpatialMapping:
+    """Run the iterative longest-path mapping; its stats count the
+    extracted paths."""
     graph = profile.graph
     num_gpus = profile.num_gpus
     order = priority_order(graph)
@@ -110,66 +129,78 @@ def _lp_spatial_mapping(
                 candidates_ms={str(g): lat for g, lat in candidates.items()},
             )
 
-    return assignment, order, paths
+    return assignment, order, {"paths": paths}
+
+
+def memo_spatial(
+    key: str,
+    compute: Callable[[], SpatialMapping],
+    spatial_cache: MutableMapping[str, Any] | None,
+) -> SpatialMapping:
+    """``compute()``, served from ``spatial_cache[key]`` when present.
+
+    A spatial mapping depends only on the profile, not on the Alg. 2
+    window, so one computation serves a family's every window, its
+    ``inter-*`` entry and ``hios-lp-ls`` (sweep workers share it;
+    warm-started repairs seed it).  Copies go in and out, so no caller
+    can corrupt another's view.  A hit skips the phase: its decision-log
+    events are not re-emitted and its counters do not re-accumulate.
+    """
+    if spatial_cache is not None and key in spatial_cache:
+        assignment, order, stats = spatial_cache[key]
+        return dict(assignment), list(order), dict(stats)
+    assignment, order, stats = compute()
+    if spatial_cache is not None:
+        spatial_cache[key] = (dict(assignment), list(order), dict(stats))
+    return assignment, order, stats
 
 
 def cached_spatial_lp(
     profile: CostProfile,
     counters: EvalCounters | None = None,
     spatial_cache: MutableMapping[str, Any] | None = None,
-) -> tuple[dict[str, int], list[str], int]:
-    """LP spatial mapping, optionally served from a per-workload cache.
-
-    The Alg. 1 mapping depends only on the profile — not on the Alg. 2
-    window — so one computation serves ``hios-lp`` at every window,
-    ``inter-lp`` and ``hios-lp-ls`` alike (the sweep engine's batch
-    workers exploit exactly this).  The cache stores and hands out
-    copies, so no caller can corrupt another's view; a hit returns the
-    bit-identical mapping the fresh run would produce.  Note a hit
-    skips the phase entirely: its decision-log events are not
-    re-emitted and its evaluation counters do not re-accumulate.
-    """
-    if spatial_cache is not None:
-        hit = spatial_cache.get("lp")
-        if hit is not None:
-            assignment, order, paths = cast(
-                "tuple[dict[str, int], list[str], int]", hit
-            )
-            return dict(assignment), list(order), paths
-    assignment, order, paths = _lp_spatial_mapping(profile, counters=counters)
-    if spatial_cache is not None:
-        spatial_cache["lp"] = (dict(assignment), list(order), paths)
-    return assignment, order, paths
+) -> SpatialMapping:
+    """The Alg. 1 mapping, memoized as ``spatial_cache["lp"]``."""
+    return memo_spatial("lp", lambda: _lp_spatial_mapping(profile, counters), spatial_cache)
 
 
-def schedule_hios_lp(
+def schedule_hios(
     profile: CostProfile,
-    window: int = 3,
-    intra_gpu: bool = True,
+    algorithm: str,
+    spatial: SpatialPhase,
+    window: int | None,
     spatial_cache: MutableMapping[str, Any] | None = None,
+    local_search: LocalSearch | None = None,
 ) -> ScheduleResult:
-    """Full HIOS-LP: LP-based inter-GPU mapping + Alg. 2 regrouping.
+    """The HIOS hierarchy shared by every HIOS registry entry.
 
-    Set ``intra_gpu=False`` for the paper's "inter-GPU w/ LP" ablation
-    (spatial mapping with sequential per-GPU execution).
-    ``spatial_cache`` shares the window-independent Alg. 1 phase across
-    calls on the same profile (see :func:`cached_spatial_lp`).
+    ``spatial`` maps operators to GPUs, ``local_search`` (when given)
+    refines that mapping, the singleton schedule is evaluated, and with
+    a ``window`` the Alg. 2 pass regroups each GPU's operators into
+    concurrent stages; ``window=None`` keeps the sequential per-GPU
+    execution of the paper's "inter-GPU only" ablations.  Callers pass
+    ``spatial`` as their own module binds it, and the evaluation and
+    Alg. 2 calls go through this module's names, so a wrapper or an
+    oracle installed on a module attribute sees every HIOS run.
     """
     t0 = time.perf_counter()
     cache_hits0 = profile.stage_time_cache_hits
     counters = EvalCounters()
-    assignment, order, paths = cached_spatial_lp(
-        profile, counters=counters, spatial_cache=spatial_cache
-    )
-    t_spatial = time.perf_counter() - t0
+    assignment, order, stats = spatial(profile, counters=counters, spatial_cache=spatial_cache)
+    phase_times: dict[str, float] = {"spatial_mapping": time.perf_counter() - t0}
+    if local_search is not None:
+        t1 = time.perf_counter()
+        assignment, _, stats["local_search_moves"] = local_search(
+            profile, assignment, order, counters=counters
+        )
+        phase_times["local_search"] = time.perf_counter() - t1
     schedule: Schedule = build_singleton_schedule(assignment, order, profile.num_gpus)
     latency = soa_latency(profile, schedule, validate=True, counters=counters)
-    stats: dict[str, object] = {"paths": paths, "inter_gpu_latency": latency}
-    phase_times: dict[str, float] = {"spatial_mapping": t_spatial}
+    stats["inter_gpu_latency"] = latency
 
-    if intra_gpu:
+    if window is not None:
         t1 = time.perf_counter()
-        schedule, latency, intra_stats = parallelize(
+        schedule, latency, stats["intra_gpu"] = parallelize(
             profile,
             schedule,
             window=window,
@@ -178,18 +209,11 @@ def schedule_hios_lp(
             counters=counters,
         )
         phase_times["intra_gpu"] = time.perf_counter() - t1
-        stats["intra_gpu"] = intra_stats
 
     counters.cache_hits = profile.stage_time_cache_hits - cache_hits0
     stats.update(counters.to_stats())
     stats["phase_times"] = phase_times
-    algorithm = "hios-lp" if intra_gpu else "inter-lp"
-    debug_lint_schedule(
-        profile.graph,
-        schedule,
-        algorithm=algorithm,
-        window=window if intra_gpu else None,
-    )
+    debug_lint_schedule(profile.graph, schedule, algorithm=algorithm, window=window)
     return ScheduleResult(
         algorithm=algorithm,
         schedule=schedule,
@@ -199,9 +223,22 @@ def schedule_hios_lp(
     )
 
 
+def schedule_hios_lp(
+    profile: CostProfile,
+    window: int = 3,
+    spatial_cache: MutableMapping[str, Any] | None = None,
+) -> ScheduleResult:
+    """Full HIOS-LP: LP-based inter-GPU mapping + Alg. 2 regrouping.
+
+    ``spatial_cache`` shares the window-independent Alg. 1 phase across
+    calls on the same profile (see :func:`memo_spatial`).
+    """
+    return schedule_hios(profile, "hios-lp", cached_spatial_lp, window, spatial_cache)
+
+
 def schedule_inter_gpu_lp(
     profile: CostProfile,
     spatial_cache: MutableMapping[str, Any] | None = None,
 ) -> ScheduleResult:
     """The "inter-GPU w/ LP" comparison point (no Alg. 2 pass)."""
-    return schedule_hios_lp(profile, intra_gpu=False, spatial_cache=spatial_cache)
+    return schedule_hios(profile, "inter-lp", cached_spatial_lp, None, spatial_cache)

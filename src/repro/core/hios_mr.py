@@ -9,7 +9,8 @@ cell is filled by replaying the ``min(M, i-1)`` recorded schedules of
 the previous operator (reconstructed by walking the ``g`` pointers) and
 placing ``v_i`` at its earliest start under GPU-availability and
 data-dependency constraints.  Backtracking from the best final cell
-yields the spatial mapping; Alg. 2 then regroups within each GPU.
+yields the spatial mapping; Alg. 2 then regroups within each GPU
+(:func:`repro.core.hios_lp.schedule_hios` runs the hierarchy).
 
 This is the paper's *local* greedy alternative to HIOS-LP: it never
 reasons about whole paths, so it tends to split dependent chains across
@@ -18,18 +19,20 @@ GPUs and pay avoidable transfers — the behaviour Figs. 7-13 quantify.
 
 from __future__ import annotations
 
-import time
-from typing import Any, MutableMapping, cast
+from typing import Any, MutableMapping
 
 import numpy as np
 
 from ..costmodel.profile import CostProfile
-from .debuglint import debug_lint_schedule
-from .fasteval import EvalCounters, soa_latency
-from .intra_gpu import parallelize
-from .list_schedule import build_singleton_schedule
+from .fasteval import EvalCounters, soa_latency  # noqa: F401
+from .hios_lp import SpatialMapping, memo_spatial, schedule_hios
+from .intra_gpu import parallelize  # noqa: F401
 from .priority import priority_order
 from .result import ScheduleResult
+
+# ``schedule_hios`` calls ``soa_latency`` and ``parallelize`` through
+# its own module; they stay bound here because benchmarks/e2e/spans.py
+# wraps them per module.
 
 __all__ = ["cached_spatial_mr", "schedule_hios_mr", "schedule_inter_gpu_mr"]
 
@@ -114,14 +117,14 @@ def _mr_fill(
         g_tab[i][:] = G[i].tolist()
 
 
-def _mr_spatial_mapping(profile: CostProfile) -> tuple[dict[str, int], list[str]]:
+def _mr_spatial_mapping(profile: CostProfile) -> SpatialMapping:
     """Fill the (t, g) table and backtrack the operator-to-GPU mapping."""
     graph = profile.graph
     M = profile.num_gpus
     order = priority_order(graph)
     n = len(order)
     if n == 0:
-        return {}, order
+        return {}, order, {}
     index = {v: i for i, v in enumerate(order)}
 
     speeds = [profile.gpu_speed(j) for j in range(M)]
@@ -143,84 +146,31 @@ def _mr_spatial_mapping(profile: CostProfile) -> tuple[dict[str, int], list[str]
     for i in range(n - 1, -1, -1):
         assignment[order[i]] = m
         m = g_tab[i][m]
-    return assignment, order
+    return assignment, order, {}
 
 
 def cached_spatial_mr(
     profile: CostProfile,
+    counters: EvalCounters | None = None,
     spatial_cache: MutableMapping[str, Any] | None = None,
-) -> tuple[dict[str, int], list[str]]:
-    """MR spatial mapping, optionally served from a per-workload cache.
-
-    The MR table fill depends only on the profile, so one computation
-    serves ``hios-mr`` at every window and ``inter-mr`` alike — the
-    same sharing seam as :func:`repro.core.hios_lp.cached_spatial_lp`.
-    Stores and hands out copies; hits are bit-identical to fresh runs.
-    """
-    if spatial_cache is not None:
-        hit = spatial_cache.get("mr")
-        if hit is not None:
-            assignment, order = cast("tuple[dict[str, int], list[str]]", hit)
-            return dict(assignment), list(order)
-    assignment, order = _mr_spatial_mapping(profile)
-    if spatial_cache is not None:
-        spatial_cache["mr"] = (dict(assignment), list(order))
-    return assignment, order
+) -> SpatialMapping:
+    """The Alg. 3 mapping, memoized as ``spatial_cache["mr"]`` (see
+    :func:`repro.core.hios_lp.memo_spatial`).  The table fill prices its
+    cells itself, so ``counters`` is left as it is."""
+    return memo_spatial("mr", lambda: _mr_spatial_mapping(profile), spatial_cache)
 
 
 def schedule_hios_mr(
     profile: CostProfile,
     window: int = 3,
-    intra_gpu: bool = True,
     spatial_cache: MutableMapping[str, Any] | None = None,
 ) -> ScheduleResult:
     """Full HIOS-MR: MR-based inter-GPU mapping + Alg. 2 regrouping.
 
-    Set ``intra_gpu=False`` for the paper's "inter-GPU w/ MR" ablation.
     ``spatial_cache`` shares the window-independent mapping phase across
     calls on the same profile.
     """
-    t0 = time.perf_counter()
-    cache_hits0 = profile.stage_time_cache_hits
-    counters = EvalCounters()
-    assignment, order = cached_spatial_mr(profile, spatial_cache=spatial_cache)
-    t_spatial = time.perf_counter() - t0
-    schedule = build_singleton_schedule(assignment, order, profile.num_gpus)
-    latency = soa_latency(profile, schedule, validate=True, counters=counters)
-    stats: dict[str, object] = {"inter_gpu_latency": latency}
-    phase_times: dict[str, float] = {"spatial_mapping": t_spatial}
-
-    if intra_gpu:
-        t1 = time.perf_counter()
-        schedule, latency, intra_stats = parallelize(
-            profile,
-            schedule,
-            window=window,
-            priority=order,
-            validate=False,  # singleton schedule was validated just above
-            counters=counters,
-        )
-        phase_times["intra_gpu"] = time.perf_counter() - t1
-        stats["intra_gpu"] = intra_stats
-
-    counters.cache_hits = profile.stage_time_cache_hits - cache_hits0
-    stats.update(counters.to_stats())
-    stats["phase_times"] = phase_times
-
-    algorithm = "hios-mr" if intra_gpu else "inter-mr"
-    debug_lint_schedule(
-        profile.graph,
-        schedule,
-        algorithm=algorithm,
-        window=window if intra_gpu else None,
-    )
-    return ScheduleResult(
-        algorithm=algorithm,
-        schedule=schedule,
-        latency=latency,
-        scheduling_time=time.perf_counter() - t0,
-        stats=stats,
-    )
+    return schedule_hios(profile, "hios-mr", cached_spatial_mr, window, spatial_cache)
 
 
 def schedule_inter_gpu_mr(
@@ -228,4 +178,4 @@ def schedule_inter_gpu_mr(
     spatial_cache: MutableMapping[str, Any] | None = None,
 ) -> ScheduleResult:
     """The "inter-GPU w/ MR" comparison point (no Alg. 2 pass)."""
-    return schedule_hios_mr(profile, intra_gpu=False, spatial_cache=spatial_cache)
+    return schedule_hios(profile, "inter-mr", cached_spatial_mr, None, spatial_cache)

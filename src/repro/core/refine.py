@@ -15,16 +15,19 @@ leaves (typically a few percent on the Section V workloads).
 
 from __future__ import annotations
 
-import time
+from functools import partial
 from typing import Any, Mapping, MutableMapping
 
 from ..costmodel.profile import CostProfile
-from .debuglint import debug_lint_schedule
-from .fasteval import EvalCounters, PrefixReplayer, soa_latency
-from .hios_lp import cached_spatial_lp
-from .intra_gpu import parallelize
-from .list_schedule import build_singleton_schedule, list_schedule_latency
+from .fasteval import EvalCounters, PrefixReplayer, soa_latency  # noqa: F401
+from .hios_lp import cached_spatial_lp, schedule_hios
+from .intra_gpu import parallelize  # noqa: F401
+from .list_schedule import list_schedule_latency
 from .result import ScheduleResult
+
+# ``schedule_hios`` calls ``soa_latency`` and ``parallelize`` through
+# its own module; they stay bound here because benchmarks/e2e/spans.py
+# wraps them per module.
 
 __all__ = ["local_search_assignment", "schedule_hios_lp_ls"]
 
@@ -93,58 +96,19 @@ def local_search_assignment(
 def schedule_hios_lp_ls(
     profile: CostProfile,
     window: int = 3,
-    intra_gpu: bool = True,
     max_rounds: int = 3,
     spatial_cache: MutableMapping[str, Any] | None = None,
 ) -> ScheduleResult:
-    """HIOS-LP with operator-level local search between Alg. 1 and Alg. 2."""
-    t0 = time.perf_counter()
-    cache_hits0 = profile.stage_time_cache_hits
-    counters = EvalCounters()
-    assignment, order, paths = cached_spatial_lp(
-        profile, counters=counters, spatial_cache=spatial_cache
-    )
-    t_spatial = time.perf_counter() - t0
-    assignment, _, moves = local_search_assignment(
-        profile, assignment, order, max_rounds=max_rounds, counters=counters
-    )
-    t_search = time.perf_counter() - t0 - t_spatial
-    schedule = build_singleton_schedule(assignment, order, profile.num_gpus)
-    latency = soa_latency(profile, schedule, validate=True, counters=counters)
-    stats: dict[str, object] = {
-        "paths": paths,
-        "local_search_moves": moves,
-        "inter_gpu_latency": latency,
-    }
-    phase_times: dict[str, float] = {
-        "spatial_mapping": t_spatial,
-        "local_search": t_search,
-    }
-    if intra_gpu:
-        t1 = time.perf_counter()
-        schedule, latency, intra_stats = parallelize(
-            profile,
-            schedule,
-            window=window,
-            priority=order,
-            validate=False,  # singleton schedule was validated just above
-            counters=counters,
-        )
-        phase_times["intra_gpu"] = time.perf_counter() - t1
-        stats["intra_gpu"] = intra_stats
-    counters.cache_hits = profile.stage_time_cache_hits - cache_hits0
-    stats.update(counters.to_stats())
-    stats["phase_times"] = phase_times
-    debug_lint_schedule(
-        profile.graph,
-        schedule,
-        algorithm="hios-lp-ls",
-        window=window if intra_gpu else None,
-    )
-    return ScheduleResult(
-        algorithm="hios-lp-ls",
-        schedule=schedule,
-        latency=latency,
-        scheduling_time=time.perf_counter() - t0,
-        stats=stats,
+    """HIOS-LP with operator-level local search between Alg. 1 and Alg. 2.
+
+    ``stats["inter_gpu_latency"]`` is the refined mapping's latency
+    before the Alg. 2 pass.
+    """
+    return schedule_hios(
+        profile,
+        "hios-lp-ls",
+        cached_spatial_lp,
+        window,
+        spatial_cache,
+        local_search=partial(local_search_assignment, max_rounds=max_rounds),
     )

@@ -203,9 +203,9 @@ def _plan_subgraph(
     if seed_assignment is None:
         return cold_schedule(), False
     order = priority_order(subgraph)
-    spatial_cache: dict[str, Any] = {
-        "lp": (dict(seed_assignment), list(order), 0),
-        "mr": (dict(seed_assignment), list(order)),
+    spatial_cache: dict[str, Any] = {  # one SpatialMapping per family
+        "lp": (seed_assignment, order, {"paths": 0}),
+        "mr": (seed_assignment, order, {}),
     }
     warm = schedule_graph(subprofile, algorithm, spatial_cache=spatial_cache, **kwargs)
     if warm.latency <= WARM_START_MARGIN * latency_lower_bound(subprofile):
@@ -247,7 +247,7 @@ def repair_schedule(
     persistent schedule cache (warm-started results are seeded by a
     run-specific schedule and are never persisted).
     """
-    from .api import SPATIAL_CACHE_ALGORITHMS  # local: avoids a cycle
+    from .api import algorithm_options  # local: avoids a cycle
 
     remaining = failure.unfinished(profile.graph.names)
     if not remaining:
@@ -258,7 +258,7 @@ def repair_schedule(
     subgraph = subprofile.graph
 
     seed: dict[str, int] | None = None
-    if warm_start_from is not None and algorithm in SPATIAL_CACHE_ALGORITHMS:
+    if warm_start_from is not None and "spatial_cache" in algorithm_options(algorithm):
         slot_map = {g: i for i, g in enumerate(survivors)}
         seed = _spatial_seed(subgraph, warm_start_from.assignment(), slot_map, len(survivors))
     result, warm_started = _plan_subgraph(
@@ -324,7 +324,7 @@ def resize_schedule(
     kept GPUs stay put, operators on dropped GPUs are re-homed onto the
     least-loaded slot.  Cold runs are served from ``sched_cache``.
     """
-    from .api import SPATIAL_CACHE_ALGORITHMS  # local: avoids a cycle
+    from .api import algorithm_options  # local: avoids a cycle
 
     remaining = tuple(v for v in profile.graph.names if v not in finished)
     if not remaining:
@@ -333,7 +333,7 @@ def resize_schedule(
     subgraph = subprofile.graph
 
     seed: dict[str, int] | None = None
-    if prev_assignment is not None and algorithm in SPATIAL_CACHE_ALGORITHMS:
+    if prev_assignment is not None and "spatial_cache" in algorithm_options(algorithm):
         seed = _spatial_seed(subgraph, prev_assignment, slot_map or {}, profile.num_gpus)
     result, warm_started = _plan_subgraph(
         subprofile, subgraph, seed, algorithm, sched_cache, **kwargs

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Sequence
 
-from ..core.api import schedule_graph
+from ..core.api import algorithm_options, schedule_graph
 from ..core.graph import Operator
 from ..costmodel.concurrency import ConcurrencyModel
 from ..costmodel.profile import CostProfile
@@ -69,7 +69,7 @@ def scheduling_cost_minutes(
     """
     recorder = MeasurementRecorder(profile.concurrency)
     recording_profile = replace(profile, concurrency=recorder)
-    if algorithm in ("hios-lp", "hios-mr"):
+    if "window" in algorithm_options(algorithm):
         schedule_kwargs.setdefault("window", window)
     result = schedule_graph(recording_profile, algorithm, **schedule_kwargs)
 

@@ -26,6 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from ..core.api import algorithm_options
 from ..sweep import (
     RandomDagSpec,
     ResultCache,
@@ -43,7 +44,7 @@ SIM_ALGORITHMS = tuple(ALGORITHM_ORDER)
 
 
 def _schedule_kwargs(config: ExperimentConfig, algorithm: str) -> dict[str, object]:
-    if algorithm in ("hios-lp", "hios-mr"):
+    if "window" in algorithm_options(algorithm):
         return {"window": config.window}
     return {}
 

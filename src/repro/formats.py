@@ -10,14 +10,16 @@ here, and parsers are resolved by name when a document is parsed.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import MISSING, dataclass, fields
 from pkgutil import resolve_name
-from typing import Any, Iterable, Mapping
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 __all__ = [
     "CACHE_FORMAT", "CHROME_TRACE_FORMAT", "GRAPH_FORMAT", "HBREPORT_FORMAT", "SCHED_CACHE_FORMAT",
     "SERVE_CONFIG_FORMAT", "SERVE_REPORT_FORMAT", "TRACE_FORMAT", "FORMATS", "Document",
-    "DocumentError", "Format", "classify", "read_document", "scalar_fields",
+    "DocumentError", "Format", "classify", "finite", "read_document", "scalar_fields",
+    "takes_float", "type_errors",
 ]
 
 GRAPH_FORMAT = "repro.opgraph/v1"
@@ -78,29 +80,54 @@ FORMATS: tuple[Format, ...] = (
 )
 
 
-#: a dataclass field annotation -> the JSON values that field takes
-_JSON_TYPES: dict[str, tuple[Any, str]] = {
-    "int": (int, "an integer"), "float": ((int, float), "a number"),
-    "str": (str, "a string"), "bool": (bool, "a boolean"),
+def finite(value: object) -> float | None:
+    """``value`` as a finite float, else ``None``: for a bool, a
+    non-number, a NaN or infinity, and an integer beyond the float range
+    (JSON bounds no integer, and ``float()`` raises on those)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        number = float(value)
+    except OverflowError:
+        return None
+    return number if math.isfinite(number) else None
+
+
+def takes_float(value: object) -> bool:
+    """Whether a float field takes ``value``: a float, or an integer
+    that a float can hold (not a bool)."""
+    return isinstance(value, float) or finite(value) is not None
+
+
+#: a dataclass field annotation -> (the JSON values it takes, their name)
+_JSON_TYPES: dict[str, tuple[Callable[[object], bool], str]] = {
+    "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    "float": (takes_float, "a number"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "bool": (lambda v: isinstance(v, bool), "a boolean"),
 }
+
+
+def type_errors(cls: Any, doc: Mapping[str, Any]) -> Iterator[tuple[str, str]]:
+    """``(field, expected)`` for each scalar field of dataclass ``cls``
+    that ``doc`` sets, or must set, to a JSON value its annotation does
+    not take."""
+    for f in fields(cls):
+        takes, expected = _JSON_TYPES.get(f.type, (None, ""))
+        if takes is None or (f.name not in doc and f.default is not MISSING):
+            continue
+        if not takes(doc.get(f.name)):
+            yield f.name, expected
 
 
 def scalar_fields(cls: Any, doc: object, error: type[Exception], where: str) -> dict[str, Any]:
     """The scalar fields of dataclass ``cls`` that ``doc`` sets (and the
-    required ones), each a JSON value of its annotated type (an integer
-    counts as a float, a bool only as a bool), else ``error``."""
+    required ones), each a JSON value its annotation takes, else ``error``."""
     if not isinstance(doc, Mapping):
         raise error(f"{where} is {doc!r}, expected an object")
-    out: dict[str, Any] = {}
-    for f in fields(cls):
-        kinds, expected = _JSON_TYPES.get(f.type, (None, ""))
-        if kinds is None or (f.name not in doc and f.default is not MISSING):
-            continue
-        value = doc.get(f.name)
-        if not isinstance(value, kinds) or (isinstance(value, bool) and f.type != "bool"):
-            raise error(f"{where} {f.name} is {value!r}, expected {expected}")
-        out[f.name] = value
-    return out
+    for name, expected in type_errors(cls, doc):
+        raise error(f"{where} {name} is {doc.get(name)!r}, expected {expected}")
+    return {f.name: doc[f.name] for f in fields(cls) if f.type in _JSON_TYPES and f.name in doc}
 
 
 def classify(data: object) -> Format | None:

@@ -16,11 +16,10 @@ finite latency for schedule entries).
 
 from __future__ import annotations
 
-import math
 import string
 from typing import Any, Iterator, Mapping
 
-from ..formats import CACHE_FORMAT, SCHED_CACHE_FORMAT
+from ..formats import CACHE_FORMAT, SCHED_CACHE_FORMAT, finite
 from ..sweep.keying import CACHE_SCHEMA_VERSION
 from ..sweep.schedcache import SCHED_CACHE_KIND
 from ..sweep.units import UNIT_KINDS
@@ -140,7 +139,7 @@ def _check_result_payload(payload: Mapping[str, Any]) -> Iterator[Finding]:
                 f"payload[{name!r}] is {value!r}, expected a finite number",
                 location=f"payload.{name}",
             )
-        elif not math.isfinite(value):
+        elif finite(value) is None:
             yield Finding(
                 f"payload[{name!r}] is {value!r} (non-finite)",
                 location=f"payload.{name}",
@@ -168,7 +167,7 @@ def _check_schedule_payload(payload: Mapping[str, Any]) -> Iterator[Finding]:
             f"payload.latency is {latency!r}, expected a finite number",
             location="payload.latency",
         )
-    elif not math.isfinite(latency):
+    elif finite(latency) is None:
         yield Finding(
             f"payload.latency is {latency!r} (non-finite)",
             location="payload.latency",

@@ -13,10 +13,9 @@ marker a partial trace must carry.
 
 from __future__ import annotations
 
-import math
 from typing import Any, Iterator, Mapping
 
-from ..formats import CHROME_TRACE_FORMAT
+from ..formats import CHROME_TRACE_FORMAT, finite
 from .diagnostics import Severity
 from .framework import Finding, LintContext, rule
 
@@ -111,7 +110,7 @@ def check_events(ctx: LintContext) -> Iterator[Finding]:
         ts = ev.get("ts")
         if isinstance(ts, bool) or not isinstance(ts, (int, float)):
             yield Finding(f"ts is {ts!r}, expected a number", location=loc)
-        elif not math.isfinite(ts) or ts < 0:
+        elif finite(ts) is None or ts < 0:
             yield Finding(
                 f"ts is {ts!r}, expected finite and non-negative", location=loc
             )
@@ -121,7 +120,7 @@ def check_events(ctx: LintContext) -> Iterator[Finding]:
                 yield Finding(
                     f"dur is {dur!r}, expected a number", location=loc
                 )
-            elif not math.isfinite(dur) or dur < 0:
+            elif finite(dur) is None or dur < 0:
                 yield Finding(
                     f"dur is {dur!r}, expected finite and non-negative",
                     location=loc,
@@ -141,7 +140,7 @@ def check_events(ctx: LintContext) -> Iterator[Finding]:
 def check_flow_pairs(ctx: LintContext) -> Iterator[Finding]:
     doc = ctx.chrome_doc
     assert doc is not None
-    starts: dict[object, float] = {}
+    starts: dict[object, float] = {}  # as given: an int too big for a float still compares
     finishes: dict[object, float] = {}
     for ev in _events(doc):
         if not isinstance(ev, Mapping):
@@ -163,7 +162,7 @@ def check_flow_pairs(ctx: LintContext) -> Iterator[Finding]:
                 f"for id {fid!r}",
                 location="traceEvents",
             )
-        table[fid] = float(ts)
+        table[fid] = ts
     for fid, ts in starts.items():
         if fid not in finishes:
             yield Finding(

@@ -8,7 +8,11 @@ gate is comparing.  V001–V008 check the raw ``repro.serve/v1`` config
 format marker, tenant shape and arrival processes, pool/lease
 arithmetic, registered algorithms, parseable fault specs within pool
 range, and policy-knob sanity (an unreachable overload threshold, a
-zero-retry config facing injected GPU failures).
+zero-retry config facing injected GPU failures).  V011 checks every
+scalar field's JSON type, read off the dataclass annotations
+:meth:`ServeConfig.from_dict <repro.serve.config.ServeConfig.from_dict>`
+reads, and the bounds it enforces that V001–V006 leave out, so
+``repro lint`` rejects every config the parser rejects.
 
 V009–V010 check emitted ``repro.servereport/v1`` documents (``repro
 serve --json``): the lifecycle counters must satisfy their conservation
@@ -18,31 +22,21 @@ are embedded (``--requests``) the aggregate counters — completions,
 batched followers, repair rounds, displacements, elastic resizes —
 must equal what the records add up to.
 
-The pack works on the plain mapping only — it never imports
-:mod:`repro.serve` — so ``repro lint`` can classify foreign documents
-without executing scenario code.
+The pack works on the plain mapping — V011 imports the config
+dataclasses for their annotations only — so ``repro lint`` can check
+foreign documents without executing scenario code.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Any, Iterator, Mapping
 
 from ..core.api import ALGORITHMS
-from ..formats import SERVE_CONFIG_FORMAT, SERVE_REPORT_FORMAT
+from ..formats import SERVE_CONFIG_FORMAT, SERVE_REPORT_FORMAT, finite, type_errors
 from .diagnostics import Severity
 from .framework import Finding, LintContext, rule
 
 __all__: list[str] = []
-
-
-def _num(value: Any) -> float | None:
-    """The value as a float, or ``None`` when it is not a finite number."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return None
-    if not math.isfinite(value):
-        return None
-    return float(value)
 
 
 def _int(value: Any) -> int | None:
@@ -138,7 +132,7 @@ def check_arrivals(ctx: LintContext) -> Iterator[Finding]:
     for i, t in enumerate(tenants):
         if not isinstance(t, Mapping):
             continue
-        rate = _num(t.get("rate_qps", 0.0))
+        rate = finite(t.get("rate_qps", 0.0))
         if rate is None or rate < 0:
             yield Finding(
                 f"tenants[{i}].rate_qps is {t.get('rate_qps')!r}, expected a "
@@ -156,7 +150,7 @@ def check_arrivals(ctx: LintContext) -> Iterator[Finding]:
             arrivals = []
         else:
             for j, at in enumerate(arrivals):
-                v = _num(at)
+                v = finite(at)
                 if v is None or v < 0:
                     yield Finding(
                         f"tenants[{i}].arrivals_ms[{j}] is {at!r}, expected a "
@@ -169,7 +163,7 @@ def check_arrivals(ctx: LintContext) -> Iterator[Finding]:
                 "arrivals_ms)",
                 location=f"tenants[{i}]",
             )
-        deadline = _num(t.get("deadline_ms", 1000.0))
+        deadline = finite(t.get("deadline_ms", 1000.0))
         if deadline is None or deadline <= 0:
             yield Finding(
                 f"tenants[{i}].deadline_ms is {t.get('deadline_ms')!r}, "
@@ -212,7 +206,7 @@ def check_pool(ctx: LintContext) -> Iterator[Finding]:
             f"integer in [1, {per_query}]",
             location="degraded_gpus",
         )
-    horizon = _num(doc.get("horizon_ms", 1000.0))
+    horizon = finite(doc.get("horizon_ms", 1000.0))
     if horizon is None or horizon <= 0:
         yield Finding(
             f"horizon_ms is {doc.get('horizon_ms')!r}, expected a positive "
@@ -301,20 +295,8 @@ def check_overload_reachable(ctx: LintContext) -> Iterator[Finding]:
     assert doc is not None
     capacity = _int(doc.get("queue_capacity", 16))
     overload = _int(doc.get("overload_queue", 8))
-    if capacity is None or capacity < 1:
-        yield Finding(
-            f"queue_capacity is {doc.get('queue_capacity')!r}, expected a "
-            "positive integer",
-            location="queue_capacity",
-        )
-        return
-    if overload is None or overload < 0:
-        yield Finding(
-            f"overload_queue is {doc.get('overload_queue')!r}, expected a "
-            "non-negative integer",
-            location="overload_queue",
-        )
-        return
+    if capacity is None or overload is None:
+        return  # V011 reports the type
     if overload >= capacity:
         yield Finding(
             f"overload_queue {overload} >= queue_capacity {capacity}: "
@@ -335,15 +317,8 @@ def check_overload_reachable(ctx: LintContext) -> Iterator[Finding]:
 def check_retry_budget(ctx: LintContext) -> Iterator[Finding]:
     doc = ctx.serve_doc
     assert doc is not None
-    retries = _int(doc.get("max_retries", 2))
-    if retries is None or retries < 0:
-        yield Finding(
-            f"max_retries is {doc.get('max_retries')!r}, expected a "
-            "non-negative integer",
-            location="max_retries",
-        )
-        return
-    backoff = _num(doc.get("retry_backoff_ms", 5.0))
+    retries = _int(doc.get("max_retries", 2))  # V011 reports a bad one
+    backoff = finite(doc.get("retry_backoff_ms", 5.0))
     if backoff is None or backoff < 0:
         yield Finding(
             f"retry_backoff_ms is {doc.get('retry_backoff_ms')!r}, expected "
@@ -360,6 +335,46 @@ def check_retry_budget(ctx: LintContext) -> Iterator[Finding]:
             "displaced queries will fail instead of being re-admitted",
             location="max_retries",
         )
+
+
+#: Bounds the config constructor enforces that V004 does not cover:
+#: field -> smallest value it takes.
+_MINIMUMS = {
+    "window": 1, "queue_capacity": 1, "overload_queue": 0, "max_retries": 0,
+    "retry_backoff_ms": 0,
+}
+
+
+@rule(
+    "V011",
+    severity=Severity.ERROR,
+    pack="serve",
+    title="config fields must have the types and bounds the parser takes",
+    requires=("serve_doc",),
+    hint="each scalar field of ServeConfig and TenantSpec takes the JSON "
+    "type of its annotation (an integer counts as a number when a float "
+    "can hold it, a bool only as a boolean); window and queue_capacity "
+    "are >= 1, overload_queue, max_retries and retry_backoff_ms >= 0",
+)
+def check_field_types(ctx: LintContext) -> Iterator[Finding]:
+    from ..serve.config import ServeConfig, TenantSpec  # annotations only
+
+    doc = ctx.serve_doc
+    assert doc is not None
+    for name, expected in type_errors(ServeConfig, doc):
+        yield Finding(f"{name} is {doc.get(name)!r}, expected {expected}", location=name)
+    tenants = doc.get("tenants")
+    for i, t in enumerate(tenants if isinstance(tenants, list) else []):
+        if isinstance(t, Mapping):
+            for name, expected in type_errors(TenantSpec, t):
+                yield Finding(
+                    f"tenants[{i}].{name} is {t.get(name)!r}, expected {expected}",
+                    location=f"tenants[{i}].{name}",
+                )
+    for name, least in _MINIMUMS.items():
+        value = doc.get(name, least)
+        if isinstance(value, (int, float)) and not isinstance(value, bool) and value < least:
+            yield Finding(f"{name} is {value!r}, expected >= {least}", location=name)
 
 
 #: Counter fields every ``repro.servereport/v1`` document must carry as

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 from ..core.api import ALGORITHMS
-from ..formats import SERVE_CONFIG_FORMAT, scalar_fields
+from ..formats import SERVE_CONFIG_FORMAT, scalar_fields, takes_float
 
 __all__ = ["SERVE_CONFIG_FORMAT", "ServeConfig", "ServeConfigError", "TenantSpec"]
 
@@ -78,9 +78,7 @@ class TenantSpec:
     def from_dict(cls, doc: Mapping[str, Any]) -> "TenantSpec":
         scalars = scalar_fields(cls, doc, ServeConfigError, "tenant")
         arrivals = doc.get("arrivals_ms", ())
-        if not isinstance(arrivals, (list, tuple)) or any(
-            isinstance(t, bool) or not isinstance(t, (int, float)) for t in arrivals
-        ):
+        if not isinstance(arrivals, (list, tuple)) or not all(map(takes_float, arrivals)):
             raise ServeConfigError(f"tenant arrivals_ms is {arrivals!r}, expected an array of times")
         return cls(arrivals_ms=tuple(arrivals), **scalars)
 

@@ -71,6 +71,7 @@ from bisect import insort
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable
 
+from ..core.api import algorithm_options
 from ..core.repair import RepairError, RepairResult, resize_schedule, run_with_repair
 from ..core.schedule import Schedule
 from ..costmodel.profile import CostProfile
@@ -97,9 +98,6 @@ from .report import RequestRecord, ServeReport
 from .zoo import MODEL_ZOO, zoo_profile
 
 __all__ = ["ServeError", "ServeResult", "ServeSimulator", "serve"]
-
-#: Algorithms that accept the sliding-window kwarg.
-_WINDOW_ALGS = frozenset({"hios-lp", "hios-mr", "hios-lp-ls"})
 
 # event priorities: pool failures reshape the world first, repairs heal
 # it next (a same-instant fail+repair leaves the GPU alive), then
@@ -248,7 +246,7 @@ class ServeSimulator:
 
     # ------------------------------------------------------------------
     def _alg_kwargs(self, algorithm: str) -> dict[str, Any]:
-        if algorithm in _WINDOW_ALGS:
+        if "window" in algorithm_options(algorithm):
             return {"window": self.config.window}
         return {}
 

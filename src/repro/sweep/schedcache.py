@@ -38,7 +38,6 @@ recorded latency is the scheduler's exact float.
 
 from __future__ import annotations
 
-import math
 from typing import Any, Mapping
 
 from ..core.result import ScheduleResult
@@ -50,7 +49,7 @@ from ..costmodel.concurrency import (
     TableConcurrencyModel,
 )
 from ..costmodel.profile import CostProfile
-from ..formats import SCHED_CACHE_FORMAT
+from ..formats import SCHED_CACHE_FORMAT, finite
 from .cache import ContentStore
 from .keying import content_key
 
@@ -155,9 +154,7 @@ class ScheduleCache(ContentStore):
         latency = payload.get("latency")
         if not isinstance(schedule, dict) or not isinstance(schedule.get("gpus"), list):
             return False
-        if isinstance(latency, bool) or not isinstance(latency, (int, float)):
-            return False
-        return math.isfinite(latency)
+        return finite(latency) is not None
 
     # ------------------------------------------------------------------
     def get_schedule(self, key: str) -> tuple[Schedule, float] | None:

@@ -256,7 +256,7 @@ class _Workload:
     """One memoized workload: the built profile, the profiler that made
     it (real models only), and the shared spatial-mapping cache handed
     to ``spatial_cache``-capable algorithms (see
-    :func:`repro.core.hios_lp.cached_spatial_lp`)."""
+    :func:`repro.core.hios_lp.memo_spatial`)."""
 
     profile: Any
     profiler: Any = None
@@ -321,7 +321,7 @@ def execute_batch(
     additionally share that phase through the workload's
     ``spatial_cache`` (e.g. ``hios-lp`` at three windows plus
     ``inter-lp`` run Alg. 1 once between them) — bit-identical by
-    construction, see :func:`repro.core.hios_lp.cached_spatial_lp`.
+    construction, see :func:`repro.core.hios_lp.memo_spatial`.
 
     ``sched-cost`` units bypass the memo entirely: their payload embeds
     the algorithm's *wall time* (the Fig. 14 scheduling bill), and a
@@ -329,7 +329,7 @@ def execute_batch(
     measurement relative to the serial path, which rebuilds from
     scratch per unit.
     """
-    from ..core.api import SPATIAL_CACHE_ALGORITHMS, schedule_graph
+    from ..core.api import algorithm_options, schedule_graph
 
     results: list[tuple[int, dict[str, float], dict[str, float]]] = []
     reuses = 0
@@ -338,31 +338,26 @@ def execute_batch(
         kwargs = dict(schedule_kwargs)
         payload: dict[str, float]
         meta: dict[str, float]
-        if kind == "latency":
-            workload, reused = _memoized_workload(spec)
-            reuses += reused
-            if algorithm in SPATIAL_CACHE_ALGORITHMS:
-                kwargs["spatial_cache"] = workload.spatial
-            result = schedule_graph(workload.profile, algorithm, **kwargs)
-            payload = {"latency": result.latency}
-            meta = {"scheduling_time_s": result.scheduling_time}
-        elif kind == "measured":
-            if not isinstance(spec, RealModelSpec):
-                raise TypeError("'measured' units need a RealModelSpec")
-            workload, reused = _memoized_workload(spec)
-            reuses += reused
-            if algorithm in SPATIAL_CACHE_ALGORITHMS:
-                kwargs["spatial_cache"] = workload.spatial
-            result = schedule_graph(workload.profile, algorithm, **kwargs)
-            trace = workload.profiler.engine().run(workload.profile.graph, result.schedule)
-            payload = {"measured_ms": trace.latency, "predicted_ms": result.latency}
-            meta = {"scheduling_time_s": result.scheduling_time}
-        else:
+        if kind not in ("latency", "measured"):
             # sched-cost (and any future measurement kind): defer to the
             # one-unit path, fresh build, no memo read or write.
             payload, meta = execute_unit(
                 WorkUnit("batch", 0, 0, algorithm, spec, schedule_kwargs, kind)
             )
+        else:
+            if kind == "measured" and not isinstance(spec, RealModelSpec):
+                raise TypeError("'measured' units need a RealModelSpec")
+            workload, reused = _memoized_workload(spec)
+            reuses += reused
+            if "spatial_cache" in algorithm_options(algorithm):
+                kwargs["spatial_cache"] = workload.spatial
+            result = schedule_graph(workload.profile, algorithm, **kwargs)
+            meta = {"scheduling_time_s": result.scheduling_time}
+            if kind == "latency":
+                payload = {"latency": result.latency}
+            else:
+                trace = workload.profiler.engine().run(workload.profile.graph, result.schedule)
+                payload = {"measured_ms": trace.latency, "predicted_ms": result.latency}
         results.append((index, payload, meta))
     return results, reuses
 

@@ -620,14 +620,19 @@ def test_stats_counters_present_and_plausible():
     assert "phase_times" in res.stats
     assert "spatial_mapping" in res.stats["phase_times"]
 
+
+@pytest.mark.parametrize("alg", ["hios-lp", "hios-mr", "inter-lp", "inter-mr", "hios-lp-ls"])
+def test_reference_runs_keep_no_counters(alg):
+    """The oracles keep no counters: every engine seam each HIOS entry
+    evaluates through was swapped out."""
+    prof = random_dag_profile(seed=2, num_gpus=3, num_ops=40, num_layers=6)
     with oracles.reference_components():
-        ref = schedule_graph(prof, "hios-lp")
-    # the oracles keep no counters: every engine seam was swapped out
+        ref = schedule_graph(prof, alg)
     for key in (
         "evals", "suffix_replays", "window_delta_evals", "window_skips",
         "window_delay_skips", "soa_evals",
     ):
-        assert ref.stats[key] == 0
+        assert ref.stats[key] == 0, key
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,8 @@ from repro.core import (
     Schedule,
     evaluate_latency,
     schedule_graph,
-    schedule_hios_lp,
-    schedule_hios_mr,
+    schedule_inter_gpu_lp,
+    schedule_inter_gpu_mr,
 )
 from repro.costmodel import CostProfile
 from repro.models import random_dag_profile
@@ -65,7 +65,7 @@ class TestSchedulersPreferFastGpu:
         prof = CostProfile(
             graph=chain_graph(), num_gpus=2, gpu_speeds=(1.0, 3.0)
         )
-        res = schedule_hios_lp(prof, intra_gpu=False)
+        res = schedule_inter_gpu_lp(prof)
         # the whole chain belongs on the 3x GPU: latency 2.0 not 6.0
         assert res.schedule.gpu_of("a") == 1
         assert res.schedule.gpu_of("b") == 1
@@ -73,7 +73,7 @@ class TestSchedulersPreferFastGpu:
 
     def test_hios_mr_uses_fast_gpu(self):
         prof = CostProfile(graph=chain_graph(), num_gpus=2, gpu_speeds=(1.0, 3.0))
-        res = schedule_hios_mr(prof, intra_gpu=False)
+        res = schedule_inter_gpu_mr(prof)
         assert res.latency == pytest.approx(2.0)
 
     def test_faster_fleet_never_hurts(self):

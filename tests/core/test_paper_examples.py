@@ -13,6 +13,8 @@ from repro.core import (
     schedule_brute_force,
     schedule_hios_lp,
     schedule_hios_mr,
+    schedule_inter_gpu_lp,
+    schedule_inter_gpu_mr,
 )
 from repro.models.worked_examples import fig4_graph, fig4_profile
 
@@ -41,14 +43,14 @@ class TestFig4:
         assert p3.vertices == ("v7",)
 
     def test_lp_maps_side_paths_to_second_gpu(self):
-        res = schedule_hios_lp(fig4_profile(), intra_gpu=False)
+        res = schedule_inter_gpu_lp(fig4_profile())
         sched = res.schedule
         assert {sched.gpu_of(v) for v in ("v1", "v2", "v4", "v6", "v8")} == {0}
         assert {sched.gpu_of(v) for v in ("v3", "v5", "v7")} == {1}
 
     def test_lp_finds_optimal_latency(self):
         prof = fig4_profile()
-        res = schedule_hios_lp(prof, intra_gpu=False)
+        res = schedule_inter_gpu_lp(prof)
         brute = schedule_brute_force(prof)
         assert res.latency == pytest.approx(brute.latency) == pytest.approx(14.0)
 
@@ -59,7 +61,7 @@ class TestFig6:
 
     def test_mr_result(self):
         prof = fig4_profile()
-        res = schedule_hios_mr(prof, intra_gpu=False)
+        res = schedule_inter_gpu_mr(prof)
         res.schedule.validate(prof.graph)
         assert res.latency == pytest.approx(14.0)
         assert res.schedule.gpu_of("v1") == 0  # v1 pinned to GPU 1

@@ -82,8 +82,8 @@ class TestScheduleHiosLpLs:
     def test_never_worse_than_hios_lp_inter(self):
         prof = random_dag_profile(seed=5, num_gpus=4, num_ops=80, num_layers=8)
         plain = schedule_graph(prof, "inter-lp")
-        refined = schedule_hios_lp_ls(prof, intra_gpu=False)
-        assert refined.latency <= plain.latency + 1e-9
+        refined = schedule_hios_lp_ls(prof).stats["inter_gpu_latency"]
+        assert refined <= plain.latency + 1e-9
 
     def test_result_consistent(self):
         prof = random_dag_profile(seed=6, num_gpus=3, num_ops=50, num_layers=6)

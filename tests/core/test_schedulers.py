@@ -12,6 +12,8 @@ from repro.core import (
     schedule_graph,
     schedule_hios_lp,
     schedule_hios_mr,
+    schedule_inter_gpu_lp,
+    schedule_inter_gpu_mr,
     schedule_ios,
     schedule_sequential,
 )
@@ -117,25 +119,25 @@ class TestHiosLp:
 
     def test_single_gpu_degenerates_to_sequentialish(self):
         prof = make_profile(diamond(), num_gpus=1)
-        res = schedule_hios_lp(prof, intra_gpu=False)
+        res = schedule_inter_gpu_lp(prof)
         assert res.latency == pytest.approx(8.0)
 
     def test_intra_gpu_never_hurts(self):
         prof = make_profile(diamond(), num_gpus=2)
-        with_intra = schedule_hios_lp(prof, intra_gpu=True)
-        without = schedule_hios_lp(prof, intra_gpu=False)
+        with_intra = schedule_hios_lp(prof)
+        without = schedule_inter_gpu_lp(prof)
         assert with_intra.latency <= without.latency + 1e-12
 
     def test_expensive_transfers_keep_one_gpu(self):
         prof = make_profile(diamond(transfer=100.0), num_gpus=2)
-        res = schedule_hios_lp(prof, intra_gpu=False)
+        res = schedule_inter_gpu_lp(prof)
         assert len(res.schedule.used_gpus()) == 1
         assert res.latency == pytest.approx(8.0)
 
     def test_algorithm_labels(self):
         prof = make_profile(diamond(), num_gpus=2)
         assert schedule_hios_lp(prof).algorithm == "hios-lp"
-        assert schedule_hios_lp(prof, intra_gpu=False).algorithm == "inter-lp"
+        assert schedule_inter_gpu_lp(prof).algorithm == "inter-lp"
 
     def test_schedule_valid_and_consistent(self):
         prof = make_profile(diamond(), num_gpus=3)
@@ -154,19 +156,19 @@ class TestHiosMr:
 
     def test_single_gpu(self):
         prof = make_profile(diamond(), num_gpus=1)
-        res = schedule_hios_mr(prof, intra_gpu=False)
+        res = schedule_inter_gpu_mr(prof)
         assert res.latency == pytest.approx(8.0)
 
     def test_first_operator_on_gpu_zero(self):
         prof = make_profile(diamond(), num_gpus=4)
-        res = schedule_hios_mr(prof, intra_gpu=False)
+        res = schedule_inter_gpu_mr(prof)
         # v1 (the unique source, highest priority) goes to GPU 1 (index 0)
         assert res.schedule.gpu_of("a") == 0
 
     def test_labels(self):
         prof = make_profile(diamond(), num_gpus=2)
         assert schedule_hios_mr(prof).algorithm == "hios-mr"
-        assert schedule_hios_mr(prof, intra_gpu=False).algorithm == "inter-mr"
+        assert schedule_inter_gpu_mr(prof).algorithm == "inter-mr"
 
     def test_empty_graph(self):
         prof = CostProfile(graph=OpGraph(), num_gpus=2)

@@ -1,5 +1,5 @@
 """The shared spatial-mapping seam (``cached_spatial_lp`` /
-``cached_spatial_mr``).
+``cached_spatial_mr``, one ``memo_spatial`` helper).
 
 Alg. 1's LP path mapping and Alg. 3's MR table fill are
 window-independent pure functions of the profile, so one computation
@@ -11,12 +11,10 @@ poison the cache.
 
 from __future__ import annotations
 
-import inspect
-
 import pytest
 
 from repro.core import schedule_graph
-from repro.core.api import ALGORITHMS, SPATIAL_CACHE_ALGORITHMS
+from repro.core.api import ALGORITHMS, algorithm_options
 from repro.core.hios_lp import cached_spatial_lp
 from repro.core.hios_mr import cached_spatial_mr
 from repro.models import random_dag_profile
@@ -69,24 +67,25 @@ class TestSharedAcrossAlgorithms:
 class TestCacheMechanics:
     def test_lp_hit_equals_miss_and_copies_are_safe(self, profile):
         cache: dict = {}
-        a1, o1, p1 = cached_spatial_lp(profile, spatial_cache=cache)
-        a2, o2, p2 = cached_spatial_lp(profile, spatial_cache=cache)
-        assert (a2, o2, p2) == (a1, o1, p1)
+        a1, o1, s1 = cached_spatial_lp(profile, spatial_cache=cache)
+        a2, o2, s2 = cached_spatial_lp(profile, spatial_cache=cache)
+        assert (a2, o2, s2) == (a1, o1, s1)
+        assert s1["paths"] > 0
         # mutating a handed-out copy must not poison later hits
         a2["poison"] = 99
         o2.append("poison")
-        a3, o3, _ = cached_spatial_lp(profile, spatial_cache=cache)
-        assert (a3, o3) == (a1, o1)
+        s2["poison"] = 99
+        assert cached_spatial_lp(profile, spatial_cache=cache) == (a1, o1, s1)
 
     def test_mr_hit_equals_miss_and_copies_are_safe(self, profile):
         cache: dict = {}
-        a1, o1 = cached_spatial_mr(profile, spatial_cache=cache)
-        a2, o2 = cached_spatial_mr(profile, spatial_cache=cache)
-        assert (a2, o2) == (a1, o1)
+        a1, o1, s1 = cached_spatial_mr(profile, spatial_cache=cache)
+        a2, o2, s2 = cached_spatial_mr(profile, spatial_cache=cache)
+        assert (a2, o2, s2) == (a1, o1, s1) and s1 == {}
         a2["poison"] = 99
         o2.append("poison")
-        a3, o3 = cached_spatial_mr(profile, spatial_cache=cache)
-        assert (a3, o3) == (a1, o1)
+        s2["poison"] = 99
+        assert cached_spatial_mr(profile, spatial_cache=cache) == (a1, o1, s1)
 
     def test_no_cache_argument_still_works(self, profile):
         a, o, p = cached_spatial_lp(profile)
@@ -96,8 +95,12 @@ class TestCacheMechanics:
 
 
 def test_registry_matches_signatures():
-    """SPATIAL_CACHE_ALGORITHMS must list exactly the registry entries
-    that accept the kwarg — the executor injects based on this set."""
-    for name, fn in ALGORITHMS.items():
-        accepts = "spatial_cache" in inspect.signature(fn).parameters
-        assert accepts == (name in SPATIAL_CACHE_ALGORITHMS), name
+    """``algorithm_options`` reads each entry's options off the function
+    it maps to: every HIOS entry shares its spatial phase, and exactly
+    the ones with an Alg. 2 pass take a window."""
+    shared = {name for name in ALGORITHMS if "spatial_cache" in algorithm_options(name)}
+    windowed = {name for name in ALGORITHMS if "window" in algorithm_options(name)}
+    assert shared == {"hios-lp", "hios-mr", "inter-lp", "inter-mr", "hios-lp-ls"}
+    assert windowed == {"hios-lp", "hios-mr", "hios-lp-ls"}
+    assert algorithm_options("hios-lp-ls") == {"window", "max_rounds", "spatial_cache"}
+    assert algorithm_options("sequential") == {"gpu"}

@@ -456,12 +456,10 @@ _SWAPS: tuple[tuple[object, str, object], ...] = (
     (hios_lp, "PrefixReplayer", _ListScheduleOracle),
     (hios_lp, "soa_latency", evaluate_latency),
     (hios_mr, "_mr_fill", mr_fill),
-    (hios_mr, "soa_latency", evaluate_latency),
     (intra_gpu, "StageGraphEvaluator", _StageGraphOracle),
     (ios, "soa_latency", evaluate_latency),
     (refine, "PrefixReplayer", _ListScheduleOracle),
     (refine, "list_schedule_latency", list_schedule_latency),
-    (refine, "soa_latency", evaluate_latency),
     (sequential, "evaluate_latency", evaluate_latency),
 )
 

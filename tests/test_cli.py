@@ -114,6 +114,17 @@ class TestCommands:
         out = capsys.readouterr().out
         assert '"num_gpus": 2' in out
 
+    def test_schedule_passes_window_to_every_windowed_algorithm(self, capsys):
+        from repro.core import schedule_graph
+        from repro.experiments.realmodels import MODEL_BUILDERS, default_profiler
+
+        profile = default_profiler(num_gpus=2).profile(MODEL_BUILDERS["inception_v3"](299))
+        want = schedule_graph(profile, "hios-lp-ls", window=1).latency
+        assert f"{want:.3f}" != f"{schedule_graph(profile, 'hios-lp-ls').latency:.3f}"
+        argv = ["schedule", "--model", "inception_v3", "--size", "299"]
+        assert main([*argv, "--algorithm", "hios-lp-ls", "--window", "1"]) == 0
+        assert f"predicted {want:.3f} ms" in capsys.readouterr().out
+
     def test_schedule_profile_sched_prints_every_counter(self, capsys):
         from repro.core import EvalCounters
 

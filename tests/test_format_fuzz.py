@@ -22,12 +22,14 @@ For each mutated document:
   with the other seed documents intact;
 * a schedule-cache mutation is a hit or a miss of
   ``ScheduleCache.get_schedule``, never an exception;
-* a serve-config mutation goes through ``serve --config`` only when
-  ``repro lint`` rejected it, and must exit 2 there before any
-  simulation starts.  A config that lint and the parser pass is not
-  run: a ``num_gpus`` of ``10**30`` passes both, and only the pool
-  would allocate ``set(range(num_gpus))`` (``repro.serve.pool``).
-  That bound needs a decision and stays open.
+* a serve-config mutation the parser rejects makes ``repro lint`` exit
+  1 (unless it lost its marker, and lint exits 2 on a document it
+  cannot classify), and one ``repro lint`` rejects goes through
+  ``serve --config``,
+  which must exit 2 before any simulation starts.  A config that lint
+  and the parser pass is not run: a ``num_gpus`` of ``10**30`` passes
+  both, and only the pool would allocate ``set(range(num_gpus))``
+  (``repro.serve.pool``).  That bound needs a decision and stays open.
 """
 
 from __future__ import annotations
@@ -59,7 +61,8 @@ TRACE = ARTIFACTS / "trace_inception_299_hios-lp.json"
 #: ``1e400`` has no Python value that dumps as itself (it parses to
 #: infinity), so it is spelled as a placeholder and substituted
 BIG_FLOAT = "__1e400__"
-HOSTILE = [float("inf"), float("nan"), BIG_FLOAT, -1, 2.5, "x", True, None, [], {}, 10**30]
+#: ``10**400`` is an integer no float can hold
+HOSTILE = [float("inf"), float("nan"), BIG_FLOAT, -1, 2.5, "x", True, None, [], {}, 10**30, 10**400]
 DELETE = object()
 KEY = "ab" * 32
 
@@ -172,14 +175,17 @@ def check(fmt: Format, text: str, workdir: Path) -> None:
     """Every assertion of the module docstring, for one mutated document."""
     path = workdir / "doc.json"
     path.write_text(text)
+    rejected = False  # by the parser, while lint still reads it as ``fmt``
     if fmt.parser is not None and fmt.error is not None:
         try:
             data = json.loads(text)
         except ValueError:
             pass  # a truncated document reaches no parser
         else:
-            with contextlib.suppress(resolve_name(fmt.error)):
+            try:
                 resolve_name(fmt.parser)(data)
+            except resolve_name(fmt.error):
+                rejected = classify(data) is fmt
     code = _run(["lint", str(path)])
     docs = {"graph": str(GRAPH), "schedule": str(SCHEDULE), "trace": str(TRACE)}
     if fmt.kind in docs:
@@ -201,8 +207,10 @@ def check(fmt: Format, text: str, workdir: Path) -> None:
         entry.write_text(text)
         got = cache.get_schedule(KEY)
         assert got is None or isinstance(got[0], Schedule)
-    elif fmt.kind == "serve config" and code != 0:
-        assert _run(["serve", "--config", str(path)]) == 2
+    elif fmt.kind == "serve config":
+        assert code == 1 or not rejected, text  # lint passes no config the parser rejects
+        if code != 0:
+            assert _run(["serve", "--config", str(path)]) == 2
 
 
 ROWS = pytest.mark.parametrize("fmt", FORMATS, ids=[fmt.kind for fmt in FORMATS])

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import copy
 import json
+from pathlib import Path
 
 import pytest
 
@@ -197,12 +198,12 @@ def test_malformed_transfer_is_a_typed_failure(tmp_path, capsys, transfer_trace,
         )
 
 
-#: serve-config fields ``repro lint`` passes but the parser must reject
+#: serve-config fields the parser rejects on their JSON type alone
 BAD_SERVE_FIELDS = [
     (("window",), '"x"'), (("queue_capacity",), '"x"'), (("overload_queue",), '"x"'),
     (("max_retries",), '"x"'), (("retry_backoff_ms",), '"x"'),
     (("tenants", 0, "priority"), "null"), (("tenants", 0, "priority"), "Infinity"),
-    (("tenants", 0, "priority"), "NaN"),
+    (("tenants", 0, "priority"), "NaN"), (("seed",), '"x"'), (("elastic",), '"yes"'),
 ]
 
 
@@ -221,12 +222,57 @@ def test_malformed_serve_config_is_a_typed_failure(tmp_path, capsys, path, raw):
 
     config = tmp_path / "serve.json"
     config.write_text(text)
-    assert _run(capsys, ["lint", str(config)])[0] == 0
+    code, out = _run(capsys, ["lint", str(config)])
+    assert code == 1 and f"error[V011] {config}:" in out
     code, out = _run(capsys, ["serve", "--config", str(config)])
-    assert code == 2
-    assert out.strip().splitlines() == [out.strip()] and out.startswith(
-        f"error: malformed serve config document {config}:"
-    )
+    assert code == 2 and "error[V011]" in out
+
+
+#: serve-config values of the right JSON type the parser rejects; an
+#: integer beyond the float range is no number
+SERVE_REJECTS = [
+    ("window", 0), ("max_retries", -1), ("horizon_ms", 10**400),
+    ("tenants.0.rate_qps", 10**400), ("tenants.0.arrivals_ms", [10**400]),
+]
+
+
+@pytest.mark.parametrize("field, value", SERVE_REJECTS, ids=[f for f, _ in SERVE_REJECTS])
+def test_lint_rejects_every_serve_config_the_parser_rejects(tmp_path, capsys, field, value):
+    from repro.serve import ServeConfig, ServeConfigError, scenario_config
+
+    doc = scenario_config("steady-state").to_dict()
+    *parents, key = field.split(".")
+    parent = doc
+    for part in parents:
+        parent = parent[int(part)] if part.isdigit() else parent[part]
+    parent[key] = value
+    with pytest.raises(ServeConfigError):
+        ServeConfig.from_dict(doc)
+    config = _write(tmp_path, "serve.json", doc)
+    code, out = _run(capsys, ["lint", config])
+    assert code == 1 and "error[V0" in out
+    assert _run(capsys, ["serve", "--config", config])[0] == 2
+
+
+LINT_ARTIFACTS = Path(__file__).resolve().parents[1] / "benchmarks" / "results" / "lint"
+
+
+@pytest.mark.parametrize(
+    "name, path, rule",
+    [
+        ("chrometrace_inception_299_hios-lp.json", ("traceEvents", -1, "ts"), "T103"),
+        ("cache_entry.json", ("payload", "latency"), "C005"),
+    ],
+    ids=["chrome-ts", "cache-latency"],
+)
+def test_integers_beyond_the_float_range_are_findings(tmp_path, capsys, name, path, rule):
+    doc = json.loads((LINT_ARTIFACTS / name).read_text())
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = 10**400
+    code, out = _run(capsys, ["lint", _write(tmp_path, name, doc)])
+    assert code == 1 and f"error[{rule}]" in out
 
 
 @pytest.mark.parametrize("num_gpus", [10**12, 10**30], ids=["1e12", "1e30"])
