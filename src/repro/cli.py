@@ -661,14 +661,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from .serve.simulator import ServeError, serve
 
     if args.config:
-        from .lint import lint_serve_config
-
-        doc = read_document(args.config, ("serve config",))
-        lint_report = lint_serve_config(doc.data)
-        if lint_report.errors:
-            print(lint_report.to_text())
-            return 2
-        config = doc.parse()
+        config = read_document(args.config, ("serve config",)).parse()
     else:
         config = scenario_config(args.scenario)
     overrides: dict[str, object] = {}

@@ -15,7 +15,7 @@ Section VI.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 __all__ = ["GraphError", "Operator", "OpGraph"]
 
@@ -388,29 +388,6 @@ class OpGraph:
 
     def copy(self) -> "OpGraph":
         return self.subgraph(self._ops)
-
-    def map_costs(
-        self,
-        vertex: Callable[[Operator], float] | None = None,
-        edge: Callable[[str, str, float], float] | None = None,
-    ) -> "OpGraph":
-        """Return a copy with re-derived vertex and/or edge weights."""
-        out = OpGraph()
-        for op in self._ops.values():
-            new_cost = vertex(op) if vertex is not None else op.cost
-            out.add_operator(
-                Operator(
-                    op.name,
-                    cost=new_cost,
-                    occupancy=op.occupancy,
-                    output_bytes=op.output_bytes,
-                    kind=op.kind,
-                    attrs=op.attrs,
-                )
-            )
-        for u, v, w in self.edges():
-            out.add_edge(u, v, edge(u, v, w) if edge is not None else w)
-        return out
 
     def total_cost(self) -> float:
         """Sum of all vertex weights — the sequential single-GPU latency

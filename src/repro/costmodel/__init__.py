@@ -1,6 +1,5 @@
 """Cost models consumed by the schedulers: concurrent stage durations
-``t(S)``, inter-GPU transfer times ``t(u, v)``, and the CostProfile
-bundle that packages them with a graph."""
+``t(S)`` and the CostProfile bundle that packages them with a graph."""
 
 from .concurrency import (
     ConcurrencyModel,
@@ -10,26 +9,12 @@ from .concurrency import (
     TableConcurrencyModel,
 )
 from .profile import CostProfile
-from .transfer import (
-    BytesTransferModel,
-    ConstantTransferModel,
-    RatioTransferModel,
-    TransferModel,
-    ZeroTransferModel,
-    apply_transfer_model,
-)
 
 __all__ = [
-    "BytesTransferModel",
     "ConcurrencyModel",
-    "ConstantTransferModel",
     "CostProfile",
     "MaxConcurrencyModel",
-    "RatioTransferModel",
     "SaturationConcurrencyModel",
     "SumConcurrencyModel",
     "TableConcurrencyModel",
-    "TransferModel",
-    "ZeroTransferModel",
-    "apply_transfer_model",
 ]

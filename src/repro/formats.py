@@ -19,7 +19,7 @@ __all__ = [
     "CACHE_FORMAT", "CHROME_TRACE_FORMAT", "GRAPH_FORMAT", "HBREPORT_FORMAT", "SCHED_CACHE_FORMAT",
     "SERVE_CONFIG_FORMAT", "SERVE_REPORT_FORMAT", "TRACE_FORMAT", "FORMATS", "Document",
     "DocumentError", "Format", "classify", "finite", "read_document", "scalar_fields",
-    "takes_float", "type_errors",
+    "scalar_values", "takes_float", "type_errors",
 ]
 
 GRAPH_FORMAT = "repro.opgraph/v1"
@@ -120,6 +120,11 @@ def type_errors(cls: Any, doc: Mapping[str, Any]) -> Iterator[tuple[str, str]]:
             yield f.name, expected
 
 
+def scalar_values(cls: Any, doc: Mapping[str, Any]) -> dict[str, Any]:
+    """The scalar fields of dataclass ``cls`` that ``doc`` sets, unchecked."""
+    return {f.name: doc[f.name] for f in fields(cls) if f.type in _JSON_TYPES and f.name in doc}
+
+
 def scalar_fields(cls: Any, doc: object, error: type[Exception], where: str) -> dict[str, Any]:
     """The scalar fields of dataclass ``cls`` that ``doc`` sets (and the
     required ones), each a JSON value its annotation takes, else ``error``."""
@@ -127,7 +132,7 @@ def scalar_fields(cls: Any, doc: object, error: type[Exception], where: str) -> 
         raise error(f"{where} is {doc!r}, expected an object")
     for name, expected in type_errors(cls, doc):
         raise error(f"{where} {name} is {doc.get(name)!r}, expected {expected}")
-    return {f.name: doc[f.name] for f in fields(cls) if f.type in _JSON_TYPES and f.name in doc}
+    return scalar_values(cls, doc)
 
 
 def classify(data: object) -> Format | None:

@@ -11,17 +11,20 @@ reasons visible: a wrong format marker, a missing or stale schema
 version, a key that cannot be a SHA-256 digest or that disagrees with
 the entry's filename, and payloads that fail their format's shape
 (finite-number mappings for sweep results; a schedule mapping and a
-finite latency for schedule entries).
+finite latency for schedule entries).  C005 renders the stores' own
+payload check (:meth:`~repro.sweep.cache.ContentStore.payload_problems`),
+so a payload the readers keep is one C005 passes.
 """
 
 from __future__ import annotations
 
 import string
-from typing import Any, Iterator, Mapping
+from typing import Iterator
 
-from ..formats import CACHE_FORMAT, SCHED_CACHE_FORMAT, finite
+from ..formats import CACHE_FORMAT, SCHED_CACHE_FORMAT
+from ..sweep.cache import ResultCache
 from ..sweep.keying import CACHE_SCHEMA_VERSION
-from ..sweep.schedcache import SCHED_CACHE_KIND
+from ..sweep.schedcache import SCHED_CACHE_KIND, ScheduleCache
 from ..sweep.units import UNIT_KINDS
 from .diagnostics import Severity
 from .framework import Finding, LintContext, rule
@@ -126,54 +129,6 @@ def check_key(ctx: LintContext) -> Iterator[Finding]:
         )
 
 
-def _check_result_payload(payload: Mapping[str, Any]) -> Iterator[Finding]:
-    """Sweep-result payloads: non-empty finite-number mappings."""
-    for name, value in payload.items():
-        if not isinstance(name, str):
-            yield Finding(
-                f"payload field name {name!r} is not a string",
-                location="payload",
-            )
-        elif isinstance(value, bool) or not isinstance(value, (int, float)):
-            yield Finding(
-                f"payload[{name!r}] is {value!r}, expected a finite number",
-                location=f"payload.{name}",
-            )
-        elif finite(value) is None:
-            yield Finding(
-                f"payload[{name!r}] is {value!r} (non-finite)",
-                location=f"payload.{name}",
-            )
-
-
-def _check_schedule_payload(payload: Mapping[str, Any]) -> Iterator[Finding]:
-    """Schedule payloads: a schedule document plus a finite latency."""
-    schedule = payload.get("schedule")
-    if not isinstance(schedule, Mapping):
-        yield Finding(
-            f"payload.schedule is "
-            f"{type(schedule).__name__ if schedule is not None else None}, "
-            "expected a schedule mapping",
-            location="payload.schedule",
-        )
-    elif not isinstance(schedule.get("gpus"), list):
-        yield Finding(
-            "payload.schedule has no 'gpus' list",
-            location="payload.schedule.gpus",
-        )
-    latency = payload.get("latency")
-    if isinstance(latency, bool) or not isinstance(latency, (int, float)):
-        yield Finding(
-            f"payload.latency is {latency!r}, expected a finite number",
-            location="payload.latency",
-        )
-    elif finite(latency) is None:
-        yield Finding(
-            f"payload.latency is {latency!r} (non-finite)",
-            location="payload.latency",
-        )
-
-
 @rule(
     "C005",
     severity=Severity.ERROR,
@@ -187,18 +142,9 @@ def _check_schedule_payload(payload: Mapping[str, Any]) -> Iterator[Finding]:
 def check_payload(ctx: LintContext) -> Iterator[Finding]:
     doc = ctx.cache_doc
     assert doc is not None
-    payload = doc.get("payload")
-    if not isinstance(payload, Mapping) or not payload:
-        yield Finding(
-            f"payload is {type(payload).__name__ if payload is not None else None}"
-            ", expected a non-empty mapping",
-            location="payload",
-        )
-        return
-    if doc.get("format") == SCHED_CACHE_FORMAT:
-        yield from _check_schedule_payload(payload)
-    else:
-        yield from _check_result_payload(payload)
+    store = ScheduleCache if doc.get("format") == SCHED_CACHE_FORMAT else ResultCache
+    for location, message in store.payload_problems(doc.get("payload")):
+        yield Finding(message, location=location)
 
 
 @rule(

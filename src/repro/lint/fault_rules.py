@@ -13,25 +13,11 @@ from __future__ import annotations
 import math
 from typing import Iterator
 
-from ..substrate.faults import (
-    FaultSpec,
-    GpuFailure,
-    GpuSlowdown,
-    LinkDegradation,
-    TransferLoss,
-)
+from ..substrate.faults import GpuFailure, GpuSlowdown, LinkDegradation, TransferLoss
 from .diagnostics import Severity
 from .framework import Finding, LintContext, rule
 
 __all__: list[str] = []
-
-
-def _spec_gpus(spec: FaultSpec) -> tuple[int, ...]:
-    if isinstance(spec, (GpuSlowdown, GpuFailure)):
-        return (spec.gpu,)
-    if isinstance(spec, LinkDegradation):
-        return (spec.src, spec.dst)
-    return ()
 
 
 @rule(
@@ -51,14 +37,8 @@ def check_gpu_indices(ctx: LintContext) -> Iterator[Finding]:
         num_gpus = ctx.schedule.num_gpus
     if num_gpus is None:
         return
-    for i, spec in enumerate(plan.specs):
-        bad = [g for g in _spec_gpus(spec) if g >= num_gpus]
-        if bad:
-            yield Finding(
-                f"{type(spec).__name__} targets GPU {bad[0]} but the run "
-                f"uses {num_gpus} GPU(s)",
-                location=f"spec:{i}",
-            )
+    for i, message in plan.out_of_range(num_gpus):
+        yield Finding(message, location=f"spec:{i}")
 
 
 @rule(

@@ -3,16 +3,16 @@
 Serving scenarios are committed as JSON next to the benchmark baselines
 they produced, and CI replays them bit-for-bit — so a malformed config
 is not a runtime inconvenience, it silently changes what the regression
-gate is comparing.  V001–V008 check the raw ``repro.serve/v1`` config
-*before* :class:`repro.serve.config.ServeConfig` ever constructs: the
-format marker, tenant shape and arrival processes, pool/lease
-arithmetic, registered algorithms, parseable fault specs within pool
-range, and policy-knob sanity (an unreachable overload threshold, a
-zero-retry config facing injected GPU failures).  V011 checks every
-scalar field's JSON type, read off the dataclass annotations
-:meth:`ServeConfig.from_dict <repro.serve.config.ServeConfig.from_dict>`
-reads, and the bounds it enforces that V001–V006 leave out, so
-``repro lint`` rejects every config the parser rejects.
+gate is comparing.  V001–V006 and V011 are the config's invariants,
+written once: the format marker, tenant shape and arrival processes,
+pool/lease arithmetic, registered algorithms, fault specs that parse and
+pass the fault pack's error rules on the pool, and every scalar field's
+JSON type and bound, read off the dataclass annotations.
+:class:`~repro.serve.config.ServeConfig` and
+:class:`~repro.serve.config.TenantSpec` run these error rules when they
+are constructed and when ``from_dict`` parses a document.  V007–V008
+warn about policy knobs that cannot act: an unreachable overload
+threshold, a zero-retry config facing injected GPU failures.
 
 V009–V010 check emitted ``repro.servereport/v1`` documents (``repro
 serve --json``): the lifecycle counters must satisfy their conservation
@@ -34,9 +34,16 @@ from typing import Any, Iterator, Mapping
 from ..core.api import ALGORITHMS
 from ..formats import SERVE_CONFIG_FORMAT, SERVE_REPORT_FORMAT, finite, type_errors
 from .diagnostics import Severity
-from .framework import Finding, LintContext, rule
+from .framework import Finding, LintContext, Linter, rule
 
 __all__: list[str] = []
+
+
+#: The largest pool V004 takes.  The pool is set arithmetic over
+#: ``set(range(num_gpus))`` (:mod:`repro.serve.pool`) and sorts its free
+#: set at every lease, and no scenario, benchmark workload or test uses
+#: more than 4 GPUs.
+MAX_POOL_GPUS = 1024
 
 
 def _int(value: Any) -> int | None:
@@ -178,16 +185,17 @@ def check_arrivals(ctx: LintContext) -> Iterator[Finding]:
     pack="serve",
     title="pool and lease sizes must be consistent",
     requires=("serve_doc",),
-    hint="1 <= degraded_gpus <= gpus_per_query <= num_gpus, and the "
-    "horizon must be a positive finite duration",
+    hint=f"1 <= degraded_gpus <= gpus_per_query <= num_gpus <= "
+    f"{MAX_POOL_GPUS}, and the horizon must be a positive finite duration",
 )
 def check_pool(ctx: LintContext) -> Iterator[Finding]:
     doc = ctx.serve_doc
     assert doc is not None
     num_gpus = _int(doc.get("num_gpus", 4))
-    if num_gpus is None or num_gpus < 1:
+    if num_gpus is None or not (1 <= num_gpus <= MAX_POOL_GPUS):
         yield Finding(
-            f"num_gpus is {doc.get('num_gpus')!r}, expected a positive integer",
+            f"num_gpus is {doc.get('num_gpus')!r}, expected an integer in "
+            f"[1, {MAX_POOL_GPUS}]",
             location="num_gpus",
         )
         return
@@ -249,8 +257,9 @@ def check_algorithms(ctx: LintContext) -> Iterator[Finding]:
     title="fault specs must parse and target pool GPUs",
     requires=("serve_doc",),
     hint="faults use the compact spec strings (fail:G@T, repair:G@T, "
-    "slow:G@TxF, link:S->D@TxF, loss:P[:jitter]) with GPU indices "
-    "inside the pool",
+    "slow:G@TxF, link:S->D@TxF, loss:P[:jitter]); each must pass the "
+    "fault pack's error rules (F001 GPUs inside the pool, F004 finite "
+    "parameters)",
 )
 def check_faults(ctx: LintContext) -> Iterator[Finding]:
     from ..substrate.faults import FaultError, FaultPlan
@@ -266,6 +275,9 @@ def check_faults(ctx: LintContext) -> Iterator[Finding]:
         )
         return
     num_gpus = _int(doc.get("num_gpus", 4))
+    if num_gpus is not None and num_gpus < 1:
+        num_gpus = None  # V004 reports it; F001 cannot judge against it
+    fault_errors = Linter().errors_only().for_packs("faults")
     for i, spec in enumerate(faults):
         if not isinstance(spec, str):
             yield Finding(
@@ -275,10 +287,11 @@ def check_faults(ctx: LintContext) -> Iterator[Finding]:
             continue
         try:
             plan = FaultPlan.from_strings([spec])
-            if num_gpus is not None and num_gpus >= 1:
-                plan.validate_for(num_gpus)
         except FaultError as exc:
             yield Finding(str(exc), location=f"faults[{i}]")
+            continue
+        for diag in fault_errors.run(LintContext(plan=plan, num_gpus=num_gpus)):
+            yield Finding(f"{diag.rule}: {diag.message}", location=f"faults[{i}]")
 
 
 @rule(
@@ -318,13 +331,6 @@ def check_retry_budget(ctx: LintContext) -> Iterator[Finding]:
     doc = ctx.serve_doc
     assert doc is not None
     retries = _int(doc.get("max_retries", 2))  # V011 reports a bad one
-    backoff = finite(doc.get("retry_backoff_ms", 5.0))
-    if backoff is None or backoff < 0:
-        yield Finding(
-            f"retry_backoff_ms is {doc.get('retry_backoff_ms')!r}, expected "
-            "a non-negative finite number",
-            location="retry_backoff_ms",
-        )
     faults = doc.get("faults", [])
     has_failures = isinstance(faults, list) and any(
         isinstance(s, str) and s.startswith("fail:") for s in faults
@@ -337,8 +343,7 @@ def check_retry_budget(ctx: LintContext) -> Iterator[Finding]:
         )
 
 
-#: Bounds the config constructor enforces that V004 does not cover:
-#: field -> smallest value it takes.
+#: Bounds V004 does not cover: field -> smallest value it takes.
 _MINIMUMS = {
     "window": 1, "queue_capacity": 1, "overload_queue": 0, "max_retries": 0,
     "retry_backoff_ms": 0,
@@ -354,14 +359,17 @@ _MINIMUMS = {
     hint="each scalar field of ServeConfig and TenantSpec takes the JSON "
     "type of its annotation (an integer counts as a number when a float "
     "can hold it, a bool only as a boolean); window and queue_capacity "
-    "are >= 1, overload_queue, max_retries and retry_backoff_ms >= 0",
+    "are >= 1, overload_queue, max_retries and retry_backoff_ms >= 0, "
+    "and retry_backoff_ms is finite",
 )
 def check_field_types(ctx: LintContext) -> Iterator[Finding]:
     from ..serve.config import ServeConfig, TenantSpec  # annotations only
 
     doc = ctx.serve_doc
     assert doc is not None
+    mistyped: set[str] = set()
     for name, expected in type_errors(ServeConfig, doc):
+        mistyped.add(name)
         yield Finding(f"{name} is {doc.get(name)!r}, expected {expected}", location=name)
     tenants = doc.get("tenants")
     for i, t in enumerate(tenants if isinstance(tenants, list) else []):
@@ -372,9 +380,14 @@ def check_field_types(ctx: LintContext) -> Iterator[Finding]:
                     location=f"tenants[{i}].{name}",
                 )
     for name, least in _MINIMUMS.items():
-        value = doc.get(name, least)
-        if isinstance(value, (int, float)) and not isinstance(value, bool) and value < least:
-            yield Finding(f"{name} is {value!r}, expected >= {least}", location=name)
+        if name in doc and name not in mistyped:
+            value = doc[name]
+            number = value if isinstance(value, int) else finite(value)
+            if number is None or number < least:
+                yield Finding(
+                    f"{name} is {value!r}, expected a finite number >= {least}",
+                    location=name,
+                )
 
 
 #: Counter fields every ``repro.servereport/v1`` document must carry as

@@ -8,9 +8,12 @@ simulator is a pure function of this object — same config, bit-identical
 JSON (``to_dict`` / ``from_dict``) and are committed next to the
 benchmark baselines they produced.
 
-The JSON contract is linted by the ``serve`` rule pack
-(:mod:`repro.lint.serve_rules`); the constructor enforces the hard
-invariants and raises :class:`ServeConfigError` on violations.
+The JSON contract is the ``serve`` rule pack
+(:mod:`repro.lint.serve_rules`).  Constructing a :class:`TenantSpec` or
+a :class:`ServeConfig` — directly, through :func:`dataclasses.replace`,
+or with ``from_dict`` — runs the pack's error rules on the document and
+raises :class:`ServeConfigError` naming each finding's rule and
+location, so a config the library takes is one ``repro lint`` passes.
 """
 
 from __future__ import annotations
@@ -18,14 +21,30 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
-from ..core.api import ALGORITHMS
-from ..formats import SERVE_CONFIG_FORMAT, scalar_fields, takes_float
+from ..formats import SERVE_CONFIG_FORMAT, scalar_values
 
 __all__ = ["SERVE_CONFIG_FORMAT", "ServeConfig", "ServeConfigError", "TenantSpec"]
 
 
 class ServeConfigError(ValueError):
-    """Raised when a serving configuration violates its invariants."""
+    """Raised when a serving configuration breaks an error rule of the
+    ``serve`` lint pack."""
+
+
+def _check(doc: Mapping[str, Any]) -> None:
+    """Raise :class:`ServeConfigError` naming each error finding of the
+    ``serve`` rule pack on the config document ``doc``."""
+    from ..lint.framework import LintContext, Linter  # runtime import: lint imports us
+
+    errors = Linter().errors_only().for_packs("serve").run(LintContext(serve_doc=doc)).errors
+    if errors:
+        raise ServeConfigError("; ".join(d.format() for d in errors))
+
+
+def _alone(tenant: object) -> dict[str, Any]:
+    """The config document whose one tenant is ``tenant``, every other
+    field at its default."""
+    return {"format": SERVE_CONFIG_FORMAT, "tenants": [tenant]}
 
 
 @dataclass(frozen=True)
@@ -48,39 +67,22 @@ class TenantSpec:
     deadline_ms: float = 1000.0
 
     def __post_init__(self) -> None:
-        if not self.name:
-            raise ServeConfigError("tenant needs a non-empty name")
-        if self.rate_qps < 0:
-            raise ServeConfigError(f"tenant {self.name!r}: negative rate_qps")
-        if self.rate_qps == 0 and not self.arrivals_ms:
-            raise ServeConfigError(
-                f"tenant {self.name!r} has no arrivals: set rate_qps or arrivals_ms"
-            )
-        if any(t < 0 for t in self.arrivals_ms):
-            raise ServeConfigError(f"tenant {self.name!r}: negative arrival time")
-        if self.deadline_ms <= 0:
-            raise ServeConfigError(f"tenant {self.name!r}: deadline must be positive")
+        _check(_alone(self.to_dict()))
 
     def to_dict(self) -> dict[str, Any]:
-        doc: dict[str, Any] = {
+        return {
             "name": self.name,
             "model": self.model,
+            "rate_qps": self.rate_qps,
+            "arrivals_ms": list(self.arrivals_ms),
             "priority": self.priority,
             "deadline_ms": self.deadline_ms,
         }
-        if self.rate_qps:
-            doc["rate_qps"] = self.rate_qps
-        if self.arrivals_ms:
-            doc["arrivals_ms"] = list(self.arrivals_ms)
-        return doc
 
     @classmethod
     def from_dict(cls, doc: Mapping[str, Any]) -> "TenantSpec":
-        scalars = scalar_fields(cls, doc, ServeConfigError, "tenant")
-        arrivals = doc.get("arrivals_ms", ())
-        if not isinstance(arrivals, (list, tuple)) or not all(map(takes_float, arrivals)):
-            raise ServeConfigError(f"tenant arrivals_ms is {arrivals!r}, expected an array of times")
-        return cls(arrivals_ms=tuple(arrivals), **scalars)
+        _check(_alone(doc))
+        return cls(arrivals_ms=tuple(doc.get("arrivals_ms", ())), **scalar_values(cls, doc))
 
 
 @dataclass(frozen=True)
@@ -157,47 +159,7 @@ class ServeConfig:
     faults: tuple[str, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
-        if not self.tenants:
-            raise ServeConfigError("serving needs at least one tenant")
-        names = [t.name for t in self.tenants]
-        if len(set(names)) != len(names):
-            raise ServeConfigError(f"duplicate tenant names in {names}")
-        if self.num_gpus < 1:
-            raise ServeConfigError("need at least one GPU in the pool")
-        if not (1 <= self.gpus_per_query <= self.num_gpus):
-            raise ServeConfigError(
-                f"gpus_per_query={self.gpus_per_query} not in [1, {self.num_gpus}]"
-            )
-        if not (1 <= self.degraded_gpus <= self.gpus_per_query):
-            raise ServeConfigError(
-                f"degraded_gpus={self.degraded_gpus} not in [1, {self.gpus_per_query}]"
-            )
-        if self.horizon_ms <= 0:
-            raise ServeConfigError("horizon must be positive")
-        for alg in (self.algorithm, self.degraded_algorithm):
-            if alg not in ALGORITHMS:
-                raise ServeConfigError(
-                    f"unknown algorithm {alg!r}; choose from {sorted(ALGORITHMS)}"
-                )
-        if self.window < 1:
-            raise ServeConfigError("window must be >= 1")
-        if self.queue_capacity < 1:
-            raise ServeConfigError("queue_capacity must be >= 1")
-        if self.max_batch < 1:
-            raise ServeConfigError("max_batch must be >= 1")
-        if self.overload_queue < 0:
-            raise ServeConfigError("overload_queue must be >= 0")
-        if self.max_retries < 0:
-            raise ServeConfigError("max_retries must be >= 0")
-        if self.retry_backoff_ms < 0:
-            raise ServeConfigError("negative retry backoff")
-        # parse eagerly so malformed specs fail at config time, not mid-run
-        from ..substrate.faults import FaultError, FaultPlan
-
-        try:
-            FaultPlan.from_strings(self.faults, seed=self.seed).validate_for(self.num_gpus)
-        except FaultError as exc:
-            raise ServeConfigError(f"bad fault spec: {exc}") from exc
+        _check(self.to_dict())
 
     # ------------------------------------------------------------------
     def to_dict(self) -> dict[str, Any]:
@@ -226,18 +188,9 @@ class ServeConfig:
 
     @classmethod
     def from_dict(cls, doc: Mapping[str, Any]) -> "ServeConfig":
-        fmt = doc.get("format")
-        if fmt != SERVE_CONFIG_FORMAT:
-            raise ServeConfigError(
-                f"not a serving config: format={fmt!r} (expected {SERVE_CONFIG_FORMAT!r})"
-            )
-        tenants, faults = doc.get("tenants", ()), doc.get("faults", ())
-        if not isinstance(tenants, (list, tuple)):
-            raise ServeConfigError(f"tenants is {tenants!r}, expected an array")
-        if not isinstance(faults, (list, tuple)) or not all(isinstance(f, str) for f in faults):
-            raise ServeConfigError(f"faults is {faults!r}, expected an array of spec strings")
+        _check(doc)
         return cls(
-            tenants=tuple(TenantSpec.from_dict(t) for t in tenants),
-            faults=tuple(faults),
-            **scalar_fields(cls, doc, ServeConfigError, "serve config"),
+            tenants=tuple(TenantSpec.from_dict(t) for t in doc["tenants"]),
+            faults=tuple(doc.get("faults", ())),
+            **scalar_values(cls, doc),
         )

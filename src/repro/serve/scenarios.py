@@ -39,7 +39,6 @@ from __future__ import annotations
 from typing import Callable
 
 from .config import ServeConfig, TenantSpec
-from .report import ServeReport
 from .simulator import ServeResult, serve
 
 __all__ = ["SCENARIOS", "run_scenario", "scenario_config"]
@@ -174,8 +173,3 @@ def scenario_config(name: str) -> ServeConfig:
 def run_scenario(name: str) -> ServeResult:
     """Run a named scenario; the report is bit-stable run over run."""
     return serve(scenario_config(name))
-
-
-def scenario_report(name: str) -> ServeReport:
-    """Convenience: just the report of a named scenario."""
-    return run_scenario(name).report

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from typing import Iterable, Union
+from typing import Iterable, Iterator, Union
 
 __all__ = [
     "BACKOFF_CAP_DOUBLINGS",
@@ -279,21 +279,28 @@ class FaultPlan:
     def losses(self) -> list[TransferLoss]:
         return [sp for sp in self.specs if isinstance(sp, TransferLoss)]
 
-    def validate_for(self, num_gpus: int) -> None:
-        """Check every spec references GPUs within ``[0, num_gpus)``."""
-        for sp in self.specs:
-            if isinstance(sp, (GpuSlowdown, GpuFailure, GpuRepair)) and sp.gpu >= num_gpus:
-                raise FaultError(
+    def out_of_range(self, num_gpus: int) -> Iterator[tuple[int, str]]:
+        """``(index, message)`` for each spec naming a GPU outside
+        ``[0, num_gpus)``: the GPU of a slowdown, failure or repair, or an
+        endpoint of a degraded link (a transfer loss names none)."""
+        for i, sp in enumerate(self.specs):
+            if isinstance(sp, LinkDegradation):
+                if max(sp.src, sp.dst) >= num_gpus:
+                    yield i, (
+                        f"LinkDegradation targets link {sp.src}->{sp.dst} but the "
+                        f"run uses {num_gpus} GPU(s)"
+                    )
+            elif not isinstance(sp, TransferLoss) and sp.gpu >= num_gpus:
+                yield i, (
                     f"{type(sp).__name__} targets GPU {sp.gpu} but the run "
                     f"uses {num_gpus} GPU(s)"
                 )
-            if isinstance(sp, LinkDegradation) and (
-                sp.src >= num_gpus or sp.dst >= num_gpus
-            ):
-                raise FaultError(
-                    f"LinkDegradation targets link {sp.src}->{sp.dst} but the "
-                    f"run uses {num_gpus} GPU(s)"
-                )
+
+    def validate_for(self, num_gpus: int) -> None:
+        """Raise :class:`FaultError` on the first spec :meth:`out_of_range`
+        yields."""
+        for _, message in self.out_of_range(num_gpus):
+            raise FaultError(message)
 
     # ------------------------------------------------------------------
     # queries used by the fabric

@@ -19,13 +19,15 @@ tree are
 
 Both are thin subclasses of :class:`ContentStore`, which owns the
 defensive read/atomic write discipline: an entry that is unreadable,
-malformed JSON, the wrong format/schema, or whose recorded key
-disagrees with its filename is *discarded* (best-effort unlink) and
-treated as a miss — a corrupt cache can cost recomputation but never
-poisons results or crashes a run.  Writes are atomic (temp file +
-rename) so interrupted runs leave no half-written entries and simply
-resume from what completed.  Content keys never collide across the two
-formats because each store's key material embeds its format marker.
+malformed JSON, the wrong format/schema, whose recorded key disagrees
+with its filename, or whose payload has a problem
+(:meth:`ContentStore.payload_problems`, the check lint rule C005
+reports) is *discarded* (best-effort unlink) and treated as a miss — a
+corrupt cache can cost recomputation but never poisons results or
+crashes a run.  Writes are atomic (temp file + rename) so interrupted
+runs leave no half-written entries and simply resume from what
+completed.  Content keys never collide across the two formats because
+each store's key material embeds its format marker.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import tempfile
 from pathlib import Path
 from typing import Any, Iterator, Mapping
 
-from ..formats import CACHE_FORMAT
+from ..formats import CACHE_FORMAT, finite
 from .keying import CACHE_SCHEMA_VERSION
 
 __all__ = ["CACHE_FORMAT", "ContentStore", "ResultCache", "default_cache_dir"]
@@ -56,7 +58,7 @@ class ContentStore:
     """Get/put of JSON payloads under content-addressed keys.
 
     Subclasses pin the document ``format`` marker and override
-    :meth:`_check_payload` with their species' integrity check; the
+    :meth:`_field_problems` with their species' payload shape; the
     base class owns sharding, discard-on-corrupt reads, atomic writes
     and the tree-wide maintenance operations (:meth:`stats`,
     :meth:`clear`), which report across *all* formats sharing the tree.
@@ -128,24 +130,37 @@ class ContentStore:
             raise
 
     def _valid_payload(self, doc: Any, key: str) -> dict[str, Any] | None:
-        """Minimal integrity check; deep checks live in the C0xx lint
-        rules (``repro lint`` on a cache document)."""
+        """The payload of an entry stored under ``key``, else ``None``."""
         if not isinstance(doc, dict):
             return None
         if doc.get("format") != self.format:
             return None
-        if doc.get("schema_version") != CACHE_SCHEMA_VERSION:
+        version = doc.get("schema_version")
+        if type(version) is not int or version != CACHE_SCHEMA_VERSION:  # not True, not 1.0
             return None
         if doc.get("key") != key:
             return None
-        payload = doc.get("payload")
-        if not isinstance(payload, dict) or not self._check_payload(payload):
+        payload: dict[str, Any] = doc.get("payload")  # a JSON object if it has no problem
+        if next(self.payload_problems(payload), None) is not None:
             return None
         return payload
 
-    def _check_payload(self, payload: dict[str, Any]) -> bool:
-        """Species-specific payload validation; subclasses override."""
-        return bool(payload)
+    @classmethod
+    def payload_problems(cls, payload: object) -> Iterator[tuple[str, str]]:
+        """``(location, message)`` for each way ``payload`` misses this
+        store's shape: a non-empty mapping whose fields pass
+        :meth:`_field_problems`.  A read discards an entry with any
+        problem; lint rule C005 reports each one."""
+        if not isinstance(payload, Mapping) or not payload:
+            kind = type(payload).__name__ if payload is not None else None
+            yield "payload", f"payload is {kind}, expected a non-empty mapping"
+        else:
+            yield from cls._field_problems(payload)
+
+    @classmethod
+    def _field_problems(cls, payload: Mapping[Any, Any]) -> Iterator[tuple[str, str]]:
+        """Species-specific payload fields; subclasses override."""
+        return iter(())
 
     @staticmethod
     def _discard(path: Path) -> None:
@@ -220,12 +235,10 @@ class ResultCache(ContentStore):
 
     format = CACHE_FORMAT
 
-    def _check_payload(self, payload: dict[str, Any]) -> bool:
-        if not payload:
-            return False
+    @classmethod
+    def _field_problems(cls, payload: Mapping[Any, Any]) -> Iterator[tuple[str, str]]:
         for name, value in payload.items():
-            if not isinstance(name, str) or not isinstance(value, (int, float)):
-                return False
-            if isinstance(value, bool) or value != value:  # bool / NaN
-                return False
-        return True
+            if not isinstance(name, str):
+                yield "payload", f"payload field name {name!r} is not a string"
+            elif finite(value) is None:
+                yield f"payload.{name}", f"payload[{name!r}] is {value!r}, expected a finite number"

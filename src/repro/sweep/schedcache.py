@@ -38,7 +38,7 @@ recorded latency is the scheduler's exact float.
 
 from __future__ import annotations
 
-from typing import Any, Mapping
+from typing import Any, Iterator, Mapping
 
 from ..core.result import ScheduleResult
 from ..core.schedule import Schedule, ScheduleError
@@ -149,12 +149,18 @@ class ScheduleCache(ContentStore):
 
     format = SCHED_CACHE_FORMAT
 
-    def _check_payload(self, payload: dict[str, Any]) -> bool:
+    @classmethod
+    def _field_problems(cls, payload: Mapping[Any, Any]) -> Iterator[tuple[str, str]]:
+        """A schedule document plus its finite latency."""
         schedule = payload.get("schedule")
+        if not isinstance(schedule, Mapping):
+            kind = type(schedule).__name__ if schedule is not None else None
+            yield "payload.schedule", f"payload.schedule is {kind}, expected a schedule mapping"
+        elif not isinstance(schedule.get("gpus"), list):
+            yield "payload.schedule.gpus", "payload.schedule has no 'gpus' list"
         latency = payload.get("latency")
-        if not isinstance(schedule, dict) or not isinstance(schedule.get("gpus"), list):
-            return False
-        return finite(latency) is not None
+        if finite(latency) is None:
+            yield "payload.latency", f"payload.latency is {latency!r}, expected a finite number"
 
     # ------------------------------------------------------------------
     def get_schedule(self, key: str) -> tuple[Schedule, float] | None:

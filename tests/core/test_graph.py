@@ -191,14 +191,6 @@ class TestAlgorithms:
         h.add_operator("e")
         assert "e" not in g
 
-    def test_map_costs(self):
-        g = diamond()
-        doubled = g.map_costs(vertex=lambda op: op.cost * 2, edge=lambda u, v, w: w + 1)
-        assert doubled.cost("a") == 2.0
-        assert doubled.transfer("a", "b") == 1.5
-        # original untouched
-        assert g.cost("a") == 1.0
-
     def test_from_edges_two_tuple(self):
         g = OpGraph.from_edges({"a": 1, "b": 2}, [("a", "b")])
         assert g.transfer("a", "b") == 0.0

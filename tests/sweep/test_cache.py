@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.sweep import ResultCache
 from repro.sweep.cache import CACHE_FORMAT, default_cache_dir
 from repro.sweep.keying import CACHE_SCHEMA_VERSION, content_key
@@ -83,6 +85,10 @@ class TestDefensiveReads:
         cache = self.mutate(tmp_path, schema_version=CACHE_SCHEMA_VERSION + 1)
         assert cache.get(KEY) is None
 
+    @pytest.mark.parametrize("version", [True, float(CACHE_SCHEMA_VERSION)], ids=repr)
+    def test_non_integer_schema_version_discarded(self, tmp_path, version):
+        assert self.mutate(tmp_path, schema_version=version).get(KEY) is None
+
     def test_key_filename_mismatch_discarded(self, tmp_path):
         assert self.mutate(tmp_path, key=content_key({"other": 1})).get(KEY) is None
 
@@ -98,6 +104,15 @@ class TestDefensiveReads:
         text = cache.path_for(KEY).read_text().replace("12.5", "NaN")
         cache.path_for(KEY).write_text(text)
         assert cache.get(KEY) is None
+
+    @pytest.mark.parametrize("raw", ["Infinity", "1" + "0" * 400], ids=["inf", "1e400-int"])
+    def test_non_finite_payload_discarded(self, tmp_path, raw):
+        cache = ResultCache(tmp_path)
+        put_one(cache)
+        text = cache.path_for(KEY).read_text().replace("12.5", raw)
+        cache.path_for(KEY).write_text(text)
+        assert cache.get(KEY) is None
+        assert cache.misses == 1 and not cache.path_for(KEY).exists()
 
     def test_bool_payload_discarded(self, tmp_path):
         assert self.mutate(tmp_path, payload={"latency": True}).get(KEY) is None

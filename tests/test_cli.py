@@ -439,6 +439,10 @@ class TestLintCommand:
         )
         assert "F001" in capsys.readouterr().out
 
+    def test_repair_targets_are_checked(self, capsys):
+        assert main(["lint", "--fault", "repair:7@50", "--gpus", "4"]) == 1
+        assert "error[F001] spec:0: GpuRepair targets GPU 7" in capsys.readouterr().out
+
     def test_trace_lints_clean(self, artifacts, capsys):
         import json
 

@@ -22,14 +22,14 @@ For each mutated document:
   with the other seed documents intact;
 * a schedule-cache mutation is a hit or a miss of
   ``ScheduleCache.get_schedule``, never an exception;
-* a serve-config mutation the parser rejects makes ``repro lint`` exit
-  1 (unless it lost its marker, and lint exits 2 on a document it
-  cannot classify), and one ``repro lint`` rejects goes through
-  ``serve --config``,
-  which must exit 2 before any simulation starts.  A config that lint
-  and the parser pass is not run: a ``num_gpus`` of ``10**30`` passes
-  both, and only the pool would allocate ``set(range(num_gpus))``
-  (``repro.serve.pool``).  That bound needs a decision and stays open.
+* a result-cache mutation is a hit of ``ResultCache.get`` only when
+  ``repro lint`` passes it;
+* a serve-config mutation that keeps its marker makes ``repro lint``
+  exit 1 exactly when the parser rejects it (a document that lost its
+  marker is one lint cannot classify, and exits 2), and one ``repro
+  lint`` rejects goes through ``serve --config``, which must exit 2
+  before any simulation starts.  A config that lint and the parser
+  pass is not run.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from repro.core import Schedule
 from repro.core.result import ScheduleResult
 from repro.formats import FORMATS, Format, classify
 from repro.serve import run_scenario, scenario_config
-from repro.sweep import ScheduleCache
+from repro.sweep import ResultCache, ScheduleCache
 
 ARTIFACTS = Path(__file__).resolve().parents[1] / "benchmarks" / "results" / "lint"
 GRAPH = ARTIFACTS / "graph_inception_299.json"
@@ -65,6 +65,8 @@ BIG_FLOAT = "__1e400__"
 HOSTILE = [float("inf"), float("nan"), BIG_FLOAT, -1, 2.5, "x", True, None, [], {}, 10**30, 10**400]
 DELETE = object()
 KEY = "ab" * 32
+#: the key the committed result-cache entry is stored under
+RESULT_KEY = json.loads((ARTIFACTS / "cache_entry.json").read_text())["key"]
 
 
 def _load(path: Path) -> dict[str, Any]:
@@ -175,17 +177,18 @@ def check(fmt: Format, text: str, workdir: Path) -> None:
     """Every assertion of the module docstring, for one mutated document."""
     path = workdir / "doc.json"
     path.write_text(text)
-    rejected = False  # by the parser, while lint still reads it as ``fmt``
-    if fmt.parser is not None and fmt.error is not None:
-        try:
-            data = json.loads(text)
-        except ValueError:
-            pass  # a truncated document reaches no parser
-        else:
+    kept = rejected = False  # lint still reads it as ``fmt``; the parser rejects it
+    try:
+        data = json.loads(text)
+    except ValueError:
+        pass  # a truncated document reaches no parser
+    else:
+        kept = classify(data) is fmt
+        if fmt.parser is not None and fmt.error is not None:
             try:
                 resolve_name(fmt.parser)(data)
             except resolve_name(fmt.error):
-                rejected = classify(data) is fmt
+                rejected = True
     code = _run(["lint", str(path)])
     docs = {"graph": str(GRAPH), "schedule": str(SCHEDULE), "trace": str(TRACE)}
     if fmt.kind in docs:
@@ -207,8 +210,14 @@ def check(fmt: Format, text: str, workdir: Path) -> None:
         entry.write_text(text)
         got = cache.get_schedule(KEY)
         assert got is None or isinstance(got[0], Schedule)
+    elif fmt.kind == "cache entry":
+        cache = ResultCache(workdir / "results")
+        entry = cache.path_for(RESULT_KEY)
+        entry.parent.mkdir(parents=True, exist_ok=True)
+        entry.write_text(text)
+        assert cache.get(RESULT_KEY) is None or code == 0, text  # no hit lint rejects
     elif fmt.kind == "serve config":
-        assert code == 1 or not rejected, text  # lint passes no config the parser rejects
+        assert not kept or (code == 1) == rejected, text  # lint rejects what the parser does
         if code != 0:
             assert _run(["serve", "--config", str(path)]) == 2
 

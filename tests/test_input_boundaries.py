@@ -254,6 +254,53 @@ def test_lint_rejects_every_serve_config_the_parser_rejects(tmp_path, capsys, fi
     assert _run(capsys, ["serve", "--config", config])[0] == 2
 
 
+#: serve-config values ``repro lint`` rejects: non-finite times and rates,
+#: a pool over V004's bound, a non-finite backoff and a fault spec F004
+#: rejects
+LINT_REJECTS = [
+    ("horizon_ms", float("inf")), ("horizon_ms", float("nan")),
+    ("tenants.0.rate_qps", float("inf")), ("tenants.0.rate_qps", float("nan")),
+    ("tenants.0.deadline_ms", float("nan")), ("num_gpus", 10**12),
+    ("retry_backoff_ms", float("nan")), ("faults", ["fail:1@nan"]),
+]
+
+
+@pytest.mark.parametrize(
+    "field, value", LINT_REJECTS, ids=[f"{f}={v!r}" for f, v in LINT_REJECTS]
+)
+def test_the_parser_rejects_every_serve_config_lint_rejects(tmp_path, capsys, field, value):
+    from dataclasses import replace
+
+    from repro.serve import ServeConfig, ServeConfigError, scenario_config
+
+    config = scenario_config("steady-state")
+    doc = config.to_dict()
+    *parents, key = field.split(".")
+    parent = doc
+    for part in parents:
+        parent = parent[int(part)] if part.isdigit() else parent[part]
+    parent[key] = value
+    with pytest.raises(ServeConfigError):
+        ServeConfig.from_dict(doc)
+    with pytest.raises(ServeConfigError):  # construction, through dataclasses.replace
+        if parents:
+            replace(config.tenants[0], **{key: value})
+        else:
+            replace(config, **{key: tuple(value) if isinstance(value, list) else value})
+    config_path = _write(tmp_path, "serve.json", doc)
+    code, out = _run(capsys, ["lint", config_path])
+    assert code == 1 and "error[V0" in out
+    assert _run(capsys, ["serve", "--config", config_path])[0] == 2
+
+
+@pytest.mark.parametrize("horizon", ["nan", "inf"])
+def test_serve_rejects_a_non_finite_horizon(capsys, horizon):
+    code, out = _run(capsys, ["serve", "--scenario", "steady-state", "--horizon", horizon])
+    assert code == 2
+    lines = out.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "[V004] horizon_ms" in out
+
+
 LINT_ARTIFACTS = Path(__file__).resolve().parents[1] / "benchmarks" / "results" / "lint"
 
 
