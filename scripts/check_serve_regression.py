@@ -205,8 +205,9 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--min-cache-speedup", type=float, default=5.0,
                     help="required cold/warm total sched_ms ratio for a "
                     "schedule-cache-backed restart (0 disables the check; "
-                    "the warm floor is content-key hashing, so the gate "
-                    "stays below the ~10-35x typically measured)")
+                    "the warm floor is reading and rebuilding each cached "
+                    "schedule, so the gate stays below the ~8-11x measured "
+                    "on a 2-vCPU container)")
     args = ap.parse_args(argv)
 
     current = measure()

@@ -591,11 +591,15 @@ def _cmd_faults(args: argparse.Namespace) -> int:
     builder = MODEL_BUILDERS[args.model]
     size = args.size if args.size is not None else (299 if args.model == "inception_v3" else 331)
     profiler = default_profiler(num_gpus=args.gpus)
-    profile = profiler.profile(builder(size))
     clean_engine = profiler.engine()
-    faulted_cfg = replace(
-        clean_engine.config, faults=plan, watchdog_horizon_ms=args.watchdog
-    )
+    try:
+        faulted_cfg = replace(
+            clean_engine.config, faults=plan, watchdog_horizon_ms=args.watchdog
+        )
+    except ValueError as exc:  # --watchdog: NaN, infinite or negative
+        print(f"error: --watchdog {args.watchdog}: {exc}")
+        return 2
+    profile = profiler.profile(builder(size))
 
     rows = []
     unrecovered = False

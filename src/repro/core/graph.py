@@ -15,9 +15,14 @@ Section VI.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence, TypeVar, cast
 
 __all__ = ["GraphError", "Operator", "OpGraph"]
+
+T = TypeVar("T")
+
+#: memo key of the recorded validity (see :meth:`OpGraph.validate`)
+_VALID = "valid"
 
 
 class GraphError(ValueError):
@@ -80,12 +85,13 @@ class OpGraph:
         self._ops: dict[str, Operator] = {}
         self._succ: dict[str, dict[str, float]] = {}
         self._pred: dict[str, dict[str, float]] = {}
-        # bumped on every mutation; caches (the bitset transitive
-        # closure below, CostProfile's stage-time memo) key on it
+        # bumped on every mutation; caches outside the graph
+        # (CostProfile's stage-time memo) key on it
         self._version = 0
-        self._closure: list[int] | None = None
-        self._closure_index: dict[str, int] = {}
-        self._closure_version = -1
+        # what is known of the content at ``_version``: values derived
+        # from it (:meth:`derived`) and its recorded validity
+        # (:meth:`validate`); every mutation empties it
+        self._derived: dict[object, Any] = {}
 
     # ------------------------------------------------------------------
     # construction
@@ -102,7 +108,7 @@ class OpGraph:
         self._ops[op.name] = op
         self._succ[op.name] = {}
         self._pred[op.name] = {}
-        self._version += 1
+        self._changed()
         return op
 
     def add_edge(self, u: str, v: str, transfer: float = 0.0) -> None:
@@ -118,7 +124,7 @@ class OpGraph:
             raise GraphError(f"duplicate edge ({u!r}, {v!r})")
         self._succ[u][v] = transfer
         self._pred[v][u] = transfer
-        self._version += 1
+        self._changed()
 
     def set_transfer(self, u: str, v: str, transfer: float) -> None:
         """Overwrite the transfer weight of an existing edge."""
@@ -128,14 +134,19 @@ class OpGraph:
             raise GraphError(f"negative transfer time on edge ({u!r}, {v!r})")
         self._succ[u][v] = transfer
         self._pred[v][u] = transfer
-        self._version += 1
+        self._changed()
 
     def replace_operator(self, op: Operator) -> None:
         """Replace the payload of an existing vertex, keeping its edges."""
         if op.name not in self._ops:
             raise GraphError(f"unknown operator {op.name!r}")
         self._ops[op.name] = op
+        self._changed()
+
+    def _changed(self) -> None:
+        """Move to a new version: every derived value goes stale."""
         self._version += 1
+        self._derived = {}
 
     # ------------------------------------------------------------------
     # queries
@@ -186,10 +197,25 @@ class OpGraph:
     @property
     def version(self) -> int:
         """Mutation counter; bumped by every structural or payload
-        change.  Caches derived from the graph (the transitive closure,
-        :meth:`~repro.costmodel.profile.CostProfile.stage_time` memos)
+        change.  Caches held outside the graph
+        (:meth:`~repro.costmodel.profile.CostProfile.stage_time` memos)
         key on it to stay coherent."""
         return self._version
+
+    def derived(self, derive: Callable[["OpGraph"], T]) -> T:
+        """``derive(self)``, computed once per graph version.
+
+        Each layer keeps its own ``derive`` function (the transitive
+        closure here, the schedule cache's canonical encoding in
+        :mod:`repro.sweep.schedcache`); the graph stores the results in
+        one memo that every mutation empties.  A ``derive`` that raises
+        stores nothing.
+        """
+        try:
+            return cast(T, self._derived[derive])
+        except KeyError:
+            value = self._derived[derive] = derive(self)
+            return value
 
     def out_degree(self, name: str) -> int:
         return len(self._succ[name])
@@ -243,10 +269,23 @@ class OpGraph:
         (G001) plus finite weights (G007).  Use
         :func:`repro.lint.lint_graph` directly to also collect the
         warning/info findings instead of failing on the first error.
-        """
-        from ..lint.api import lint_graph  # runtime import: lint imports us
 
-        lint_graph(self, errors_only=True).raise_errors(GraphError)
+        Success is recorded until the next mutation, and an induced
+        :meth:`subgraph` of a recorded graph starts recorded, so a
+        recorded graph returns at once.  Under ``HIOS_DEBUG_LINT`` a
+        recorded validity is never trusted: the lint runs, and a graph
+        recorded valid that fails it raises.
+        """
+        # runtime imports: both modules import this one
+        from ..lint.api import lint_graph
+        from .debuglint import debug_lint_enabled
+
+        recorded = self._derived.get(_VALID, False)
+        if recorded and not debug_lint_enabled():
+            return
+        prefix = "debug lint: graph recorded valid fails its lint: " if recorded else ""
+        lint_graph(self, errors_only=True).raise_errors(GraphError, prefix=prefix)
+        self._derived[_VALID] = True
 
     def is_dag(self) -> bool:
         try:
@@ -282,14 +321,16 @@ class OpGraph:
         ``masks[index[v]]`` has bit ``index[w]`` set iff ``w`` is a
         strict descendant of ``v``.
 
-        Computed once per graph mutation (lazily, in one reverse
-        topological sweep of word-parallel OR operations) and cached, so
-        :meth:`reachable` / :meth:`independent` answer in O(1)-ish word
-        operations instead of BFS-ing the graph per query — the Alg. 2
-        window sweep and the lint rules issue these queries per window.
+        Computed once per graph version (lazily, in one reverse
+        topological sweep of word-parallel OR operations, through
+        :meth:`derived`), so :meth:`reachable` / :meth:`independent`
+        answer in O(1)-ish word operations instead of BFS-ing the graph
+        per query — the Alg. 2 window sweep and the lint rules issue
+        these queries per window.
         """
-        if self._closure is not None and self._closure_version == self._version:
-            return self._closure, self._closure_index
+        return self.derived(OpGraph._closure)
+
+    def _closure(self) -> tuple[list[int], dict[str, int]]:
         index = {v: i for i, v in enumerate(self._ops)}
         masks = [0] * len(index)
         for v in reversed(self.topological_order()):
@@ -298,9 +339,6 @@ class OpGraph:
                 i = index[s]
                 m |= masks[i] | (1 << i)
             masks[index[v]] = m
-        self._closure = masks
-        self._closure_index = index
-        self._closure_version = self._version
         return masks, index
 
     def _reachable_bfs(self, u: str, v: str) -> bool:
@@ -375,7 +413,13 @@ class OpGraph:
         return True
 
     def subgraph(self, names: Iterable[str]) -> "OpGraph":
-        """Induced subgraph on ``names`` (edges with both endpoints kept)."""
+        """Induced subgraph on ``names`` (edges with both endpoints kept).
+
+        The subgraph of a graph recorded valid starts recorded valid:
+        the error rules :meth:`validate` runs are G001 (acyclic) and
+        G007 (finite weights), and both hold for every induced subgraph
+        of a graph that passes them.
+        """
         keep = set(names)
         sub = OpGraph()
         for n in self._ops:
@@ -384,6 +428,8 @@ class OpGraph:
         for u, v, w in self.edges():
             if u in keep and v in keep:
                 sub.add_edge(u, v, w)
+        if self._derived.get(_VALID, False):
+            sub._derived[_VALID] = True
         return sub
 
     def copy(self) -> "OpGraph":

@@ -18,6 +18,7 @@ All models satisfy the invariants ``t({v}) = t(v)`` and
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Mapping, Protocol, Sequence
 
 from ..core.graph import Operator
@@ -97,10 +98,10 @@ class SaturationConcurrencyModel:
     def __init__(
         self, contention_penalty: float = 0.06, stream_overhead: float = 0.0
     ) -> None:
-        if contention_penalty < 0:
-            raise ValueError("contention penalty must be non-negative")
-        if stream_overhead < 0:
-            raise ValueError("stream overhead must be non-negative")
+        if not 0 <= contention_penalty < math.inf:
+            raise ValueError("contention penalty must be finite and non-negative")
+        if not 0 <= stream_overhead < math.inf:
+            raise ValueError("stream overhead must be finite and non-negative")
         self.contention_penalty = contention_penalty
         self.stream_overhead = stream_overhead
 
@@ -135,8 +136,8 @@ class TableConcurrencyModel:
 
     def record(self, names: Iterable[str], duration: float) -> None:
         """Store a profiled measurement for a set of operators."""
-        if duration < 0:
-            raise ValueError("negative stage duration")
+        if not 0 <= duration < math.inf:
+            raise ValueError("stage duration must be finite and non-negative")
         self._table[frozenset(names)] = duration
 
     def __len__(self) -> int:

@@ -9,6 +9,7 @@ concurrency model so every scheduler takes a single, uniform input.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -80,8 +81,8 @@ class CostProfile:
                     f"gpu_speeds has {len(self.gpu_speeds)} entries for "
                     f"{self.num_gpus} GPUs"
                 )
-            if any(sp <= 0 for sp in self.gpu_speeds):
-                raise ValueError("GPU speed factors must be positive")
+            if not all(0 < sp < math.inf for sp in self.gpu_speeds):
+                raise ValueError("GPU speed factors must be positive and finite")
         self.graph.validate()
 
     @property

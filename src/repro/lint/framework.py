@@ -20,6 +20,7 @@ registered pack.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator, Mapping, TYPE_CHECKING
 
@@ -105,9 +106,12 @@ class LintContext:
 CheckFn = Callable[[LintContext], Iterator[Finding]]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Rule:
-    """One registered rule: identity, severity, subjects and the check."""
+    """One registered rule: identity, severity, subjects and the check.
+
+    A rule is its registry entry, so it compares and hashes by identity,
+    which keeps a rule tuple cheap to hash as a cache key."""
 
     id: str
     severity: Severity
@@ -134,6 +138,23 @@ class Rule:
 
 
 _REGISTRY: dict[str, Rule] = {}
+
+
+# The rule tuples linters run, built once per registry state: ``rule``
+# clears both caches.
+@functools.cache
+def _registered() -> tuple[Rule, ...]:
+    return tuple(sorted(_REGISTRY.values(), key=lambda r: r.id))
+
+
+@functools.cache
+def _narrowed(
+    rules: tuple[Rule, ...], errors_only: bool, packs: tuple[str, ...] | None
+) -> tuple[Rule, ...]:
+    return tuple(
+        r for r in rules
+        if (not errors_only or r.severity is Severity.ERROR) and (packs is None or r.pack in packs)
+    )
 
 
 def rule(
@@ -163,6 +184,8 @@ def rule(
             check=fn,
             hint=hint,
         )
+        _registered.cache_clear()
+        _narrowed.cache_clear()
         return fn
 
     return decorate
@@ -170,7 +193,7 @@ def rule(
 
 def all_rules() -> list[Rule]:
     """Every registered rule, ordered by ID."""
-    return sorted(_REGISTRY.values(), key=lambda r: r.id)
+    return list(_registered())
 
 
 def get_rule(rule_id: str) -> Rule:
@@ -198,17 +221,17 @@ def rule_catalog() -> list[dict[str, Any]]:
 class Linter:
     """Runs a rule set against a context and returns every finding."""
 
-    rules: tuple[Rule, ...] = field(default_factory=lambda: tuple(all_rules()))
+    rules: tuple[Rule, ...] = field(default_factory=_registered)
 
     def errors_only(self) -> "Linter":
         """This linter narrowed to its error-severity rules — the fast
         feasibility core the ``validate()`` wrappers run."""
-        return Linter(tuple(r for r in self.rules if r.severity is Severity.ERROR))
+        return Linter(_narrowed(self.rules, True, None))
 
     def for_packs(self, *packs: str) -> "Linter":
         """This linter narrowed to the rules of ``packs``; composes with
         :meth:`errors_only` in either order."""
-        return Linter(tuple(r for r in self.rules if r.pack in packs))
+        return Linter(_narrowed(self.rules, False, packs))
 
     def run(self, ctx: LintContext) -> LintReport:
         diagnostics: list[Diagnostic] = []

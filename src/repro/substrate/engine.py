@@ -40,6 +40,7 @@ run's bookkeeping.
 from __future__ import annotations
 
 import heapq
+import math
 from collections import deque
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
@@ -149,18 +150,14 @@ class EngineConfig:
     sanitize: bool | None = None
 
     def __post_init__(self) -> None:
-        if self.launch_overhead_ms < 0:
-            raise ValueError("negative launch overhead")
-        if self.contention_penalty < 0:
-            raise ValueError("negative contention penalty")
-        if self.stream_overhead < 0:
-            raise ValueError("negative stream overhead")
+        for name in ("launch_overhead_ms", "contention_penalty", "stream_overhead",
+                     "watchdog_horizon_ms"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and non-negative")
         if self.max_streams < 0:
             raise ValueError("max_streams must be >= 0 (0 = unbounded)")
-        if self.gpu_speeds is not None and any(sp <= 0 for sp in self.gpu_speeds):
-            raise ValueError("GPU speed factors must be positive")
-        if self.watchdog_horizon_ms < 0:
-            raise ValueError("negative watchdog horizon")
+        if self.gpu_speeds is not None and not all(0 < sp < math.inf for sp in self.gpu_speeds):
+            raise ValueError("GPU speed factors must be positive and finite")
 
 
 @dataclass

@@ -29,7 +29,6 @@ from .schedcache import (
     SCHED_CACHE_KIND,
     ScheduleCache,
     cached_schedule,
-    profile_fingerprint,
     schedule_key,
 )
 from .units import (
@@ -67,7 +66,6 @@ __all__ = [
     "default_cache_dir",
     "execute_batch",
     "execute_unit",
-    "profile_fingerprint",
     "schedule_key",
     "replay_unit_trace",
     "resolve_jobs",

@@ -21,17 +21,28 @@ import hashlib
 import json
 from typing import Any, Mapping
 
-__all__ = ["CACHE_SCHEMA_VERSION", "canonical_json", "content_key"]
+__all__ = ["CACHE_SCHEMA_VERSION", "canonical_json", "canonical_object", "content_key"]
 
 #: Bump to invalidate every existing cache entry (see module docstring).
 CACHE_SCHEMA_VERSION = 1
 
 
-def canonical_json(payload: Mapping[str, Any]) -> str:
+#: ``json.dumps`` with these options would build a new encoder per call
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
+def canonical_json(payload: Any) -> str:
     """Deterministic JSON encoding: sorted keys, no whitespace, no NaN."""
-    return json.dumps(
-        payload, sort_keys=True, separators=(",", ":"), allow_nan=False
-    )
+    return _CANONICAL.encode(payload)
+
+
+def canonical_object(members: Mapping[str, str]) -> str:
+    """The canonical JSON of an object whose member values are already
+    canonical JSON texts — exactly ``canonical_json`` of the decoded
+    object, so a caller can encode (and memoize) members separately."""
+    return "{" + ",".join(
+        f"{canonical_json(name)}:{text}" for name, text in sorted(members.items())
+    ) + "}"
 
 
 def content_key(payload: Mapping[str, Any]) -> str:

@@ -7,17 +7,19 @@ restarts under a key derived from exactly those inputs, so ``repro
 serve``, ``repro schedule`` and the repair path hit warm schedules
 instead of re-running Alg. 1/2/3.
 
-**Keying.**  :func:`profile_fingerprint` canonicalizes everything that
+**Keying.**  :func:`schedule_key` canonicalizes everything that
 determines a scheduler's output: every operator (name, cost, occupancy),
 every edge (endpoints, transfer weight), the GPU count and speeds, the
 stream cap, the communication model flag, and the concurrency model's
 identity and parameters.  An *unknown* concurrency model (anything
 outside :mod:`repro.costmodel.concurrency`) has no canonical encoding
-— the fingerprint is ``None`` and the cache degrades to a no-op rather
-than risking a false hit.  The key is the SHA-256 of the canonical JSON
-of (format marker, fingerprint, algorithm, kwargs), via the same
-:func:`repro.sweep.keying.content_key` the sweep cache uses, so keys
-never collide across the two entry species sharing the tree.
+— the key is ``None`` and the cache degrades to a no-op rather than
+risking a false hit.  The key is the SHA-256 of the canonical JSON of
+(format marker, profile, algorithm, kwargs); the marker keeps keys
+apart from the sweep cache's in the shared tree.  The operator and edge
+lists, most of that text, are encoded once per graph version
+(:meth:`~repro.core.graph.OpGraph.derived`) and spliced in canonical
+key order with the fields encoded per call.
 
 **Entries.**  One ``repro.schedcache/v1`` document per schedule::
 
@@ -38,8 +40,10 @@ recorded latency is the scheduler's exact float.
 
 from __future__ import annotations
 
+import hashlib
 from typing import Any, Iterator, Mapping
 
+from ..core.graph import OpGraph
 from ..core.result import ScheduleResult
 from ..core.schedule import Schedule, ScheduleError
 from ..costmodel.concurrency import (
@@ -51,7 +55,7 @@ from ..costmodel.concurrency import (
 from ..costmodel.profile import CostProfile
 from ..formats import SCHED_CACHE_FORMAT, finite
 from .cache import ContentStore
-from .keying import content_key
+from .keying import canonical_json, canonical_object
 
 __all__ = [
     "SCHED_CACHE_FORMAT",
@@ -59,7 +63,6 @@ __all__ = [
     "ScheduleCache",
     "cached_schedule",
     "concurrency_fingerprint",
-    "profile_fingerprint",
     "schedule_key",
 ]
 
@@ -99,25 +102,18 @@ def concurrency_fingerprint(model: object) -> dict[str, Any] | None:
     return None
 
 
-def profile_fingerprint(profile: CostProfile) -> dict[str, Any] | None:
-    """Canonical content description of a :class:`CostProfile`, or
-    ``None`` when the profile is not cacheable (unknown concurrency
-    model, or non-finite weights that canonical JSON rejects)."""
-    concurrency = concurrency_fingerprint(profile.concurrency)
-    if concurrency is None:
+def _graph_lists(graph: OpGraph) -> dict[str, str] | None:
+    """Canonical JSON of the key's ``ops`` and ``edges`` members, or
+    ``None`` when canonical JSON rejects them (a non-finite weight)."""
+    try:
+        return {
+            "ops": canonical_json(
+                [[op.name, op.cost, op.occupancy] for op in graph.operators()]
+            ),
+            "edges": canonical_json(sorted(graph.edges())),
+        }
+    except (TypeError, ValueError):
         return None
-    graph = profile.graph
-    return {
-        "ops": [
-            [op.name, op.cost, op.occupancy] for op in graph.operators()
-        ],
-        "edges": sorted(graph.edges()),
-        "num_gpus": profile.num_gpus,
-        "max_streams": profile.max_streams,
-        "send_blocking": profile.send_blocking,
-        "gpu_speeds": list(profile.gpu_speeds) if profile.gpu_speeds else None,
-        "concurrency": concurrency,
-    }
 
 
 def schedule_key(
@@ -128,19 +124,30 @@ def schedule_key(
     """Content key for (profile, algorithm, kwargs), or ``None`` when
     the profile is uncacheable.  Kwargs must be JSON-representable —
     anything else makes the combination uncacheable too."""
-    fingerprint = profile_fingerprint(profile)
-    if fingerprint is None:
+    concurrency = concurrency_fingerprint(profile.concurrency)
+    if concurrency is None:
         return None
-    material = {
-        "format": SCHED_CACHE_FORMAT,
-        "profile": fingerprint,
-        "algorithm": algorithm,
-        "kwargs": dict(kwargs or {}),
+    lists = profile.graph.derived(_graph_lists)
+    if lists is None:
+        return None
+    fields = {
+        "concurrency": concurrency,
+        "gpu_speeds": list(profile.gpu_speeds) if profile.gpu_speeds else None,
+        "max_streams": profile.max_streams,
+        "num_gpus": profile.num_gpus,
+        "send_blocking": profile.send_blocking,
     }
     try:
-        return content_key(material)
+        members = {name: canonical_json(value) for name, value in fields.items()}
+        material = {
+            "algorithm": canonical_json(algorithm),
+            "format": canonical_json(SCHED_CACHE_FORMAT),
+            "kwargs": canonical_json(dict(kwargs or {})),
+            "profile": canonical_object({**members, **lists}),
+        }
     except (TypeError, ValueError):
         return None
+    return hashlib.sha256(canonical_object(material).encode("utf-8")).hexdigest()
 
 
 class ScheduleCache(ContentStore):

@@ -18,5 +18,23 @@ deadlock stall report) opt out per-run with ``sanitize=False``.
 
 import os
 
+import pytest
+
 os.environ.setdefault("HIOS_DEBUG_LINT", "1")
 os.environ.setdefault("HIOS_SANITIZE", "1")
+
+
+@pytest.fixture
+def graph_lints(monkeypatch):
+    """The graphs ``OpGraph.validate`` lints during a test, in order."""
+    from repro.lint import api
+
+    linted = []
+    lint_graph = api.lint_graph
+
+    def counting(graph, **kwargs):
+        linted.append(graph)
+        return lint_graph(graph, **kwargs)
+
+    monkeypatch.setattr(api, "lint_graph", counting)
+    return linted

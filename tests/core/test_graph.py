@@ -205,3 +205,134 @@ class TestAlgorithms:
         assert len(g) == 0
         assert g.topological_order() == []
         assert g.sources() == []
+
+
+def ring() -> OpGraph:
+    """A 4-cycle at the same version as :func:`diamond` (4 ops, 4 edges)."""
+    return OpGraph.from_edges(
+        {"a": 1.0, "b": 2.0, "c": 3.0, "d": 4.0},
+        [("a", "b", 0.5), ("b", "c", 0.5), ("c", "d", 0.5), ("d", "a", 0.5)],
+    )
+
+
+MUTATIONS = {
+    "add_operator": lambda g: g.add_operator("e"),
+    "add_edge": lambda g: g.add_edge("b", "c"),
+    "set_transfer": lambda g: g.set_transfer("a", "b", 0.25),
+    "replace_operator": lambda g: g.replace_operator(Operator("a", cost=9.0)),
+}
+
+
+@pytest.fixture(params=["0", "1"], ids=["debug-lint-off", "debug-lint-on"])
+def debug_lint(request, monkeypatch):
+    monkeypatch.setenv("HIOS_DEBUG_LINT", request.param)
+    return request.param == "1"
+
+
+class TestDerivedMemo:
+    def test_derived_once_per_version(self):
+        g = diamond()
+        versions = []
+
+        def size(graph):
+            versions.append(graph.version)
+            return len(graph)
+
+        assert g.derived(size) == 4
+        assert g.derived(size) == 4
+        assert versions == [g.version]
+        g.add_operator("e")
+        assert g.derived(size) == 5
+        assert versions == [g.version - 1, g.version]
+
+    @pytest.mark.parametrize("mutate", MUTATIONS.values(), ids=MUTATIONS.keys())
+    def test_every_mutation_drops_the_memo(self, mutate):
+        g = diamond()
+        closure = g.descendant_masks()
+        assert g.descendant_masks() is closure
+        mutate(g)
+        assert g.descendant_masks() is not closure
+
+    def test_closure_follows_a_new_edge(self):
+        g = OpGraph.from_edges({"a": 1.0, "b": 1.0, "c": 1.0}, [("a", "b")])
+        assert g.independent(["a", "c"])
+        g.add_edge("b", "c")
+        assert not g.independent(["a", "c"])
+        assert g.reachable("a", "c")
+
+    def test_a_failed_derivation_stores_nothing(self):
+        g = ring()
+        for _ in range(2):
+            with pytest.raises(GraphError, match="cycle"):
+                g.descendant_masks()
+        assert g.reachable("c", "b")  # the BFS fallback still answers
+
+
+class TestRecordedValidity:
+    def test_success_is_recorded(self, graph_lints, monkeypatch):
+        monkeypatch.setenv("HIOS_DEBUG_LINT", "0")
+        g = diamond()
+        g.validate()
+        g.validate()
+        assert graph_lints == [g]
+
+    def test_a_cycle_added_after_validation_raises(self, debug_lint):
+        g = diamond()
+        g.validate()
+        g.add_edge("d", "a")
+        with pytest.raises(GraphError, match="cycle"):
+            g.validate()
+
+    def test_another_graph_at_the_same_version_is_not_taken_as_valid(self, debug_lint):
+        good, bad = diamond(), ring()
+        assert good.version == bad.version
+        good.validate()
+        with pytest.raises(GraphError, match="cycle"):
+            bad.validate()
+
+    def test_an_induced_subgraph_inherits_validity(self, graph_lints, monkeypatch):
+        monkeypatch.setenv("HIOS_DEBUG_LINT", "0")
+        g = diamond()
+        g.validate()
+        g.subgraph(["a", "b", "d"]).validate()
+        g.copy().validate()
+        assert graph_lints == [g]
+
+    def test_an_unchecked_graph_passes_nothing_on(self, graph_lints, monkeypatch):
+        monkeypatch.setenv("HIOS_DEBUG_LINT", "0")
+        sub = ring().subgraph("abcd")
+        with pytest.raises(GraphError, match="cycle"):
+            sub.validate()
+        assert graph_lints == [sub]
+
+    def test_debug_lint_trusts_no_record(self, graph_lints, monkeypatch):
+        monkeypatch.setenv("HIOS_DEBUG_LINT", "1")
+        g = diamond()
+        g.validate()
+        g.validate()
+        sub = g.subgraph(["a", "b"])
+        sub.validate()
+        assert graph_lints == [g, g, sub]
+
+    def test_debug_lint_raises_on_a_wrong_record(self, monkeypatch):
+        from repro.core.graph import _VALID
+
+        g = ring()
+        g._derived[_VALID] = True  # a record no valid graph could have made
+        monkeypatch.setenv("HIOS_DEBUG_LINT", "0")
+        g.validate()  # trusted
+        monkeypatch.setenv("HIOS_DEBUG_LINT", "1")
+        with pytest.raises(GraphError, match="recorded valid"):
+            g.validate()
+
+    def test_validate_runs_exactly_the_hereditary_rules(self):
+        """Subgraphs inherit validity because every error rule a bare
+        graph is linted with holds on each induced subgraph of a graph
+        that passes it: acyclicity (G001) and finite weights (G007).  A
+        new rule here must make that argument again (see
+        ``OpGraph.subgraph``) before this set grows."""
+        from repro.lint import LintContext, Linter
+
+        ctx = LintContext(graph=OpGraph())
+        applicable = {r.id for r in Linter().errors_only().rules if r.applicable(ctx)}
+        assert applicable == {"G001", "G007"}

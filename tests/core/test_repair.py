@@ -11,6 +11,7 @@ from repro.core import OpGraph, Schedule, Stage, priority_order, schedule_graph
 from repro.core.repair import (
     RepairError,
     _spatial_seed,
+    _subprofile,
     repair_schedule,
     resize_schedule,
     run_with_repair,
@@ -607,3 +608,24 @@ class TestResizeSchedule:
         r2 = resize_schedule(wide, finished, **kwargs)
         assert r1.schedule.all_stages() == r2.schedule.all_stages()
         assert r1.result.latency == r2.result.latency
+
+
+class TestSubprofileValidity:
+    """A repair or resize subprofile is an induced subgraph of a checked
+    DAG: it inherits the graph's validity instead of re-linting it."""
+
+    def test_no_graph_lint_with_debug_lint_off(self, graph_lints, monkeypatch):
+        monkeypatch.setenv("HIOS_DEBUG_LINT", "0")
+        profile = random_dag_profile(seed=7, num_ops=30, num_gpus=4)
+        assert graph_lints == [profile.graph]
+        sub = _subprofile(profile, profile.graph.names[10:], [0, 2, 3])
+        replace(sub)
+        replace(profile, num_gpus=2)
+        assert graph_lints == [profile.graph]
+
+    def test_debug_lint_checks_every_subprofile(self, graph_lints, monkeypatch):
+        monkeypatch.setenv("HIOS_DEBUG_LINT", "1")
+        profile = random_dag_profile(seed=7, num_ops=30, num_gpus=4)
+        sub = _subprofile(profile, profile.graph.names[10:], [0, 2, 3])
+        assert graph_lints == [profile.graph, sub.graph]
+        assert len(sub.graph) == 20 and sub.num_gpus == 3

@@ -151,6 +151,32 @@ class TestLinter:
         assert Linter().errors_only().for_packs("schedule").rules == expected
         assert Linter().for_packs("schedule").errors_only().rules == expected
 
+    def test_filtered_rule_tuples_are_built_once(self):
+        narrowed = Linter().errors_only().for_packs("schedule")
+        assert Linter().errors_only().for_packs("schedule").rules is narrowed.rules
+        assert Linter().rules is Linter().rules
+
+    def test_a_rule_registered_after_a_build_is_seen(self):
+        from repro.lint import framework
+
+        before = Linter().errors_only().for_packs("graph")
+        try:
+            @rule("G099", severity=Severity.ERROR, pack="graph",
+                  title="late", requires=("graph",))
+            def late(ctx):
+                return iter(())
+
+            ids = [r.id for r in Linter().rules]
+            assert "G099" in ids and ids == sorted(ids)
+            after = Linter().errors_only().for_packs("graph")
+            assert [r.id for r in after.rules] == [r.id for r in before.rules] + ["G099"]
+            assert "G099" in [r.id for r in all_rules()]
+        finally:
+            del framework._REGISTRY["G099"]
+            framework._registered.cache_clear()
+            framework._narrowed.cache_clear()
+        assert "G099" not in [r.id for r in Linter().rules]
+
     def test_report_sorted_by_severity(self):
         g = OpGraph()
         g.add_operator("a", cost=float("nan"))  # G007 error

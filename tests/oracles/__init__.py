@@ -13,6 +13,7 @@ oracle                        production component
 :func:`list_schedule_latency` ``PrefixReplayer`` (Alg. 1 l. 10-13)
 :func:`longest_valid_path`    ``LongestPathEngine`` (Alg. 1 l. 5)
 :func:`mr_fill`               ``hios_mr._mr_fill`` (Alg. 3 table fill)
+:func:`schedule_key`          ``schedcache.schedule_key`` (spliced key)
 ============================= ========================================
 
 :func:`reference_components` swaps the oracles in behind the names the
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Mapping, Sequence
 from contextlib import ExitStack, contextmanager
-from typing import AbstractSet
+from typing import AbstractSet, Any
 from unittest import mock
 
 from repro.core import hios_lp, hios_mr, intra_gpu, ios, refine, sequential
@@ -36,6 +37,8 @@ from repro.core.graph import GraphError, OpGraph
 from repro.core.longest_path import ValidPath
 from repro.core.schedule import Schedule, ScheduleError, Stage
 from repro.costmodel.profile import CostProfile
+from repro.sweep.keying import content_key
+from repro.sweep.schedcache import SCHED_CACHE_FORMAT, concurrency_fingerprint
 
 __all__ = [
     "evaluate_latency",
@@ -43,7 +46,9 @@ __all__ = [
     "list_schedule_latency",
     "longest_valid_path",
     "mr_fill",
+    "profile_fingerprint",
     "reference_components",
+    "schedule_key",
 ]
 
 _INF = float("inf")
@@ -361,6 +366,49 @@ def mr_fill(
                 if cand < t_tab[i][j]:
                     t_tab[i][j] = cand
                     g_tab[i][j] = k
+
+
+# ---------------------------------------------------------------------------
+# Schedule-cache keys: the whole document, encoded at once
+
+
+def profile_fingerprint(profile: CostProfile) -> dict[str, Any] | None:
+    """Canonical content description of a :class:`CostProfile`, or
+    ``None`` for an unknown concurrency model."""
+    concurrency = concurrency_fingerprint(profile.concurrency)
+    if concurrency is None:
+        return None
+    graph = profile.graph
+    return {
+        "ops": [[op.name, op.cost, op.occupancy] for op in graph.operators()],
+        "edges": sorted(graph.edges()),
+        "num_gpus": profile.num_gpus,
+        "max_streams": profile.max_streams,
+        "send_blocking": profile.send_blocking,
+        "gpu_speeds": list(profile.gpu_speeds) if profile.gpu_speeds else None,
+        "concurrency": concurrency,
+    }
+
+
+def schedule_key(
+    profile: CostProfile, algorithm: str, kwargs: Mapping[str, Any] | None = None
+) -> str | None:
+    """SHA-256 of the canonical JSON of the whole key document, or
+    ``None`` when canonical JSON rejects it (non-finite weights,
+    non-JSON kwargs) or the profile has no fingerprint."""
+    fingerprint = profile_fingerprint(profile)
+    if fingerprint is None:
+        return None
+    material = {
+        "format": SCHED_CACHE_FORMAT,
+        "profile": fingerprint,
+        "algorithm": algorithm,
+        "kwargs": dict(kwargs or {}),
+    }
+    try:
+        return content_key(material)
+    except (TypeError, ValueError):
+        return None
 
 
 # ---------------------------------------------------------------------------

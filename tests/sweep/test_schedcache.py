@@ -7,19 +7,20 @@ from dataclasses import replace
 
 import pytest
 
-from repro.core import schedule_graph
+from repro.core import Operator, schedule_graph
 from repro.costmodel.concurrency import (
     MaxConcurrencyModel,
     SaturationConcurrencyModel,
     SumConcurrencyModel,
     TableConcurrencyModel,
 )
+from repro.experiments.realmodels import MODEL_BUILDERS, default_profiler
 from repro.models import random_dag_profile
+from repro.serve.zoo import MODEL_ZOO, zoo_profile
 from repro.sweep import (
     ResultCache,
     ScheduleCache,
     cached_schedule,
-    profile_fingerprint,
     schedule_key,
 )
 from repro.sweep.cache import CACHE_FORMAT
@@ -28,6 +29,9 @@ from repro.sweep.schedcache import (
     SCHED_CACHE_KIND,
     concurrency_fingerprint,
 )
+
+from ..oracles import profile_fingerprint
+from ..oracles import schedule_key as oracle_key
 
 
 @pytest.fixture(scope="module")
@@ -82,6 +86,106 @@ class TestKeying:
 
     def test_non_json_kwargs_are_uncacheable(self, profile):
         assert schedule_key(profile, "hios-lp", {"window": object()}) is None
+
+
+#: the end-to-end benchmark's real-model cases
+REAL_CASES = [
+    ("inception_v3", 299), ("inception_v3", 1024), ("nasnet", 331), ("nasnet", 1024),
+    ("resnet50", 224), ("resnet50", 1024), ("randwire", 224), ("randwire", 1024),
+]
+KWARGS = [None, {}, {"window": 3}, {"window": 4, "mode": "beam"}, {"seed": {"b": [1, 2.5]}}]
+CONCURRENCY = {
+    "max": MaxConcurrencyModel(),
+    "sum": SumConcurrencyModel(),
+    "saturation": SaturationConcurrencyModel(0.1, 0.02),
+    "table": TableConcurrencyModel({frozenset({"x", "y"}): 1.5, frozenset({"z"}): 0.5}),
+    "table-over-max": TableConcurrencyModel(
+        {frozenset({"x"}): 2.0}, fallback=MaxConcurrencyModel()
+    ),
+}
+
+
+def matching_key(profile, algorithm="hios-lp", kwargs=None):
+    """The spliced key, asserted equal to the whole-document oracle's."""
+    key = schedule_key(profile, algorithm, kwargs)
+    assert key == oracle_key(profile, algorithm, kwargs)
+    return key
+
+
+class TestKeyMatchesOracle:
+    """``schedule_key`` splices the per-version encoding of the graph
+    into the per-call fields; every key must equal the digest of the
+    whole document encoded at once, so no on-disk entry changes name."""
+
+    @pytest.mark.parametrize("gpus", [1, 2, 4])
+    @pytest.mark.parametrize("model", sorted(MODEL_ZOO))
+    def test_zoo_models(self, model, gpus):
+        profile = zoo_profile(model, gpus)
+        for kwargs in KWARGS:
+            assert matching_key(profile, "hios-mr", kwargs) is not None
+
+    @pytest.mark.parametrize("model,size", REAL_CASES)
+    def test_real_models(self, model, size):
+        profile = default_profiler(num_gpus=2).profile(MODEL_BUILDERS[model](size))
+        assert matching_key(profile, "hios-lp", {"window": 3}) is not None
+        assert matching_key(replace(profile, num_gpus=4), "hios-mr", {"window": 3}) is not None
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_dags(self, seed):
+        profile = random_dag_profile(seed=seed, num_ops=40 + 10 * seed, num_gpus=2 + seed % 3)
+        keys = {
+            matching_key(profile, alg, kwargs) for alg in ("ios", "hios-lp") for kwargs in KWARGS
+        }
+        assert len(keys) == 2 * (len(KWARGS) - 1)  # None and {} are one key
+
+    def test_profile_fields(self, profile):
+        variants = [
+            profile,
+            replace(profile, gpu_speeds=(1.0, 0.5)),
+            replace(profile, gpu_speeds=(2, 1)),
+            replace(profile, max_streams=3),
+            replace(profile, send_blocking=False),
+            replace(profile, num_gpus=3),
+        ]
+        variants += [replace(profile, concurrency=model) for model in CONCURRENCY.values()]
+        keys = [matching_key(p, "hios-lp", {"window": 3}) for p in variants]
+        assert len(set(keys)) == len(keys)
+
+    def test_a_model_mutated_in_place_changes_the_key(self, profile):
+        model = TableConcurrencyModel({frozenset({"x"}): 1.0})
+        p = replace(profile, concurrency=model)
+        before = matching_key(p)
+        model.record(["y", "z"], 2.0)
+        assert matching_key(p) != before
+
+    @pytest.mark.parametrize("mutation", ["add_edge", "set_transfer", "replace_operator"])
+    def test_a_mutated_graph_gets_its_new_key(self, mutation):
+        profile = random_dag_profile(seed=11, num_ops=24, num_gpus=2)
+        graph = profile.graph
+        before = matching_key(profile, "hios-lp", {"window": 3})
+        order = graph.topological_order()
+        if mutation == "add_edge":
+            u, v = next(
+                (u, v) for i, u in enumerate(order) for v in order[i + 1:]
+                if not graph.has_edge(u, v)
+            )
+            graph.add_edge(u, v, 0.125)
+        elif mutation == "set_transfer":
+            u, v, w = graph.edges()[0]
+            graph.set_transfer(u, v, w + 0.5)
+        else:
+            op = graph.operator(order[0])
+            graph.replace_operator(Operator(op.name, cost=op.cost * 2, occupancy=op.occupancy))
+        after = matching_key(profile, "hios-lp", {"window": 3})
+        assert after is not None and after != before
+
+    def test_non_finite_weights_are_uncacheable(self, profile):
+        graph = profile.graph.copy()
+        weird = replace(profile, graph=graph)
+        assert matching_key(weird) is not None
+        graph.replace_operator(Operator(graph.names[0], cost=float("inf")))
+        assert matching_key(weird) is None
+        assert matching_key(weird, "hios-mr") is None  # memoized as uncacheable
 
 
 class TestRoundtrip:

@@ -1,7 +1,10 @@
 """Malformed graph, schedule, trace and serve-config documents fail with
 a typed error at the library boundary, and as an exit code with one
 ``error:`` line (never a traceback) through ``repro lint``,
-``repro validate``, ``repro trace`` and ``repro serve --config``."""
+``repro validate``, ``repro trace`` and ``repro serve --config``.  Every
+public entry point that takes a graph or a schedule raises its typed
+error on an invalid one, whatever the graph's recorded validity, and
+non-finite cost-model and engine knobs are rejected where they are set."""
 
 from __future__ import annotations
 
@@ -12,10 +15,15 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
-from repro.core import OpGraph, Schedule, ScheduleError
+from repro.core import OpGraph, Schedule, ScheduleError, Stage
+from repro.core.evaluator import evaluate_schedule
+from repro.core.fasteval import soa_latency
 from repro.core.graph import GraphError
 from repro.core.graphio import graph_from_dict, graph_to_dict
-from repro.substrate import EngineError, ExecutionTrace
+from repro.core.intra_gpu import parallelize
+from repro.costmodel.concurrency import SaturationConcurrencyModel, TableConcurrencyModel
+from repro.costmodel.profile import CostProfile
+from repro.substrate import EngineConfig, EngineError, ExecutionTrace, MultiGpuEngine
 
 
 def _graph_doc() -> dict:
@@ -344,3 +352,82 @@ def test_num_gpus_is_bounded_by_the_listed_gpus(tmp_path, capsys, num_gpus):
     cache.path_for(key).write_text(json.dumps(entry))
     assert cache.get_schedule(key) is None
     assert cache.misses == 1 and not cache.path_for(key).exists()
+
+
+def _chain(cyclic: bool = False, recorded: bool = False) -> OpGraph:
+    """``a -> b -> c``; ``recorded`` validates it before ``cyclic`` closes
+    the loop, so the entry point sees a graph whose record went stale."""
+    g = OpGraph.from_edges({"a": 1.0, "b": 1.0, "c": 1.0}, [("a", "b", 0.1), ("b", "c", 0.1)])
+    if recorded:
+        g.validate()
+    if cyclic:
+        g.add_edge("c", "a")
+    return g
+
+
+@pytest.fixture(params=["0", "1"], ids=["debug-lint-off", "debug-lint-on"])
+def debug_lint(request, monkeypatch):
+    monkeypatch.setenv("HIOS_DEBUG_LINT", request.param)
+
+
+@pytest.mark.parametrize("recorded", [False, True], ids=["fresh", "validated-then-cyclic"])
+@pytest.mark.parametrize("entry", [CostProfile, lambda g: graph_from_dict(graph_to_dict(g))],
+                         ids=["CostProfile", "graph_from_dict"])
+def test_entry_points_reject_a_cyclic_graph(debug_lint, entry, recorded):
+    with pytest.raises(GraphError, match="cycle"):
+        entry(_chain(cyclic=True, recorded=recorded))
+
+
+SCHEDULE_ENTRY_POINTS = {
+    "Schedule.validate": lambda p, s: s.validate(p.graph),
+    "MultiGpuEngine.run": lambda p, s: MultiGpuEngine(EngineConfig()).run(p.graph, s),
+    "soa_latency": lambda p, s: soa_latency(p, s, validate=True),
+    "evaluate_schedule": evaluate_schedule,
+    "parallelize": parallelize,
+}
+BAD_SCHEDULES = {
+    "dependent-ops-share-a-stage": [Stage(0, ("a",)), Stage(1, ("b", "c"))],
+    "op-missing": [Stage(0, ("a",)), Stage(1, ("b",))],
+}
+
+
+@pytest.mark.parametrize("stages", BAD_SCHEDULES.values(), ids=BAD_SCHEDULES.keys())
+@pytest.mark.parametrize(
+    "entry", SCHEDULE_ENTRY_POINTS.values(), ids=SCHEDULE_ENTRY_POINTS.keys()
+)
+def test_entry_points_reject_an_infeasible_schedule(debug_lint, entry, stages):
+    profile = CostProfile(_chain())  # a recorded-valid graph
+    with pytest.raises(ScheduleError):
+        entry(profile, Schedule(2, stages))
+
+
+NON_FINITE_KNOBS = {
+    "CostProfile.gpu_speeds": lambda v: CostProfile(_chain(), gpu_speeds=(1.0, v)),
+    "Saturation.contention_penalty": lambda v: SaturationConcurrencyModel(v),
+    "Saturation.stream_overhead": lambda v: SaturationConcurrencyModel(0.06, v),
+    "Table.record": lambda v: TableConcurrencyModel().record(["a"], v),
+    "EngineConfig.launch_overhead_ms": lambda v: EngineConfig(launch_overhead_ms=v),
+    "EngineConfig.contention_penalty": lambda v: EngineConfig(contention_penalty=v),
+    "EngineConfig.stream_overhead": lambda v: EngineConfig(stream_overhead=v),
+    "EngineConfig.watchdog_horizon_ms": lambda v: EngineConfig(watchdog_horizon_ms=v),
+    "EngineConfig.gpu_speeds": lambda v: EngineConfig(gpu_speeds=(1.0, v)),
+}
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0], ids=["nan", "inf", "-1"])
+@pytest.mark.parametrize("build", NON_FINITE_KNOBS.values(), ids=NON_FINITE_KNOBS.keys())
+def test_cost_and_engine_knobs_must_be_finite(build, value):
+    """A NaN passes a ``< 0`` check: a NaN speed made hios-lp report a
+    0.0 ms latency, and a NaN engine knob kept ``MultiGpuEngine.run``
+    from returning."""
+    with pytest.raises(ValueError, match="finite|positive"):
+        build(value)
+
+
+@pytest.mark.parametrize("watchdog", ["nan", "inf", "-1"])
+def test_faults_rejects_a_watchdog_it_cannot_use(capsys, watchdog):
+    argv = ["faults", "--gpus", "2", "--algorithms", "sequential", "--watchdog", watchdog]
+    code, out = _run(capsys, argv)
+    lines = out.strip().splitlines()
+    assert code == 2
+    assert len(lines) == 1 and lines[0].startswith("error: --watchdog ")
