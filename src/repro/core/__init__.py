@@ -10,7 +10,6 @@ from .bounds import (
     optimality_gap,
     work_bound,
 )
-from .brute_force import schedule_brute_force
 from .evaluator import EvaluationResult, StageTiming, evaluate_latency, evaluate_schedule
 from .fasteval import EvalCounters, PrefixReplayer, StageGraphEvaluator, soa_latency
 from .graph import GraphError, Operator, OpGraph
@@ -84,7 +83,6 @@ __all__ = [
     "priority_order",
     "repair_schedule",
     "run_with_repair",
-    "schedule_brute_force",
     "schedule_graph",
     "schedule_hios_lp",
     "schedule_hios_mr",

@@ -54,6 +54,7 @@ win observable through ``ScheduleResult.stats``.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -104,6 +105,11 @@ class EvalCounters:
     cache_hits:
         ``CostProfile.stage_time`` memo hits observed during the run
         (filled in by the schedulers from the profile's counter).
+    lvp_visits:
+        Vertices the longest-valid-path DP computed
+        (:class:`repro.core.longest_path.LongestPathEngine`), summed
+        over queries: the whole unscheduled set for a full DP, only what
+        the last path disturbed for a carried one.
     """
 
     evals: int = 0
@@ -113,6 +119,7 @@ class EvalCounters:
     window_delay_skips: int = 0
     soa_evals: int = 0
     cache_hits: int = 0
+    lvp_visits: int = 0
 
     def to_stats(self) -> dict[str, int]:
         return {
@@ -123,6 +130,7 @@ class EvalCounters:
             "window_delay_skips": self.window_delay_skips,
             "soa_evals": self.soa_evals,
             "cache_hits": self.cache_hits,
+            "lvp_visits": self.lvp_visits,
         }
 
 
@@ -177,6 +185,13 @@ class PrefixReplayer:
     position 0 otherwise — when the boundary moves back, the order
     changed before the old boundary, or an operator outside the old
     varying set was reassigned (an accepted local-search move).
+
+    **Carried set-up.**  :meth:`snapshot` rebuilds the int order and
+    assignment from its arguments and compares them with the last ones.
+    :meth:`snapshot_path`, Alg. 1's form, keeps both across paths: it
+    re-reads only the previous path's entries, inserts the new path's
+    ids by priority rank and takes the boundary from ranks, so a path
+    costs its own size plus the prefix it adds, not ``O(|V|)``.
     """
 
     def __init__(
@@ -242,6 +257,12 @@ class PrefixReplayer:
         self._arrival: list[float] = [0.0] * self._num_edges
         self._gpu_free: list[float] = [0.0] * num_gpus
         self._latency = 0.0
+        # :meth:`snapshot_path`'s carried order: the priority order it
+        # ranks by (None after a :meth:`snapshot`), each operator's rank
+        # in it, and the ranks of ``_order_ids``, ascending
+        self._ranked: Sequence[str] | None = None
+        self._rank: list[int] = []
+        self._order_ranks: list[int] = []
 
     # ------------------------------------------------------------------
     def _simulate(
@@ -358,18 +379,89 @@ class PrefixReplayer:
         kept = self._assign
         for vi, _name in self._varying:
             kept[vi] = assign[vi]
-        if k >= k_old and kept == assign and order_ids[:k_old] == self._order_ids[:k_old]:
-            begin, gpu_free, latency = k_old, self._gpu_free, self._latency
+        carry = kept == assign and order_ids[:k_old] == self._order_ids[:k_old]
+        self._order_ids = order_ids
+        self._assign = assign
+        self._ranked = None
+        return self._checkpoint(k, [(index[v], v) for v in varying], carry)
+
+    def snapshot_path(
+        self,
+        order: Sequence[str],
+        assignment: Mapping[str, int],
+        path: Sequence[str],
+    ) -> int:
+        """Alg. 1's :meth:`snapshot`: the simulated order is the
+        operators of ``assignment`` plus ``path``, in the priority order
+        ``order``, and ``path`` varies.
+
+        Called again with the same ``order`` object, it updates the
+        carried order and assignment instead of rebuilding them: between
+        the calls ``assignment`` may change only on the previous path's
+        operators (fixed to their winning GPU), which are the only
+        entries re-read.  The new path's ids enter the carried order by
+        rank, at or after the new boundary, so the order before any
+        boundary at least the old one is unchanged and the checkpoint
+        carries exactly when :meth:`snapshot` would carry it.  The
+        boundary is the smallest rank among the path's operators and,
+        under sender blocking, their scheduled predecessors.
+        """
+        index = self._index
+        path_ids = [index[v] for v in path]
+        rank = self._rank
+        carry = self._ranked is order
+        if carry:
+            assign = self._assign
+            for vi, name in self._varying:
+                assign[vi] = assignment[name]
+            ids, ranks = self._order_ids, self._order_ranks
+            for vi in path_ids:
+                r = rank[vi]
+                pos = bisect_left(ranks, r)
+                ranks.insert(pos, r)
+                ids.insert(pos, vi)
+        else:
+            rank = [0] * self._n
+            for r, v in enumerate(order):
+                rank[index[v]] = r
+            assign = [-1] * self._n
+            for v, g in assignment.items():
+                assign[index[v]] = g
+            ids = sorted([index[v] for v in assignment] + path_ids, key=rank.__getitem__)
+            ranks = [rank[vi] for vi in ids]
+            self._ranked = order
+            self._rank = rank
+            self._order_ids = ids
+            self._order_ranks = ranks
+            self._assign = assign
+        low = min(rank[vi] for vi in path_ids)
+        if self._blocking:
+            # a scheduled predecessor issues (or skips) a blocking send
+            # to a path operator depending on its assignment
+            pptr, psrc = self._pptr, self._psrc
+            for vi in path_ids:
+                for pi in range(pptr[vi], pptr[vi + 1]):
+                    u = psrc[pi]
+                    if assign[u] >= 0 and rank[u] < low:
+                        low = rank[u]
+        k = bisect_left(ranks, low)
+        return self._checkpoint(k, list(zip(path_ids, path)), carry)
+
+    def _checkpoint(self, k: int, varying: list[tuple[int, str]], carry: bool) -> int:
+        """Simulate ``_order_ids[:k]`` under ``_assign`` — from the
+        previous checkpoint when ``carry`` holds and ``k`` did not move
+        back, from position 0 otherwise — and checkpoint the state."""
+        if carry and k >= self._k:
+            begin, gpu_free, latency = self._k, self._gpu_free, self._latency
         else:
             begin, gpu_free, latency = 0, [0.0] * self._num_gpus, 0.0
-        self._order_ids = order_ids
         self._k = k
-        self._assign = assign
-        self._varying = [(index[v], v) for v in varying]
+        self._varying = varying
         self._gpu_free = gpu_free
         self.counters.evals += 1
         self._latency = self._simulate(
-            assign, order_ids, begin, k, self._finish, self._arrival, gpu_free, latency,
+            self._assign, self._order_ids, begin, k, self._finish, self._arrival,
+            gpu_free, latency,
         )
         return k
 

@@ -18,7 +18,12 @@ hierarchy for every HIOS registry entry: HIOS-MR
 Both passes run on the incremental engine of :mod:`repro.core.fasteval`:
 prefix-replay across the ``M`` GPU candidates of one path (each path's
 prefix simulation resuming where the previous path's stopped),
-stage-graph deltas across window candidates.
+stage-graph deltas across window candidates.  Alg. 1 carries its state
+from one path to the next, so a path costs what it disturbs rather
+than ``O(|V|)``: the longest-valid-path DP updates only the cone the
+last path touched (:class:`~repro.core.longest_path.LongestPathEngine`),
+and the replayer inserts the path into its carried scheduled order and
+assignment (:meth:`~repro.core.fasteval.PrefixReplayer.snapshot_path`).
 """
 
 from __future__ import annotations
@@ -75,7 +80,7 @@ def _lp_spatial_mapping(
         gpu_speeds=profile.gpu_speeds,
         counters=counters,
     )
-    path_engine = LongestPathEngine(graph)
+    path_engine = LongestPathEngine(graph, counters=counters)
 
     log = declog.active()
     while unscheduled:
@@ -100,12 +105,10 @@ def _lp_spatial_mapping(
                 )
             continue
 
-        on_path = set(path.vertices)
-        scheduled_order = [v for v in order if v in assignment or v in on_path]
         # The prefix before the first operator whose processing reads
         # this path's assignment is candidate-invariant: simulate it
         # once, replay only the suffix per GPU.
-        replayer.snapshot(scheduled_order, assignment, path.vertices)
+        replayer.snapshot_path(order, assignment, path.vertices)
         best_gpu = 0
         best_latency = float("inf")
         candidates: dict[int, float] = {}

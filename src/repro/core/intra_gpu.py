@@ -13,7 +13,9 @@ grouping is kept when
 
 One :class:`~repro.core.fasteval.StageGraphEvaluator` serves the whole
 sweep.  It prices a candidate over only the merged stage and the stages
-downstream of it and applies an accepted merge in place.  Before that
+downstream of it and applies an accepted merge in place, as
+``parallelize`` does to its own per-GPU stage lists: the
+:class:`~repro.core.schedule.Schedule` is built once, at the end.  Before that
 it rejects as slower, without pricing the downstream stages, every
 acyclic candidate that touches no stage of the committed critical path,
 and every one whose merged stage alone delays the next stage of that
@@ -82,6 +84,15 @@ def parallelize(
     log = declog.active()
     evaluator = StageGraphEvaluator(profile, schedule, counters=counters)
     best_latency = evaluator.evaluate()
+    # the stage lists accepted merges are committed into, and where
+    # each operator sits in them: op -> (gpu, stage position)
+    per_gpu = [schedule.stages_on(g) for g in range(schedule.num_gpus)]
+    placement = {
+        op: (gpu, pos)
+        for gpu, stages in enumerate(per_gpu)
+        for pos, st in enumerate(stages)
+        for op in st.ops
+    }
 
     # The paper iterates i = 1 .. n-1: under HIOS's own schedules the
     # last-priority operator is last on its GPU and heads no window.
@@ -89,11 +100,10 @@ def parallelize(
     # (whose per-GPU order may differ from priority order) are swept
     # fully; the extra iteration is a no-op in the HIOS case.
     for v in order:
-        if v not in schedule:
+        if v not in placement:
             raise ScheduleError(f"operator {v!r} missing from schedule")
-        gpu = schedule.gpu_of(v)
-        stages = schedule.stages_on(gpu)
-        pos = schedule.stage_index_of(v)
+        gpu, pos = placement[v]
+        stages = per_gpu[gpu]
         if len(stages[pos]) > 1:
             continue  # already grouped in an earlier window
 
@@ -164,8 +174,10 @@ def parallelize(
         if best_candidate is not None:
             best_latency, best_p = best_candidate
             group = (v, *followers[:best_p])
-            merged = stages[:pos] + [Stage(gpu, group)] + stages[pos + 1 + best_p :]
-            schedule = schedule.with_stages_on_gpu(gpu, merged)
+            stages[pos : pos + 1 + best_p] = [Stage(gpu, group)]
+            for at in range(pos, len(stages)):
+                for op in stages[at].ops:
+                    placement[op] = (gpu, at)
             stats.groups_formed += 1
             if log is not None:
                 log.emit(
@@ -174,4 +186,6 @@ def parallelize(
                 )
             evaluator.commit(gpu, pos, best_p, group)
 
+    if stats.groups_formed:
+        schedule = Schedule(schedule.num_gpus, [st for stages in per_gpu for st in stages])
     return schedule, best_latency, stats

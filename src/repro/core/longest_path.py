@@ -18,43 +18,51 @@ GPU is chosen, so adjacent operators are pessimistically assumed to be
 split across GPUs.
 
 The DP runs in linear time over the DAG induced on the unscheduled
-vertex set (two passes), well below the ``O(|V|^2 |E|)`` bound quoted in
-the paper's complexity analysis.  Alg. 1 calls it once per mapping
-iteration, and only the unscheduled set changes between calls, so
-:class:`LongestPathEngine` hoists everything else — the int vertex
-index, the topological order, the name-sorted successor CSR and the
-flat edge arrays — into a per-graph object and answers each query with:
+vertex set (one pass in reverse topological order), well below the
+``O(|V|^2 |E|)`` bound quoted in the paper's complexity analysis.  Per
+unscheduled vertex ``v`` it keeps the anchor bonuses and the *free*
+flag (no edge to or from a scheduled vertex), ``tail[v]`` — the best
+path continuing from ``v`` when ``v`` is not its first vertex, which
+may continue only if ``v`` is free — and the *head total* of ``v`` as
+the first vertex.  The answer is the largest head total, the smallest
+start name on ties.
 
-* numpy kernels for the set-dependent parts: the *free* set and the
-  ``start_bonus`` / ``end_bonus`` anchor maxima come from boolean masks
-  and ``np.maximum.at`` scatters over the flat ``(src, dst, w)`` edge
-  arrays — no per-vertex neighbour walks;
-* scalar tail/head DP passes over int-indexed lists (the data
-  dependency ``tail[v] <- tail[succ]`` makes them inherently
-  sequential), with the successor scan restricted by a boolean
-  membership list instead of set hashing.
+Alg. 1 calls it once per mapping iteration, and between two calls the
+unscheduled set only loses the extracted path, so
+:class:`LongestPathEngine` keeps that state between queries and updates
+it instead of rerunning the pass.  Removing vertices ``R`` changes
+the anchors only of their unscheduled neighbours, so ``tail`` changes
+only on those neighbours and on free ancestors of a ``tail`` whose
+value changed — the *cone* — and a head total only on those neighbours
+and on predecessors of a changed ``tail``; the update recomputes
+exactly those vertices, in reverse topological order.  The best start
+sits in a heap keyed ``(-total, name)`` with lazy deletion.  Any other
+query (an arbitrary set, one that grew, a graph whose
+:attr:`~repro.core.graph.OpGraph.version` moved) reruns the full DP.
+Every vertex the update skips has exactly the inputs it had, and every
+recomputed vertex performs the full DP's additions and strict
+comparisons over the same name-sorted successors, so the path and its
+float length are bit-identical to a full run.
 
 :func:`longest_valid_path` is a one-shot engine.  The differential
 tests in ``tests/core/test_fastpath.py`` hold the engine to
 bit-identity — the same path, the same float length — with the
-from-scratch dict DP in ``tests/oracles``: maxima are selections
-(``np.maximum.at`` picks the same float a ``max`` picks), and the DP
-performs the identical sequence of additions and strict comparisons,
-including the lexicographic tie-break on the start vertex.
+from-scratch dict DP in ``tests/oracles``, over query sequences that
+mix both kinds of query.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from typing import AbstractSet, Iterator
 
-import numpy as np
-
+from .fasteval import EvalCounters
 from .graph import GraphError, OpGraph
 
 __all__ = ["LongestPathEngine", "ValidPath", "longest_valid_path"]
 
-_NEG_INF = float("-inf")
+_NAN = float("nan")
 
 
 @dataclass(frozen=True)
@@ -98,15 +106,19 @@ class LongestPathEngine:
     """Per-graph engine for :func:`longest_valid_path` queries.
 
     Construction runs the topological sort once and lowers the graph to
-    int CSR arrays; :meth:`longest_valid_path` then answers each query
-    in ``O(|V| + |E|)`` with no string hashing in the inner loops.  The
-    engine revalidates against :attr:`OpGraph.version` and rebuilds
-    after a mutation, so holding one across scheduler iterations is
-    safe.
+    int CSR arrays.  A query whose unscheduled set is the previous
+    query's minus some vertices updates the carried DP state over what
+    those vertices disturb; any other query runs the full DP in
+    ``O(|V| + |E|)``.  Either way no string hashing happens in the inner
+    loops, and ``counters.lvp_visits`` counts the vertices the DP
+    computed.  The engine revalidates against :attr:`OpGraph.version`
+    and rebuilds after a mutation, so holding one across scheduler
+    iterations is safe.
     """
 
-    def __init__(self, graph: OpGraph) -> None:
+    def __init__(self, graph: OpGraph, counters: EvalCounters | None = None) -> None:
         self._graph = graph
+        self.counters = counters if counters is not None else EvalCounters()
         self._build()
 
     def _build(self) -> None:
@@ -114,11 +126,16 @@ class LongestPathEngine:
         self._version = graph.version
         names = graph.names
         self._names: list[str] = names
-        self._index: dict[str, int] = {v: i for i, v in enumerate(names)}
+        index = {v: i for i, v in enumerate(names)}
+        self._index: dict[str, int] = index
         n = len(names)
         self._n = n
         # raises GraphError on cycles
-        self._topo: list[int] = [self._index[v] for v in graph.topological_order()]
+        self._topo: list[int] = [index[v] for v in graph.topological_order()]
+        rank = [0] * n
+        for r, v in enumerate(self._topo):
+            rank[v] = r
+        self._rank = rank
         self._cost: list[float] = [graph.cost(v) for v in names]
         # successor CSR in name-sorted order: the tie-break of equal
         # candidates is the positional first, i.e. the smallest name
@@ -127,21 +144,26 @@ class LongestPathEngine:
         sw: list[float] = []
         for v in names:
             for s in sorted(graph.successors(v)):
-                sdst.append(self._index[s])
+                sdst.append(index[s])
                 sw.append(graph.transfer(v, s))
             sptr.append(len(sdst))
         self._sptr = sptr
         self._sdst = sdst
         self._sw = sw
-        # flat edge arrays for the numpy bonus/free kernels
-        edges = graph.edges()
-        self._esrc = np.asarray(
-            [self._index[u] for u, _v, _w in edges], dtype=np.int64
-        )
-        self._edst = np.asarray(
-            [self._index[v] for _u, v, _w in edges], dtype=np.int64
-        )
-        self._ew = np.asarray([w for _u, _v, w in edges], dtype=np.float64)
+        # predecessor CSR, for the start anchors and the cone walk
+        pptr = [0]
+        psrc: list[int] = []
+        pw: list[float] = []
+        for v in names:
+            for u in graph.predecessors(v):
+                psrc.append(index[u])
+                pw.append(graph.transfer(u, v))
+            pptr.append(len(psrc))
+        self._pptr = pptr
+        self._psrc = psrc
+        self._pw = pw
+        # the unscheduled set the carried state describes (None: no state)
+        self._carried: set[str] | None = None
 
     def longest_valid_path(self, unscheduled: AbstractSet[str]) -> ValidPath:
         """Longest valid path within ``unscheduled``; the contract of
@@ -150,88 +172,157 @@ class LongestPathEngine:
             self._build()
         if not unscheduled:
             raise GraphError("no unscheduled vertices left")
+        carried = self._carried
+        removed = carried.difference(unscheduled) if carried is not None else set()
+        if carried is None or len(carried) - len(removed) != len(unscheduled):
+            self._full(unscheduled)  # not a subset of the carried set
+        elif removed:
+            carried -= removed
+            self._remove(removed)
+        return self._best()
+
+    # ------------------------------------------------------------------
+    def _full(self, unscheduled: AbstractSet[str]) -> None:
+        """The DP over the whole unscheduled set, in one pass in reverse
+        topological order."""
+        self._carried = None  # until the state below is complete
         n = self._n
         index = self._index
-        unsched = np.zeros(n, dtype=bool)
+        unsched = [False] * n
         for v in unscheduled:
             i = index.get(v)
             if i is None:
                 raise GraphError(f"unscheduled vertex {v!r} not in graph")
             unsched[i] = True
-
-        # Anchor bonuses and the free set, from the flat edge arrays:
-        # an edge contributes to start_bonus[dst] when its source is
-        # scheduled and its target is not, and symmetrically for
-        # end_bonus[src]; the same masks mark un-free vertices.
-        u_src = unsched[self._esrc]
-        u_dst = unsched[self._edst]
-        m_in = u_dst & ~u_src  # scheduled -> unscheduled
-        m_out = u_src & ~u_dst  # unscheduled -> scheduled
-        start_bonus = np.zeros(n, dtype=np.float64)
-        np.maximum.at(start_bonus, self._edst[m_in], self._ew[m_in])
-        end_bonus = np.zeros(n, dtype=np.float64)
-        np.maximum.at(end_bonus, self._esrc[m_out], self._ew[m_out])
-        anchored = np.zeros(n, dtype=bool)
-        anchored[self._edst[m_in]] = True
-        anchored[self._esrc[m_out]] = True
-        free = unsched & ~anchored
-
-        unsched_l = unsched.tolist()
-        free_l = free.tolist()
-        sb = start_bonus.tolist()
-        eb = end_bonus.tolist()
-        cost = self._cost
-        sptr = self._sptr
-        sdst = self._sdst
-        sw = self._sw
-        order = [i for i in self._topo if unsched_l[i]]
-
-        # tail pass: best continuation past v (v must be free to continue)
-        tail = [0.0] * n
-        tail_next = [-1] * n
+        self._in = unsched
+        self._free = [False] * n
+        self._sb = [0.0] * n
+        self._eb = [0.0] * n
+        self._tail = [0.0] * n
+        self._tail_next = [-1] * n
+        self._total = [_NAN] * n
+        self._head_next = [-1] * n
+        self._heap: list[tuple[float, str, int]] = []
+        order = [i for i in self._topo if unsched[i]]
         for v in reversed(order):
-            best = eb[v]
-            best_next = -1
-            if free_l[v]:
-                for ei in range(sptr[v], sptr[v + 1]):
-                    s = sdst[ei]
-                    if not unsched_l[s]:
-                        continue
-                    cand = sw[ei] + tail[s]
-                    if cand > best:
-                        best = cand
-                        best_next = s
-            tail[v] = cost[v] + best
-            tail_next[v] = best_next
+            self._anchor(v)
+            self._update(v)
+        self.counters.lvp_visits += len(order)
+        self._carried = set(unscheduled)
 
-        # head pass: v as the (free-exempt) first vertex
-        names = self._names
-        best_start = -1
-        best_len = _NEG_INF
-        head_next = [-1] * n
-        for v in order:
-            best = eb[v]
-            nxt = -1
-            for ei in range(sptr[v], sptr[v + 1]):
-                s = sdst[ei]
-                if not unsched_l[s]:
-                    continue
-                cand = sw[ei] + tail[s]
-                if cand > best:
-                    best = cand
-                    nxt = s
-            head_next[v] = nxt
-            total = sb[v] + cost[v] + best
-            if total > best_len or (
-                total == best_len and best_start >= 0 and names[v] < names[best_start]
-            ):
-                best_len = total
-                best_start = v
+    def _remove(self, removed: set[str]) -> None:
+        """Update the carried state after ``removed`` left the
+        unscheduled set: re-anchor their unscheduled neighbours, then
+        recompute those neighbours and every unscheduled predecessor of
+        a changed ``tail``, in reverse topological order."""
+        index, unsched = self._index, self._in
+        pptr, psrc, sptr, sdst = self._pptr, self._psrc, self._sptr, self._sdst
+        ids = [index[v] for v in removed]
+        for r in ids:
+            unsched[r] = False
+        queued: set[int] = set()  # the re-anchored neighbours, then the cone
+        for r in ids:
+            for pi in range(pptr[r], pptr[r + 1]):
+                if unsched[psrc[pi]]:
+                    queued.add(psrc[pi])
+            for si in range(sptr[r], sptr[r + 1]):
+                if unsched[sdst[si]]:
+                    queued.add(sdst[si])
+        for v in queued:
+            self._anchor(v)
 
-        assert best_start >= 0
-        path = [names[best_start]]
-        cursor = head_next[best_start]
+        # pop the highest topological rank first: every successor of a
+        # vertex is final before the vertex itself is recomputed
+        rank, topo = self._rank, self._topo
+        pending = [-rank[v] for v in queued]
+        heapify(pending)
+        while pending:
+            v = topo[-heappop(pending)]
+            if self._update(v):
+                for pi in range(pptr[v], pptr[v + 1]):
+                    u = psrc[pi]
+                    if unsched[u] and u not in queued:
+                        queued.add(u)
+                        heappush(pending, -rank[u])
+        self.counters.lvp_visits += len(queued)
+
+    def _anchor(self, v: int) -> None:
+        """Anchor bonuses and free flag of the unscheduled vertex ``v``:
+        its heaviest edge from, and to, a scheduled vertex."""
+        unsched = self._in
+        pw, sw = self._pw, self._sw
+        free = True
+        start = 0.0
+        for pi in range(self._pptr[v], self._pptr[v + 1]):
+            if not unsched[self._psrc[pi]]:
+                free = False
+                if pw[pi] > start:
+                    start = pw[pi]
+        end = 0.0
+        for si in range(self._sptr[v], self._sptr[v + 1]):
+            if not unsched[self._sdst[si]]:
+                free = False
+                if sw[si] > end:
+                    end = sw[si]
+        self._free[v] = free
+        self._sb[v] = start
+        self._eb[v] = end
+
+    def _update(self, v: int) -> bool:
+        """Recompute ``tail[v]`` and the head total of ``v`` from its
+        successors' tails; returns whether ``tail[v]``'s value changed.
+
+        Both continue with the best of the end anchor and, over the
+        unscheduled successors in name order, edge plus ``tail`` (strict
+        ``>``: the smallest name wins a tie).  ``tail`` continues past
+        ``v`` only when ``v`` is free; the head total — ``v`` as the
+        free-exempt first vertex — adds the start anchor, and goes onto
+        the heap when it changed.
+        """
+        unsched, tail = self._in, self._tail
+        sdst, sw = self._sdst, self._sw
+        best = self._eb[v]
+        nxt = -1
+        for ei in range(self._sptr[v], self._sptr[v + 1]):
+            s = sdst[ei]
+            if not unsched[s]:
+                continue
+            cand = sw[ei] + tail[s]
+            if cand > best:
+                best = cand
+                nxt = s
+        cost = self._cost[v]
+        self._head_next[v] = nxt
+        total = self._sb[v] + cost + best
+        old = self._total[v]
+        self._total[v] = total
+        # a NaN total never wins the comparisons; kept out, it cannot
+        # disorder the heap
+        if total != old and total == total:
+            heappush(self._heap, (-total, self._names[v], v))
+        if self._free[v]:
+            value = cost + best
+            self._tail_next[v] = nxt
+        else:
+            value = cost + self._eb[v]
+            self._tail_next[v] = -1
+        changed = value != tail[v]
+        tail[v] = value
+        return changed
+
+    def _best(self) -> ValidPath:
+        """The largest head total (smallest name on ties), dropping
+        heap entries of scheduled vertices and of superseded totals."""
+        heap, unsched, total = self._heap, self._in, self._total
+        while True:
+            neg, _name, v = heap[0]
+            if unsched[v] and neg == -total[v]:
+                break
+            heappop(heap)
+        names, tail_next = self._names, self._tail_next
+        path = [names[v]]
+        cursor = self._head_next[v]
         while cursor >= 0:
             path.append(names[cursor])
             cursor = tail_next[cursor]
-        return ValidPath(vertices=tuple(path), length=best_len)
+        return ValidPath(vertices=tuple(path), length=total[v])

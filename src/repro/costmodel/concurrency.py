@@ -131,11 +131,16 @@ class TableConcurrencyModel:
         table: Mapping[frozenset[str], float] | None = None,
         fallback: ConcurrencyModel | None = None,
     ) -> None:
-        self._table: dict[frozenset[str], float] = dict(table or {})
+        self._table: dict[frozenset[str], float] = {}
+        for names, duration in (table or {}).items():
+            self.record(names, duration)
         self._fallback = fallback if fallback is not None else SaturationConcurrencyModel()
 
     def record(self, names: Iterable[str], duration: float) -> None:
-        """Store a profiled measurement for a set of operators."""
+        """Store a profiled measurement for a set of operators; raises
+        :class:`ValueError` unless ``duration`` is finite and
+        non-negative.  The constructor records its ``table`` through
+        here."""
         if not 0 <= duration < math.inf:
             raise ValueError("stage duration must be finite and non-negative")
         self._table[frozenset(names)] = duration

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Iterable, Iterator, Union
 
 __all__ = [
@@ -252,32 +253,53 @@ class FaultPlan:
         return f"FaultPlan(specs={list(self.specs)!r}, seed={self.seed})"
 
     # ------------------------------------------------------------------
-    # typed accessors
+    # typed views, derived once, on first use: the plan never changes,
+    # and the engine, the fabric and serving's per-segment fault
+    # projection read them over and over (many per-segment plans are
+    # replayed without ever being read).  The accessors hand out fresh
+    # lists, so no caller can corrupt the plan.
     # ------------------------------------------------------------------
+    @cached_property
+    def _slowdowns(self) -> tuple[GpuSlowdown, ...]:
+        return tuple(sp for sp in self.specs if isinstance(sp, GpuSlowdown))
+
+    @cached_property
+    def _failures(self) -> tuple[GpuFailure, ...]:
+        failures = (sp for sp in self.specs if isinstance(sp, GpuFailure))
+        return tuple(sorted(failures, key=lambda sp: sp.at))
+
+    @cached_property
+    def _repairs(self) -> tuple[GpuRepair, ...]:
+        repairs = (sp for sp in self.specs if isinstance(sp, GpuRepair))
+        return tuple(sorted(repairs, key=lambda sp: sp.at))
+
+    @cached_property
+    def _degradations(self) -> tuple[LinkDegradation, ...]:
+        return tuple(sp for sp in self.specs if isinstance(sp, LinkDegradation))
+
+    @cached_property
+    def _losses(self) -> tuple[TransferLoss, ...]:
+        return tuple(sp for sp in self.specs if isinstance(sp, TransferLoss))
+
     def slowdowns(self) -> list[GpuSlowdown]:
-        return [sp for sp in self.specs if isinstance(sp, GpuSlowdown)]
+        return list(self._slowdowns)
 
     def failures(self) -> list[GpuFailure]:
-        return sorted(
-            (sp for sp in self.specs if isinstance(sp, GpuFailure)),
-            key=lambda sp: sp.at,
-        )
+        """Failures by time (stable: ties keep spec order)."""
+        return list(self._failures)
 
     def first_failure(self) -> GpuFailure | None:
-        failures = self.failures()
-        return failures[0] if failures else None
+        return self._failures[0] if self._failures else None
 
     def repairs(self) -> list[GpuRepair]:
-        return sorted(
-            (sp for sp in self.specs if isinstance(sp, GpuRepair)),
-            key=lambda sp: sp.at,
-        )
+        """Repairs by time (stable: ties keep spec order)."""
+        return list(self._repairs)
 
     def degradations(self) -> list[LinkDegradation]:
-        return [sp for sp in self.specs if isinstance(sp, LinkDegradation)]
+        return list(self._degradations)
 
     def losses(self) -> list[TransferLoss]:
-        return [sp for sp in self.specs if isinstance(sp, TransferLoss)]
+        return list(self._losses)
 
     def out_of_range(self, num_gpus: int) -> Iterator[tuple[int, str]]:
         """``(index, message)`` for each spec naming a GPU outside
@@ -308,7 +330,7 @@ class FaultPlan:
     def bw_factor(self, src: int, dst: int, time: float) -> float:
         """Compound bandwidth factor of the directed link at ``time``."""
         factor = 1.0
-        for sp in self.degradations():
+        for sp in self._degradations:
             if sp.src == src and sp.dst == dst and time >= sp.at:
                 factor *= sp.bw_factor
         return factor
@@ -322,7 +344,7 @@ class FaultPlan:
         depend on the order the fabric asks in — a plan replays
         identically run after run.
         """
-        for sp in self.losses():
+        for sp in self._losses:
             if sp.tags and tag in sp.tags and attempt == 1:
                 return sp
             if sp.prob > 0.0:

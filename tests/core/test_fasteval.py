@@ -39,6 +39,7 @@ from repro.core import (
     soa_latency,
 )
 from repro.core.fasteval import SKIP_DELAYS_PATH, SKIP_OFF_PATH
+from repro.core.longest_path import LongestPathEngine
 from repro.models import random_dag_profile
 
 from .. import oracles
@@ -180,6 +181,75 @@ def test_snapshot_carries_the_prefix_across_paths(blocking, speeds):
         _replays_match(g, rp, sub_order, assignment, path, M, blocking, speeds, rng)
         k_old = k
     assert carried > 0 and restarted > 0
+
+
+@pytest.mark.parametrize("paths", ["lvp", "random"])
+@pytest.mark.parametrize("blocking", [True, False])
+@pytest.mark.parametrize("speeds", [None, (1.0, 1.5, 0.75)])
+def test_snapshot_path_matches_reference_across_alg1(paths, blocking, speeds):
+    """Alg. 1's sequence on one replayer through :meth:`snapshot_path`:
+    the carried order and assignment grow path by path, and every
+    candidate's replay equals a from-scratch simulation of the order the
+    scheduler used to rebuild.  Paths are Alg. 1's own longest valid
+    paths or arbitrary sets of unscheduled operators; each path keeps a
+    random winner, so the carried entries are not the last replayed."""
+    for seed in range(4):
+        g = _rand_graph(seed=40 + seed, n=30)
+        M = 3
+        order = priority_order(g)
+        rng = random.Random(seed)
+        rp = _BeginSpy(g, M, send_blocking=blocking, gpu_speeds=speeds)
+        engine = LongestPathEngine(g)
+        assignment: dict[str, int] = {}
+        unscheduled = set(order)
+        carried = restarted = 0
+        k_old = 0
+        while unscheduled:
+            if paths == "lvp":
+                path = list(engine.longest_valid_path(unscheduled).vertices)
+            else:
+                path = rng.sample(sorted(unscheduled), min(len(unscheduled), rng.randint(1, 4)))
+            unscheduled -= set(path)
+            sub_order = [v for v in order if v in assignment or v in path]
+            k = rp.snapshot_path(order, assignment, path)
+            assert k == rp.prefix_boundary(sub_order, path)
+            begin = rp.begins[-1]
+            if k >= k_old and begin:
+                carried += 1
+            restarted += begin == 0
+            k_old = k
+            for gpu in range(M):
+                for v in path:
+                    assignment[v] = gpu
+                want = oracles.list_schedule_latency(
+                    g, assignment, sub_order, M, send_blocking=blocking, gpu_speeds=speeds
+                )
+                assert rp.replay(assignment) == want  # bit-identical
+            winner = rng.randrange(M)
+            for v in path:
+                assignment[v] = winner
+        assert restarted > 0
+        assert carried > 0 or paths == "random"  # Alg. 1's paths do carry
+
+
+def test_snapshot_path_rebuilds_after_a_plain_snapshot():
+    """A :meth:`snapshot` in between drops the carried order: the next
+    :meth:`snapshot_path` rebuilds it from its arguments."""
+    g = _rand_graph(seed=5, n=16)
+    M = 2
+    order = priority_order(g)
+    assignment = {v: i % M for i, v in enumerate(order[:8])}
+    rp = PrefixReplayer(g, M)
+    rp.snapshot_path(order, assignment, order[8:10])
+    for v in order[8:10]:
+        assignment[v] = 1
+    rp.snapshot(order[:10], assignment, [order[0]])
+    rp.snapshot_path(order, assignment, order[10:12])
+    for gpu in range(M):
+        for v in order[10:12]:
+            assignment[v] = gpu
+        want = oracles.list_schedule_latency(g, assignment, order[:12], M)
+        assert rp.replay(assignment) == want
 
 
 @pytest.mark.parametrize("blocking", [True, False])
@@ -630,7 +700,7 @@ def test_reference_runs_keep_no_counters(alg):
         ref = schedule_graph(prof, alg)
     for key in (
         "evals", "suffix_replays", "window_delta_evals", "window_skips",
-        "window_delay_skips", "soa_evals",
+        "window_delay_skips", "soa_evals", "lvp_visits",
     ):
         assert ref.stats[key] == 0, key
 
@@ -757,6 +827,7 @@ def test_counters_shared_across_phases():
         "window_delay_skips",
         "soa_evals",
         "cache_hits",
+        "lvp_visits",
     }
 
 

@@ -10,13 +10,14 @@ import pytest
 from repro.core import (
     evaluate_latency,
     longest_valid_path,
-    schedule_brute_force,
     schedule_hios_lp,
     schedule_hios_mr,
     schedule_inter_gpu_lp,
     schedule_inter_gpu_mr,
 )
 from repro.models.worked_examples import fig4_graph, fig4_profile
+
+from ..oracles import schedule_brute_force
 
 
 class TestFig4:

@@ -8,7 +8,6 @@ from repro.core import (
     OpGraph,
     evaluate_latency,
     make_profile,
-    schedule_brute_force,
     schedule_graph,
     schedule_hios_lp,
     schedule_hios_mr,
@@ -18,6 +17,8 @@ from repro.core import (
     schedule_sequential,
 )
 from repro.costmodel import CostProfile, MaxConcurrencyModel
+
+from ..oracles import schedule_brute_force
 
 
 def diamond(transfer=0.5) -> OpGraph:

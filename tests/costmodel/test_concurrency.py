@@ -107,6 +107,14 @@ class TestTable:
         t = TableConcurrencyModel({frozenset({"a"}): 9.0})
         assert t.duration([Operator("a", cost=1.0)]) == 9.0
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -3.0], ids=repr)
+    def test_initial_table_entries_are_checked(self, bad):
+        """The constructor applies :meth:`record`'s check to every entry,
+        so no scheduler optimizes a NaN or negative ``t(S)``."""
+        table = {frozenset({"a", "b"}): 1.5, frozenset({"c"}): bad}
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            TableConcurrencyModel(table)
+
     def test_default_fallback_is_saturation(self):
         t = TableConcurrencyModel()
         (op,) = ops_of((2.0, 1.0))

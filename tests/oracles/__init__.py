@@ -19,8 +19,10 @@ oracle                        production component
 :func:`reference_components` swaps the oracles in behind the names the
 schedulers look up at call time, so a whole scheduler run can be
 compared with — or timed against — the same run on the references.
-The module imports only ``repro``, so the scheduling-cost gate can use
-it outside pytest.
+:func:`schedule_brute_force` (``brute_force.py``) is the exhaustive
+optimum the schedulers are checked against on graphs of a dozen
+operators.  The package imports only ``repro``, so the scheduling-cost
+gate can use it outside pytest.
 """
 
 from __future__ import annotations
@@ -40,6 +42,8 @@ from repro.costmodel.profile import CostProfile
 from repro.sweep.keying import content_key
 from repro.sweep.schedcache import SCHED_CACHE_FORMAT, concurrency_fingerprint
 
+from .brute_force import schedule_brute_force
+
 __all__ = [
     "evaluate_latency",
     "evaluate_schedule",
@@ -48,6 +52,7 @@ __all__ = [
     "mr_fill",
     "profile_fingerprint",
     "reference_components",
+    "schedule_brute_force",
     "schedule_key",
 ]
 
@@ -442,6 +447,14 @@ class _ListScheduleOracle:
         self._order = list(order)
         return 0  # nothing checkpointed: replays start at position 0
 
+    def snapshot_path(
+        self, order: Sequence[str], assignment: Mapping[str, int], path: Sequence[str]
+    ) -> int:
+        on_path = set(path)
+        return self.snapshot(
+            [v for v in order if v in assignment or v in on_path], assignment, path
+        )
+
     def replay(self, assignment: Mapping[str, int]) -> float:
         return list_schedule_latency(
             self._graph, assignment, self._order, self._num_gpus,
@@ -491,7 +504,7 @@ class _LongestPathOracle:
     """``LongestPathEngine`` stand-in: one from-scratch
     :func:`longest_valid_path` per query."""
 
-    def __init__(self, graph: OpGraph) -> None:
+    def __init__(self, graph: OpGraph, counters: EvalCounters | None = None) -> None:
         self._graph = graph
 
     def longest_valid_path(self, unscheduled: AbstractSet[str]) -> ValidPath:

@@ -1,11 +1,12 @@
-"""Exhaustive reference scheduler for tiny graphs.
+"""Exhaustive reference scheduler for tiny graphs (a test oracle).
 
 Enumerates every operator-to-GPU assignment and, per assignment, every
 per-GPU ordered stage partition that respects local dependencies, then
 evaluates each complete schedule (infeasible cross-GPU interleavings
 are rejected by the evaluator's cycle check).  Exponential — intended
 only for cross-checking HIOS-LP / HIOS-MR / IOS on graphs of at most a
-dozen operators in the test suite.
+dozen operators in the test suite, so it lives here and not in
+``repro.core``.
 """
 
 from __future__ import annotations
@@ -13,10 +14,10 @@ from __future__ import annotations
 import time
 from itertools import combinations, product
 
-from ..costmodel.profile import CostProfile
-from .evaluator import evaluate_latency
-from .result import ScheduleResult
-from .schedule import Schedule, ScheduleError, Stage
+from repro.core.evaluator import evaluate_latency
+from repro.core.result import ScheduleResult
+from repro.core.schedule import Schedule, ScheduleError, Stage
+from repro.costmodel.profile import CostProfile
 
 __all__ = ["schedule_brute_force"]
 

@@ -6,6 +6,7 @@ from repro.substrate import (
     FaultError,
     FaultPlan,
     GpuFailure,
+    GpuRepair,
     GpuSlowdown,
     LinkDegradation,
     NVLINK_BRIDGE,
@@ -63,6 +64,27 @@ class TestPlan:
         assert len(plan.slowdowns()) == 1
         assert len(plan.degradations()) == 1
         assert len(plan.losses()) == 1
+
+    def test_accessors_hand_out_copies(self):
+        """The views are derived once; a caller that edits what it got
+        cannot change what the next caller (or the engine) reads."""
+        plan = FaultPlan.from_strings(
+            ["fail:1@5", "fail:0@2", "repair:0@4", "slow:2@1x0.5", "link:0->1@0x0.5",
+             "loss:0.1"]
+        )
+        views = (plan.failures, plan.repairs, plan.slowdowns, plan.degradations, plan.losses)
+        before = [view() for view in views]
+        for got in before:
+            got.clear()
+        assert [view() for view in views] == [
+            [GpuFailure(gpu=0, at=2.0), GpuFailure(gpu=1, at=5.0)],
+            [sp for sp in plan.specs if isinstance(sp, GpuRepair)],
+            [sp for sp in plan.specs if isinstance(sp, GpuSlowdown)],
+            [sp for sp in plan.specs if isinstance(sp, LinkDegradation)],
+            [sp for sp in plan.specs if isinstance(sp, TransferLoss)],
+        ]
+        assert plan.first_failure() == GpuFailure(gpu=0, at=2.0)
+        assert plan.bw_factor(0, 1, 1.0) == 0.5
 
     def test_validate_for_rejects_out_of_range(self):
         with pytest.raises(FaultError):

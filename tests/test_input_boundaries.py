@@ -406,6 +406,7 @@ NON_FINITE_KNOBS = {
     "Saturation.contention_penalty": lambda v: SaturationConcurrencyModel(v),
     "Saturation.stream_overhead": lambda v: SaturationConcurrencyModel(0.06, v),
     "Table.record": lambda v: TableConcurrencyModel().record(["a"], v),
+    "Table.__init__": lambda v: TableConcurrencyModel({frozenset({"a"}): v}),
     "EngineConfig.launch_overhead_ms": lambda v: EngineConfig(launch_overhead_ms=v),
     "EngineConfig.contention_penalty": lambda v: EngineConfig(contention_penalty=v),
     "EngineConfig.stream_overhead": lambda v: EngineConfig(stream_overhead=v),
