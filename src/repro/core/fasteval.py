@@ -57,7 +57,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, cast
 
 from ..costmodel.profile import CostProfile
 from .graph import OpGraph
@@ -160,11 +160,14 @@ class PrefixReplayer:
 
     **Int lowering, no-restore replay.**  The simulation state lives in
     int-indexed flat lists — operator ids instead of names, a per-edge
-    arrival slot instead of an ``(u, v)``-keyed dict — and a replay
-    writes into the shared ``finish`` / ``arrival`` buffers without
-    restoring them afterwards.  That is sound because every value a
-    replay reads was written either by the same replay or by the
-    prefix: the order is topological, so ``finish[u]`` is rewritten
+    arrival slot instead of an ``(u, v)``-keyed dict — read through
+    per-operator input and send tuples built once and a ``GPU x
+    operator`` table of ``cost / speed`` (dividing by speed 1.0 without
+    speed factors is exact); :meth:`_simulate` runs one loop per send
+    mode.  A replay writes into the shared ``finish`` / ``arrival``
+    buffers without restoring them afterwards.  That is sound because
+    every value a replay reads was written either by the same replay or
+    by the prefix: the order is topological, so ``finish[u]`` is rewritten
     before any read; and an ``arrival`` slot ``(u, v)`` is read only
     when the current assignment splits ``u`` and ``v``, which is
     exactly the condition under which processing ``u`` (this replay if
@@ -204,9 +207,6 @@ class PrefixReplayer:
     ) -> None:
         self._num_gpus = num_gpus
         self._blocking = send_blocking
-        self._speeds: list[float] | None = (
-            list(gpu_speeds) if gpu_speeds is not None else None
-        )
         self.counters = counters if counters is not None else EvalCounters()
         names = graph.names
         self._names: list[str] = names
@@ -214,47 +214,38 @@ class PrefixReplayer:
         self._index: dict[str, int] = index
         n = len(names)
         self._n = n
-        # successor CSR in the reference's deterministic send order
-        # (sorted consumer names); the CSR position is the edge id that
-        # addresses the flat per-edge arrival buffer
-        sptr = [0]
-        sdst: list[int] = []
-        sw: list[float] = []
-        edge_id: dict[tuple[str, str], int] = {}
+        # sends in the reference's deterministic order (sorted consumer
+        # names); an edge's rank in that order is its arrival slot
+        self._sends: list[tuple[tuple[int, float, int], ...]] = []
+        slot: dict[tuple[str, str], int] = {}
         for v in names:
+            sends: list[tuple[int, float, int]] = []
             for s in sorted(graph.successors(v)):
-                edge_id[(v, s)] = len(sdst)
-                sdst.append(index[s])
-                sw.append(graph.transfer(v, s))
-            sptr.append(len(sdst))
-        self._sptr = sptr
-        self._sdst = sdst
-        self._sw = sw
-        # predecessor CSR carrying each edge's transfer weight and its
-        # arrival-slot id
-        pptr = [0]
-        psrc: list[int] = []
-        pw: list[float] = []
-        pedge: list[int] = []
-        for v in names:
-            for u in graph.predecessors(v):
-                psrc.append(index[u])
-                pw.append(graph.transfer(u, v))
-                pedge.append(edge_id[(u, v)])
-            pptr.append(len(psrc))
-        self._pptr = pptr
-        self._psrc = psrc
-        self._pw = pw
-        self._pedge = pedge
-        self._cost: list[float] = [graph.cost(v) for v in names]
-        self._num_edges = len(sdst)
+                slot[(v, s)] = len(slot)
+                sends.append((index[s], graph.transfer(v, s), slot[(v, s)]))
+            self._sends.append(tuple(sends))
+        # inputs in predecessor order: (pred, arrival slot) under sender
+        # blocking, (pred, weight) otherwise
+        self._ins: list[tuple[tuple[int, float], ...]] = [
+            tuple(
+                (index[u], slot[(u, v)] if send_blocking else graph.transfer(u, v))
+                for u in graph.predecessors(v)
+            )
+            for v in names
+        ]
+        # duration of each operator on each GPU
+        cost = [graph.cost(v) for v in names]
+        self._dur: list[list[float]] = [
+            [c / speed for c in cost]
+            for speed in (gpu_speeds if gpu_speeds is not None else [1.0] * num_gpus)
+        ]
         # checkpoint state (int-indexed)
         self._order_ids: list[int] = []
         self._k = 0
         self._assign: list[int] = [-1] * n
         self._varying: list[tuple[int, str]] = []
         self._finish: list[float] = [0.0] * n
-        self._arrival: list[float] = [0.0] * self._num_edges
+        self._arrival: list[float] = [0.0] * len(slot)
         self._gpu_free: list[float] = [0.0] * num_gpus
         self._latency = 0.0
         # :meth:`snapshot_path`'s carried order: the priority order it
@@ -278,52 +269,56 @@ class PrefixReplayer:
     ) -> float:
         """List-schedule ``order[start:stop]``, mutating the carried
         state in place.  Performs the from-scratch simulation's float
-        operations in its order — only the indexing is lowered to ints."""
-        blocking = self._blocking
-        speeds = self._speeds
-        pptr = self._pptr
-        psrc = self._psrc
-        pw = self._pw
-        pedge = self._pedge
-        sptr = self._sptr
-        sdst = self._sdst
-        sw = self._sw
-        cost = self._cost
-        for i in range(start, stop):
-            v = order[i]
-            g = assign[v]
-            t = gpu_free[g]
-            for pi in range(pptr[v], pptr[v + 1]):
-                u = psrc[pi]
-                gu = assign[u]
-                if gu < 0:
-                    continue  # still unscheduled in this iteration
-                if gu == g:
-                    ready = finish[u]
-                elif blocking:
-                    ready = arrival[pedge[pi]]
-                else:
-                    ready = finish[u] + pw[pi]
-                if ready > t:
-                    t = ready
-            speed = 1.0 if speeds is None else speeds[g]
-            end = t + cost[v] / speed
-            finish[v] = end
-            if blocking:
+        operations in its order — only the indexing is lowered to ints.
+        An unassigned predecessor (GPU ``-1``) is still unscheduled in
+        this iteration and is skipped, as is a send to one."""
+        ins = self._ins
+        dur = self._dur
+        if self._blocking:
+            slots = cast("list[tuple[tuple[int, int], ...]]", ins)
+            sends = self._sends
+            for i in range(start, stop):
+                v = order[i]
+                g = assign[v]
+                t = gpu_free[g]
+                for u, slot in slots[v]:
+                    gu = assign[u]
+                    if gu < 0:
+                        continue
+                    ready = finish[u] if gu == g else arrival[slot]
+                    if ready > t:
+                        t = ready
+                end = t + dur[g][v]
+                finish[v] = end
                 cursor = end
-                for si in range(sptr[v], sptr[v + 1]):
-                    gs = assign[sdst[si]]
+                for s, w, slot in sends[v]:
+                    gs = assign[s]
                     if gs < 0 or gs == g:
                         continue
-                    cursor += sw[si]
-                    arrival[si] = cursor
+                    cursor += w
+                    arrival[slot] = cursor
                 gpu_free[g] = cursor
                 if cursor > latency:
                     latency = cursor
-            else:
+                if end > latency:
+                    latency = end
+        else:
+            for i in range(start, stop):
+                v = order[i]
+                g = assign[v]
+                t = gpu_free[g]
+                for u, w in ins[v]:
+                    gu = assign[u]
+                    if gu < 0:
+                        continue
+                    ready = finish[u] if gu == g else finish[u] + w
+                    if ready > t:
+                        t = ready
+                end = t + dur[g][v]
+                finish[v] = end
                 gpu_free[g] = end
-            if end > latency:
-                latency = end
+                if end > latency:
+                    latency = end
         return latency
 
     def prefix_boundary(self, order: Sequence[str], varying: Iterable[str]) -> int:
@@ -331,8 +326,6 @@ class PrefixReplayer:
         assignment of any operator in ``varying``."""
         positions = {v: i for i, v in enumerate(order)}
         names = self._names
-        pptr = self._pptr
-        psrc = self._psrc
         k = len(order)
         for v in varying:
             pos = positions.get(v)
@@ -343,9 +336,8 @@ class PrefixReplayer:
             if self._blocking:
                 # a predecessor issues (or skips) a blocking send to v
                 # depending on v's assignment
-                vi = self._index[v]
-                for pi in range(pptr[vi], pptr[vi + 1]):
-                    pu = positions.get(names[psrc[pi]])
+                for u, _slot in self._ins[self._index[v]]:
+                    pu = positions.get(names[u])
                     if pu is not None and pu < k:
                         k = pu
         return k
@@ -438,10 +430,9 @@ class PrefixReplayer:
         if self._blocking:
             # a scheduled predecessor issues (or skips) a blocking send
             # to a path operator depending on its assignment
-            pptr, psrc = self._pptr, self._psrc
+            ins = self._ins
             for vi in path_ids:
-                for pi in range(pptr[vi], pptr[vi + 1]):
-                    u = psrc[pi]
+                for u, _slot in ins[vi]:
                     if assign[u] >= 0 and rank[u] < low:
                         low = rank[u]
         k = bisect_left(ranks, low)

@@ -198,7 +198,10 @@ def schedule_hios(
         )
         phase_times["local_search"] = time.perf_counter() - t1
     schedule: Schedule = build_singleton_schedule(assignment, order, profile.num_gpus)
-    latency = soa_latency(profile, schedule, validate=True, counters=counters)
+    # a mapping computed here is valid by construction; a cached one may
+    # come from outside the call
+    cached = spatial_cache is not None
+    latency = soa_latency(profile, schedule, validate=cached, counters=counters)
     stats["inter_gpu_latency"] = latency
 
     if window is not None:
@@ -208,7 +211,7 @@ def schedule_hios(
             schedule,
             window=window,
             priority=order,
-            validate=False,  # singleton schedule was validated just above
+            validate=False,  # valid by construction, or validated just above
             counters=counters,
         )
         phase_times["intra_gpu"] = time.perf_counter() - t1

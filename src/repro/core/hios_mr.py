@@ -6,11 +6,12 @@ the earliest finish time ``t_{i,j}`` achievable when ``v_i`` runs on
 GPU ``j`` — together with ``g_{i,j}``, the GPU that ``v_{i-1}`` was
 mapped to in the recorded schedule attaining that finish time.  Each
 cell is filled by replaying the ``min(M, i-1)`` recorded schedules of
-the previous operator (reconstructed by walking the ``g`` pointers) and
-placing ``v_i`` at its earliest start under GPU-availability and
-data-dependency constraints.  Backtracking from the best final cell
-yields the spatial mapping; Alg. 2 then regroups within each GPU
-(:func:`repro.core.hios_lp.schedule_hios` runs the hierarchy).
+the previous operator (carried from row to row as plain lists, see
+:func:`_mr_fill`) and placing ``v_i`` at its earliest start under
+GPU-availability and data-dependency constraints.  Backtracking from
+the best final cell yields the spatial mapping; Alg. 2 then regroups
+within each GPU (:func:`repro.core.hios_lp.schedule_hios` runs the
+hierarchy).
 
 This is the paper's *local* greedy alternative to HIOS-LP: it never
 reasons about whole paths, so it tends to split dependent chains across
@@ -20,8 +21,6 @@ GPUs and pay avoidable transfers — the behaviour Figs. 7-13 quantify.
 from __future__ import annotations
 
 from typing import Any, MutableMapping
-
-import numpy as np
 
 from ..costmodel.profile import CostProfile
 from .fasteval import EvalCounters, soa_latency  # noqa: F401
@@ -47,74 +46,73 @@ def _mr_fill(
     t_tab: list[list[float]],
     g_tab: list[list[int]],
 ) -> None:
-    """Vectorized Alg. 3 fill of the ``(t, g)`` table, rows ``1 .. n-1``.
+    """Alg. 3 fill of the ``(t, g)`` table, rows ``1 .. n-1``: a scalar
+    DP over plain lists.
 
-    Each row is computed as one ``(k, j)`` numpy block instead of a
-    per-cell reconstruction of every recorded schedule: the per-GPU free
-    arrays of all ``M`` recorded states ride along as an ``(M, M)``
-    matrix, the ``g``-pointer chain walk down to the deepest predecessor
-    is a gather shared by every ``k`` at once, and the strict ``<``
-    update over ascending ``k`` collapses to a masked column ``min`` /
-    first-occurrence ``argmin`` (a sequence of strict improvements
-    lands on exactly the smallest ``k`` attaining the column minimum).
-    The result is bit-identical to the per-cell fill in
-    ``tests/oracles`` because minima and maxima are selections and the
-    per-cell arithmetic (``t + tr``, ``ready + cost/speed``) performs
-    the same float operations; ``np.where`` keeps the ``mu == j`` branch
-    free of any ``+ 0.0`` rewriting.  Rows of the free matrix belonging
-    to unreachable states carry garbage — the validity mask drops them,
-    as the per-cell fill skips infinite cells.
+    Each reachable state ``(i-1, k)`` — the recorded schedule ending
+    with ``v_{i-1}`` on GPU ``k`` — carries its per-GPU free times and
+    the GPU of each of ``v_0 .. v_{i-1}``, so row ``i`` reads a
+    predecessor's finish time and GPU once per state instead of walking
+    the ``g`` pointers back to it.  State ``(i, j)`` takes the lists of
+    state ``(i-1, g[i][j])``, appends ``j`` and raises GPU ``j``'s free
+    time to ``t[i][j]``.  States are tried in ascending ``k`` and a cell
+    updates only on a strict ``<``, so the smallest winning ``k`` stays;
+    the arithmetic (``t + tr``, ``ready + cost/speed``) is the per-cell
+    fill's in ``tests/oracles``, so the table is bit-identical to it.
     """
     graph = profile.graph
     M = profile.num_gpus
-    n = len(order)
-    if n <= 1:
-        return
     hetero = profile.heterogeneous
-    T = np.full((n, M), _INF, dtype=np.float64)
-    T[0] = t_tab[0]
-    G = np.zeros((n, M), dtype=np.int64)
-    speeds_arr = np.asarray(speeds, dtype=np.float64)
-    js = np.arange(M)
-    free = np.zeros((M, M), dtype=np.float64)  # free[k] = state (i-1, k)
-    free[js, js] = np.maximum(free[js, js], T[0])
-    for i in range(1, n):
-        v = order[i]
-        cost_div = graph.cost(v) / speeds_arr
-        preds = [
-            (index[u], graph.transfer(u, v))
-            for u in graph.predecessors(v)
-            if index[u] < i
-        ]
-        num_j = M if hetero else min(M, i + 1)
-        num_k = M if hetero else min(M, i)
-        valid_k = T[i - 1, :num_k] < _INF
-        # chain GPUs of the predecessors, for every k in one walk
-        chain: dict[int, np.ndarray] = {}
-        if preds:
-            pred_pos = {l for l, _tr in preds}
-            m_vec = np.arange(M)
-            for l in range(i - 1, min(pred_pos) - 1, -1):
-                if l in pred_pos:
-                    chain[l] = m_vec
-                m_vec = G[l][m_vec]
-        ready = free.copy()
-        for l, tr in preds:
-            mu = chain[l]
-            base = T[l, mu][:, None]
-            dep = np.where(mu[:, None] != js[None, :], base + tr, base)
-            ready = np.maximum(ready, dep)
-        cand = ready[:num_k] + cost_div[None, :]
-        cand = np.where(valid_k[:, None], cand, _INF)
-        vals = cand.min(axis=0)
-        ks = cand.argmin(axis=0)  # first occurrence == smallest winning k
-        T[i, :num_j] = vals[:num_j]
-        G[i, :num_j] = ks[:num_j]
-        free = free[G[i]]
-        free[js, js] = np.maximum(free[js, js], T[i])
-    for i in range(1, n):
-        t_tab[i][:] = T[i].tolist()
-        g_tab[i][:] = G[i].tolist()
+    # the previous row's states (empty when unreachable); row 0 extends
+    # the empty schedule, state 0, through its all-zero g pointers
+    free: list[list[float]] = [[0.0] * M]
+    gpus: list[list[int]] = [[]]
+    for i, v in enumerate(order):
+        t_row = t_tab[i]
+        g_row = g_tab[i]
+        if i:
+            t_prev = t_tab[i - 1]
+            cost = graph.cost(v)
+            dur = [cost / speed for speed in speeds]
+            preds = [
+                (index[u], graph.transfer(u, v))
+                for u in graph.predecessors(v)
+                if index[u] < i
+            ]
+            # the min(M, i) symmetry pruning assumes interchangeable GPUs
+            num_j = M if hetero else min(M, i + 1)
+            num_k = M if hetero else min(M, i)
+            for k in range(num_k):
+                if not t_prev[k] < _INF:
+                    continue
+                fr = free[k]
+                gl = gpus[k]
+                deps: list[tuple[int, float, float]] = []
+                for p, tr in preds:
+                    mu = gl[p]
+                    fin = t_tab[p][mu]
+                    deps.append((mu, fin, fin + tr))
+                for j in range(num_j):
+                    ready = fr[j]
+                    for mu, fin, far in deps:
+                        dep = fin if mu == j else far
+                        if dep > ready:
+                            ready = dep
+                    cand = ready + dur[j]
+                    if cand < t_row[j]:
+                        t_row[j] = cand
+                        g_row[j] = k
+        nxt_free: list[list[float]] = [[]] * M
+        nxt_gpus: list[list[int]] = [[]] * M
+        for j, t in enumerate(t_row):
+            if t < _INF:
+                k = g_row[j]
+                row = list(free[k])
+                if t > row[j]:
+                    row[j] = t
+                nxt_free[j] = row
+                nxt_gpus[j] = gpus[k] + [j]
+        free, gpus = nxt_free, nxt_gpus
 
 
 def _mr_spatial_mapping(profile: CostProfile) -> SpatialMapping:
@@ -130,13 +128,10 @@ def _mr_spatial_mapping(profile: CostProfile) -> SpatialMapping:
     speeds = [profile.gpu_speed(j) for j in range(M)]
     t_tab = [[_INF] * M for _ in range(n)]
     g_tab = [[0] * M for _ in range(n)]
-    if profile.heterogeneous:
-        # extension: with mixed speeds v_1's GPU matters; seed every column
-        for j in range(M):
-            t_tab[0][j] = graph.cost(order[0]) / speeds[j]
-        # g pointers of row 0 are unused (backtracking stops there)
-    else:
-        t_tab[0][0] = graph.cost(order[0])  # v_1 on GPU 1 (homogeneity)
+    # v_1 on GPU 1 (homogeneity); with mixed speeds (extension) v_1's GPU
+    # matters, so every column is seeded
+    for j in range(M if profile.heterogeneous else 1):
+        t_tab[0][j] = graph.cost(order[0]) / speeds[j]
 
     _mr_fill(profile, order, index, speeds, t_tab, g_tab)
 

@@ -66,8 +66,8 @@ def parallelize(
     the traversal order (descending priority indicators by default).
 
     ``validate=False`` skips the entry validation — for internal
-    callers that just built and validated the schedule themselves (the
-    ``HIOS_DEBUG_LINT=1`` self-check still lints the final schedule).
+    callers whose schedule is valid by construction or just validated
+    (the ``HIOS_DEBUG_LINT=1`` self-check still lints the final one).
     The evaluator is looked up as ``StageGraphEvaluator`` in this
     module at call time, so ``tests/oracles`` can swap in its
     from-scratch stand-in.

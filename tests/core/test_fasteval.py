@@ -46,15 +46,21 @@ from .. import oracles
 from .test_properties import dag_profiles
 
 
-def _rand_graph(seed: int, n: int = 18) -> OpGraph:
+def _rand_graph(seed: int, n: int = 18, zeros: bool = False) -> OpGraph:
+    """A random DAG; ``zeros`` makes about a third of the operator
+    costs and of the edge weights exactly 0.0."""
     rng = random.Random(seed)
     g = OpGraph()
     for i in range(n):
-        g.add_operator(f"v{i}", cost=rng.uniform(0.1, 4.0), occupancy=rng.uniform(0.1, 1.0))
+        cost = rng.uniform(0.1, 4.0)
+        if zeros and rng.random() < 0.3:
+            cost = 0.0
+        g.add_operator(f"v{i}", cost=cost, occupancy=rng.uniform(0.1, 1.0))
     for v in range(1, n):
         for u in range(v):
             if rng.random() < 0.25:
-                g.add_edge(f"v{u}", f"v{v}", rng.uniform(0.0, 2.0))
+                w = rng.uniform(0.0, 2.0)
+                g.add_edge(f"v{u}", f"v{v}", 0.0 if zeros and rng.random() < 0.3 else w)
     return g
 
 
@@ -63,10 +69,21 @@ def _rand_graph(seed: int, n: int = 18) -> OpGraph:
 
 
 @pytest.mark.parametrize("blocking", [True, False])
-@pytest.mark.parametrize("speeds", [None, (1.0, 1.5, 0.75)])
+@pytest.mark.parametrize("speeds", [None, (1.0, 1.5, 0.75), (2.0, 2.0)])
 def test_prefix_replay_matches_reference(blocking, speeds):
-    g = _rand_graph(seed=11)
-    M = 3
+    _check_prefix_replays(_rand_graph(seed=11), blocking, speeds)
+
+
+@pytest.mark.parametrize("blocking", [True, False])
+@pytest.mark.parametrize("speeds", [None, (1.0, 1.5, 0.75), (2.0, 2.0)])
+def test_prefix_replay_with_zero_costs_and_weights(blocking, speeds):
+    _check_prefix_replays(_rand_graph(seed=11, zeros=True), blocking, speeds)
+
+
+def _check_prefix_replays(g, blocking, speeds):
+    """Random varying sets and assignments: every replay equals the
+    oracle's from-scratch simulation."""
+    M = len(speeds) if speeds else 3
     order = priority_order(g)
     rng = random.Random(7)
     assignment = {v: rng.randrange(M) for v in order}
@@ -185,17 +202,18 @@ def test_snapshot_carries_the_prefix_across_paths(blocking, speeds):
 
 @pytest.mark.parametrize("paths", ["lvp", "random"])
 @pytest.mark.parametrize("blocking", [True, False])
-@pytest.mark.parametrize("speeds", [None, (1.0, 1.5, 0.75)])
+@pytest.mark.parametrize("speeds", [None, (1.0, 1.5, 0.75), (2.0, 2.0)])
 def test_snapshot_path_matches_reference_across_alg1(paths, blocking, speeds):
     """Alg. 1's sequence on one replayer through :meth:`snapshot_path`:
     the carried order and assignment grow path by path, and every
     candidate's replay equals a from-scratch simulation of the order the
     scheduler used to rebuild.  Paths are Alg. 1's own longest valid
     paths or arbitrary sets of unscheduled operators; each path keeps a
-    random winner, so the carried entries are not the last replayed."""
-    for seed in range(4):
-        g = _rand_graph(seed=40 + seed, n=30)
-        M = 3
+    random winner, so the carried entries are not the last replayed.
+    The last two graphs have zero-cost operators and zero-weight edges."""
+    for seed in range(6):
+        g = _rand_graph(seed=40 + seed, n=30, zeros=seed >= 4)
+        M = len(speeds) if speeds else 3
         order = priority_order(g)
         rng = random.Random(seed)
         rp = _BeginSpy(g, M, send_blocking=blocking, gpu_speeds=speeds)
@@ -664,6 +682,23 @@ def test_fast_schedulers_match_reference(profile, alg, hetero):
     assert fast.schedule.to_dict() == ref.schedule.to_dict()
     assert abs(fast.latency - ref.latency) <= 1e-12
     assert fast.latency == ref.latency  # the engine's actual contract
+
+
+@pytest.mark.parametrize("num_gpus", [8, 12])
+@pytest.mark.parametrize("alg", ["inter-lp", "inter-mr"])
+def test_spatial_phases_match_reference_on_wide_pools(alg, num_gpus):
+    """Fig. 7 runs 12 GPUs, past the 4 of ``dag_profiles()``: both
+    spatial phases against the oracles on 8 and 12 GPUs, homogeneous
+    and heterogeneous."""
+    for seed in range(2):
+        prof = random_dag_profile(seed=seed, num_gpus=num_gpus, num_ops=60, num_layers=8)
+        speeds = tuple(1.0 + 0.25 * (g % 4) for g in range(num_gpus))
+        for profile in (prof, replace(prof, gpu_speeds=speeds)):
+            fast = schedule_graph(profile, alg)
+            with oracles.reference_components():
+                ref = schedule_graph(profile, alg)
+            assert fast.latency == ref.latency
+            assert fast.schedule.to_dict() == ref.schedule.to_dict()
 
 
 def test_fast_matches_reference_on_larger_fixed_seeds():

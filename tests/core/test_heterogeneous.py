@@ -6,6 +6,8 @@ semantics (latency scaling) and the schedulers' use of the faster
 device.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core import (
@@ -100,6 +102,30 @@ class TestSchedulersPreferFastGpu:
             assert evaluate_latency(prof, res.schedule, validate=True) == (
                 pytest.approx(res.latency)
             )
+
+
+class TestUniformSpeeds:
+    """GPUs sharing one speed factor are a homogeneous pool
+    (``heterogeneous`` is false), but their times still scale."""
+
+    @pytest.mark.parametrize("alg", ["inter-lp", "inter-mr", "hios-lp", "hios-mr"])
+    def test_uniform_speed_halves_every_time(self, alg):
+        """With zero transfer weights, speed 2.0 on every GPU is the
+        speed-1 problem with every time halved: the same schedule, and
+        exactly half the latency (halving a float is exact)."""
+        for seed in range(8):
+            base = random_dag_profile(seed=seed, num_gpus=3, num_ops=40, num_layers=6)
+            graph = OpGraph()
+            for op in base.graph.operators():
+                graph.add_operator(op.name, cost=op.cost, occupancy=op.occupancy)
+            for u, v, _w in base.graph.edges():
+                graph.add_edge(u, v, 0.0)
+            plain = replace(base, graph=graph)
+            fast = replace(plain, gpu_speeds=(2.0, 2.0, 2.0))
+            want = schedule_graph(plain, alg)
+            got = schedule_graph(fast, alg)
+            assert got.schedule.to_dict() == want.schedule.to_dict(), seed
+            assert got.latency == want.latency / 2, seed
 
 
 class TestEngineScaling:

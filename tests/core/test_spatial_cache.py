@@ -6,14 +6,18 @@ window-independent pure functions of the profile, so one computation
 can serve every window of ``hios-lp``/``hios-mr``, the ``inter-*``
 ablations and ``hios-lp-ls``.  The contract: cache hits are
 *bit-identical* to fresh computations, and handed-out copies cannot
-poison the cache.
+poison the cache.  A mapping computed within the call is valid by
+construction and is not re-validated; one passed in through the cache
+is.
 """
 
 from __future__ import annotations
 
+from unittest import mock
+
 import pytest
 
-from repro.core import schedule_graph
+from repro.core import Schedule, ScheduleError, priority_order, schedule_graph
 from repro.core.api import ALGORITHMS, algorithm_options
 from repro.core.hios_lp import cached_spatial_lp
 from repro.core.hios_mr import cached_spatial_mr
@@ -104,3 +108,33 @@ def test_registry_matches_signatures():
     assert windowed == {"hios-lp", "hios-mr", "hios-lp-ls"}
     assert algorithm_options("hios-lp-ls") == {"window", "max_rounds", "spatial_cache"}
     assert algorithm_options("sequential") == {"gpu"}
+
+
+HIOS_ENTRIES = ("hios-lp", "hios-mr", "inter-lp", "inter-mr", "hios-lp-ls")
+
+
+class TestValidation:
+    @pytest.mark.parametrize("alg", HIOS_ENTRIES)
+    def test_cold_call_validates_nothing(self, profile, alg):
+        """A mapping the call computed covers every operator with a GPU
+        in range, in the topological priority order: no ``validate``."""
+        with mock.patch.object(Schedule, "validate", autospec=True) as validate:
+            schedule_graph(profile, alg)
+        assert validate.call_count == 0
+
+    @pytest.mark.parametrize("alg", HIOS_ENTRIES)
+    def test_cached_mappings_are_validated(self, profile, alg):
+        """A cached entry can come from outside the call: an order that
+        omits an operator, or puts a consumer before its producer on one
+        GPU, raises the validation's ``ScheduleError``."""
+        graph = profile.graph
+        order = priority_order(graph)
+        assignment = {v: 0 for v in order}
+        u, v, _w = next(iter(graph.edges()))
+        swapped = list(order)
+        iu, iv = swapped.index(u), swapped.index(v)
+        swapped[iu], swapped[iv] = v, u
+        for bad, match in ((order[:-1], "not scheduled"), (swapped, "must precede")):
+            cache = {"lp": (assignment, bad, {"paths": 0}), "mr": (assignment, bad, {})}
+            with pytest.raises(ScheduleError, match=match):
+                schedule_graph(profile, alg, spatial_cache=cache)

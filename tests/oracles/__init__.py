@@ -1,7 +1,9 @@
 """From-scratch reference implementations of the scheduler components.
 
 ``repro.core`` has exactly one implementation of each scheduler step,
-built for the inner loops: incremental, int-lowered or vectorized.  The
+built for the inner loops: incremental and int-lowered onto plain
+lists (the Alg. 1 replay onto per-operator tuples, the Alg. 3 fill onto
+per-state lists carried from row to row).  The
 straightforward versions they were derived from live here as test
 oracles, and the differential tests hold every production component to
 *bit-identity* with them — exact float equality, not closeness:
@@ -330,7 +332,9 @@ def mr_fill(
     g_tab: list[list[int]],
 ) -> None:
     """Reconstruct every recorded schedule from scratch by walking the
-    full ``g`` pointer chain per (i, k) cell."""
+    full ``g`` pointer chain per (i, k) state, then price each cell with
+    a strict ``<`` over ascending ``k`` (the smallest winning ``k``
+    stays)."""
     graph = profile.graph
     M = profile.num_gpus
     n = len(order)

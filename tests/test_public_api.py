@@ -2,6 +2,9 @@
 and the headline entry points must be importable from the top level."""
 
 import importlib
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -70,3 +73,11 @@ def test_run_model_on_contrast_workloads():
     assert run.predicted_ms > 0
     assert run.algorithm == "hios-lp"
     assert run.model == "resnet50"
+
+
+def test_core_imports_no_numpy():
+    """The schedulers run on plain lists: importing ``repro.core`` in a
+    fresh interpreter loads no numpy."""
+    code = "import sys, repro.core; sys.exit('numpy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
