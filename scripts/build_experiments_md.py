@@ -186,23 +186,26 @@ and HIOS-LP local-search headroom.
 """
 
 
+FIGURES = (
+    "fig1",
+    "fig2",
+    "fig7",
+    "fig8",
+    "fig9",
+    "fig10",
+    "fig11",
+    "fig12_inception",
+    "fig12_nasnet",
+    "fig13",
+    "fig14_inception",
+    "fig14_nasnet",
+)
+
+
 def main() -> None:
-    results = load_results(RESULTS)
+    results = load_results(RESULTS, FIGURES)
     parts = [HEADER, build_report(RESULTS), "\n\n## Per-figure detail\n"]
-    for stem in (
-        "fig1",
-        "fig2",
-        "fig7",
-        "fig8",
-        "fig9",
-        "fig10",
-        "fig11",
-        "fig12_inception",
-        "fig12_nasnet",
-        "fig13",
-        "fig14_inception",
-        "fig14_nasnet",
-    ):
+    for stem in FIGURES:
         parts.append(f"\n### {stem}\n")
         if stem in COMMENTARY:
             parts.append(COMMENTARY[stem] + "\n")

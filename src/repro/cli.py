@@ -62,18 +62,53 @@ Commands
 from __future__ import annotations
 
 import argparse
+import math
 import sys
+from typing import Any, Callable
 
 from .core.api import ALGORITHMS, algorithm_options, schedule_graph
 from .core.fasteval import EvalCounters
+from .costmodel.profile import CostProfile
 from .experiments import EXPERIMENTS, ExperimentConfig, default_config
-from .experiments.realmodels import MODEL_BUILDERS, default_profiler
+from .experiments.realmodels import MODEL_BUILDERS, default_profiler, model_sizes
 from .formats import FORMATS, Document, DocumentError, read_document
 from .serve.config import ServeConfigError
 from .substrate.faults import FaultError
+from .substrate.profiler import PlatformProfiler
 from .utils import render_schedule_table
 
 __all__ = ["main", "build_parser"]
+
+
+class FlagError(Exception):
+    """A command-line value outside the range its flag accepts."""
+
+
+def _in_range(need: str, ok: Callable[[Any], bool]) -> type[argparse.Action]:
+    """An action that stores the flag's converted value, or raises
+    :class:`FlagError` (one ``error:`` line, exit 2) unless ``ok``."""
+
+    class InRange(argparse.Action):
+        def __call__(
+            self,
+            parser: argparse.ArgumentParser,
+            namespace: argparse.Namespace,
+            values: Any,
+            option_string: str | None = None,
+        ) -> None:
+            if not ok(values):
+                raise FlagError(f"{option_string} {values}: must be {need}")
+            setattr(namespace, self.dest, values)
+
+    return InRange
+
+
+#: counts of at least one: GPUs, window, input size, instances
+_COUNT = _in_range(">= 1", lambda v: v >= 1)
+#: counts where 0 means none or unbounded: jobs, repairs, streams
+_BUDGET = _in_range(">= 0", lambda v: v >= 0)
+#: finite, non-negative: timestamp tolerances, the watchdog horizon
+_TOLERANCE = _in_range("finite and >= 0", lambda v: math.isfinite(v) and v >= 0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -89,10 +124,13 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run one experiment driver")
     run.add_argument("figure", choices=sorted(EXPERIMENTS))
     run.add_argument("--full", action="store_true", help="paper-scale config (30 instances)")
-    run.add_argument("--instances", type=int, default=None, help="override instance count")
+    run.add_argument(
+        "--instances", type=int, default=None, action=_COUNT,
+        help="override instance count",
+    )
     run.add_argument("--plot", action="store_true", help="render an ASCII chart")
     run.add_argument(
-        "--jobs", "-j", type=int, default=None, metavar="N",
+        "--jobs", "-j", type=int, default=None, metavar="N", action=_BUDGET,
         help="sweep worker processes (default: one per CPU; 1 = serial)",
     )
     run.add_argument(
@@ -129,10 +167,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     sched = sub.add_parser("schedule", help="schedule + execute one model")
     sched.add_argument("--model", choices=sorted(MODEL_BUILDERS), default="inception_v3")
-    sched.add_argument("--size", type=int, default=None, help="input size (pixels)")
+    sched.add_argument(
+        "--size", type=int, default=None, action=_COUNT,
+        help="input size in pixels (default: the first size of the model's sweep)",
+    )
     sched.add_argument("--algorithm", choices=sorted(ALGORITHMS), default="hios-lp")
-    sched.add_argument("--gpus", type=int, default=2)
-    sched.add_argument("--window", type=int, default=3, help="Alg. 2 max window size")
+    sched.add_argument("--gpus", type=int, default=2, action=_COUNT)
+    sched.add_argument(
+        "--window", type=int, default=3, action=_COUNT, help="Alg. 2 max window size"
+    )
     sched.add_argument("--json", action="store_true", help="print schedule JSON")
     sched.add_argument("--stages", action="store_true", help="print stage layout")
     sched.add_argument(
@@ -172,8 +215,8 @@ def build_parser() -> argparse.ArgumentParser:
         "compare", help="run several algorithms on one model and compare"
     )
     compare.add_argument("--model", choices=sorted(MODEL_BUILDERS), default="inception_v3")
-    compare.add_argument("--size", type=int, default=None)
-    compare.add_argument("--gpus", type=int, default=2)
+    compare.add_argument("--size", type=int, default=None, action=_COUNT)
+    compare.add_argument("--gpus", type=int, default=2, action=_COUNT)
     compare.add_argument(
         "--algorithms",
         nargs="+",
@@ -185,8 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
         "faults", help="latency under an injected fault plan, with repair"
     )
     faults.add_argument("--model", choices=sorted(MODEL_BUILDERS), default="inception_v3")
-    faults.add_argument("--size", type=int, default=None)
-    faults.add_argument("--gpus", type=int, default=4)
+    faults.add_argument("--size", type=int, default=None, action=_COUNT)
+    faults.add_argument("--gpus", type=int, default=4, action=_COUNT)
     faults.add_argument(
         "--algorithms",
         nargs="+",
@@ -205,11 +248,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-repair", action="store_true", help="report the failure, do not repair"
     )
     faults.add_argument(
-        "--watchdog", type=float, default=0.0,
+        "--watchdog", type=float, default=0.0, action=_TOLERANCE,
         help="engine watchdog horizon in ms (0 = disabled)",
     )
     faults.add_argument(
-        "--max-repairs", type=int, default=None, metavar="N",
+        "--max-repairs", type=int, default=None, metavar="N", action=_BUDGET,
         help="cap the cascading repair rounds (default: unbounded)",
     )
 
@@ -346,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
         "kernel start instead of host launch)",
     )
     sanitize.add_argument(
-        "--max-streams", type=int, default=0, metavar="N",
+        "--max-streams", type=int, default=0, metavar="N", action=_BUDGET,
         help="streams per GPU in the model (0 = serial device, the "
         "engine default)",
     )
@@ -356,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
         "model (expects to flag every cross-GPU edge)",
     )
     sanitize.add_argument(
-        "--eps", type=float, default=1e-6,
+        "--eps", type=float, default=1e-6, action=_TOLERANCE,
         help="timestamp tolerance for the trace checks",
     )
     sanitize.add_argument(
@@ -405,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     tdiff.add_argument("trace_a", help="baseline repro.trace/v1 document")
     tdiff.add_argument("trace_b", help="comparison repro.trace/v1 document")
     tdiff.add_argument(
-        "--eps", type=float, default=1e-6,
+        "--eps", type=float, default=1e-6, action=_TOLERANCE,
         help="timestamp delta below which operators count as unshifted",
     )
     tdiff.add_argument(
@@ -428,9 +471,6 @@ def _cmd_list(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    if args.jobs is not None and args.jobs < 0:
-        print("error: --jobs must be >= 0 (0 = one per CPU)")
-        return 2
     config = ExperimentConfig.full() if args.full else default_config()
     if args.instances is not None:
         config = config.with_(instances=args.instances)
@@ -453,11 +493,22 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_schedule(args: argparse.Namespace) -> int:
-    builder = MODEL_BUILDERS[args.model]
-    size = args.size if args.size is not None else (299 if args.model == "inception_v3" else 331)
+def _model_profile(args: argparse.Namespace) -> tuple[int, PlatformProfiler, CostProfile]:
+    """``--model`` at ``--size`` profiled on ``--gpus`` A40s: the size,
+    the profiler and the profile.  The default size is the first of the
+    model's figure sweep; a size below the model's minimum is a
+    :class:`FlagError`."""
+    size = args.size if args.size is not None else model_sizes(args.model, ExperimentConfig())[0]
+    try:
+        graph = MODEL_BUILDERS[args.model](size)
+    except ValueError as exc:  # e.g. "Inception-v3 needs input_size >= 75"
+        raise FlagError(f"--size {size}: {exc}") from None
     profiler = default_profiler(num_gpus=args.gpus)
-    profile = profiler.profile(builder(size))
+    return size, profiler, profiler.profile(graph)
+
+
+def _cmd_schedule(args: argparse.Namespace) -> int:
+    size, profiler, profile = _model_profile(args)
     kwargs: dict[str, object] = (
         {"window": args.window} if "window" in algorithm_options(args.algorithm) else {}
     )
@@ -546,10 +597,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     from .core.bounds import latency_lower_bound, optimality_gap
     from .experiments.reporting import format_table
 
-    builder = MODEL_BUILDERS[args.model]
-    size = args.size if args.size is not None else (299 if args.model == "inception_v3" else 331)
-    profiler = default_profiler(num_gpus=args.gpus)
-    profile = profiler.profile(builder(size))
+    size, profiler, profile = _model_profile(args)
     engine = profiler.engine()
     rows = []
     for alg in args.algorithms:
@@ -588,18 +636,11 @@ def _cmd_faults(args: argparse.Namespace) -> int:
     from .substrate.faults import FaultPlan
 
     plan = FaultPlan.from_strings(args.fault, seed=args.seed)
-    builder = MODEL_BUILDERS[args.model]
-    size = args.size if args.size is not None else (299 if args.model == "inception_v3" else 331)
-    profiler = default_profiler(num_gpus=args.gpus)
+    size, profiler, profile = _model_profile(args)
     clean_engine = profiler.engine()
-    try:
-        faulted_cfg = replace(
-            clean_engine.config, faults=plan, watchdog_horizon_ms=args.watchdog
-        )
-    except ValueError as exc:  # --watchdog: NaN, infinite or negative
-        print(f"error: --watchdog {args.watchdog}: {exc}")
-        return 2
-    profile = profiler.profile(builder(size))
+    faulted_cfg = replace(
+        clean_engine.config, faults=plan, watchdog_horizon_ms=args.watchdog
+    )
 
     rows = []
     unrecovered = False
@@ -976,10 +1017,10 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
-    except (DocumentError, FaultError, ServeConfigError) as exc:
+    except (DocumentError, FaultError, FlagError, ServeConfigError) as exc:
         print(f"error: {exc}")  # an input the command cannot use
         return 2
 

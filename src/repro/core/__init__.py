@@ -13,12 +13,11 @@ from .bounds import (
 from .evaluator import EvaluationResult, StageTiming, evaluate_latency, evaluate_schedule
 from .fasteval import EvalCounters, PrefixReplayer, StageGraphEvaluator, soa_latency
 from .graph import GraphError, Operator, OpGraph
-from .hios_lp import schedule_hios_lp, schedule_inter_gpu_lp
+from .hios_lp import build_singleton_schedule, schedule_hios_lp, schedule_inter_gpu_lp
 from .hios_mr import schedule_hios_mr, schedule_inter_gpu_mr
 from .intra_gpu import IntraGpuStats, parallelize
 from .ios import schedule_ios
-from .list_schedule import build_singleton_schedule, list_schedule_latency
-from .longest_path import ValidPath, longest_valid_path
+from .longest_path import LongestPathEngine, ValidPath
 from .graphio import graph_from_dict, graph_to_dict, load_graph, save_graph
 from .priority import (
     critical_path,
@@ -44,6 +43,7 @@ __all__ = [
     "EvaluationResult",
     "GraphError",
     "IntraGpuStats",
+    "LongestPathEngine",
     "OpGraph",
     "Operator",
     "PrefixReplayer",
@@ -75,8 +75,6 @@ __all__ = [
     "local_search_assignment",
     "save_graph",
     "schedule_hios_lp_ls",
-    "list_schedule_latency",
-    "longest_valid_path",
     "make_profile",
     "parallelize",
     "priority_indicators",

@@ -4,9 +4,20 @@ The spatial mapping iterates: extract the longest *valid* path from
 the unscheduled subgraph (see :mod:`repro.core.longest_path`), then try
 mapping the entire path onto each of the ``M`` GPUs, keeping the GPU
 that minimizes the latency of list-scheduling everything mapped so far
-(temporal step, :mod:`repro.core.list_schedule`).  Mapping a whole path
+(the temporal step, lines 10-13, run by
+:class:`~repro.core.fasteval.PrefixReplayer`).  Mapping a whole path
 at once removes every transfer along it — the global optimization that
 distinguishes HIOS-LP from the operator-at-a-time HIOS-MR.
+
+The temporal step places each mapped operator, in priority order, at
+the earliest time its GPU is free and every mapped predecessor has
+finished — plus the transfer time from a predecessor on another GPU.
+Predecessors not mapped yet are ignored; the order is topological and
+the full mapping is re-scheduled after every path, so the final
+schedule respects every dependency.  Under sender blocking (the
+default, see :class:`~repro.costmodel.profile.CostProfile`) an
+operator's cross-GPU sends occupy its GPU right after it finishes, as
+the stage evaluator charges them.
 
 After the spatial mapping, the sliding-window pass of Alg. 2
 (:func:`repro.core.intra_gpu.parallelize`) regroups small co-located
@@ -29,22 +40,21 @@ assignment (:meth:`~repro.core.fasteval.PrefixReplayer.snapshot_path`).
 from __future__ import annotations
 
 import time
-from typing import Any, Callable, MutableMapping
+from typing import Any, Callable, Mapping, MutableMapping, Sequence
 
 from ..costmodel.profile import CostProfile
 from ..obs import declog
 from .debuglint import debug_lint_schedule
 from .fasteval import EvalCounters, PrefixReplayer, soa_latency
 from .intra_gpu import parallelize
-from .list_schedule import build_singleton_schedule
 from .longest_path import LongestPathEngine
 from .priority import priority_order
 from .result import ScheduleResult
-from .schedule import Schedule
+from .schedule import Schedule, Stage
 
 __all__ = [
-    "SpatialMapping", "cached_spatial_lp", "memo_spatial", "schedule_hios", "schedule_hios_lp",
-    "schedule_inter_gpu_lp",
+    "SpatialMapping", "build_singleton_schedule", "cached_spatial_lp", "memo_spatial",
+    "schedule_hios", "schedule_hios_lp", "schedule_inter_gpu_lp",
 ]
 
 #: One inter-GPU mapping: operator -> GPU, the priority order it was
@@ -165,6 +175,19 @@ def cached_spatial_lp(
 ) -> SpatialMapping:
     """The Alg. 1 mapping, memoized as ``spatial_cache["lp"]``."""
     return memo_spatial("lp", lambda: _lp_spatial_mapping(profile, counters), spatial_cache)
+
+
+def build_singleton_schedule(
+    assignment: Mapping[str, int],
+    order: Sequence[str],
+    num_gpus: int,
+) -> Schedule:
+    """Materialize an assignment as a schedule of singleton stages, each
+    GPU's stages ordered by the (topological) priority order."""
+    sched = Schedule(num_gpus)
+    for v in order:
+        sched.append_stage(Stage(assignment[v], (v,)))
+    return sched
 
 
 def schedule_hios(

@@ -44,11 +44,10 @@ recomputed vertex performs the full DP's additions and strict
 comparisons over the same name-sorted successors, so the path and its
 float length are bit-identical to a full run.
 
-:func:`longest_valid_path` is a one-shot engine.  The differential
-tests in ``tests/core/test_fastpath.py`` hold the engine to
-bit-identity — the same path, the same float length — with the
-from-scratch dict DP in ``tests/oracles``, over query sequences that
-mix both kinds of query.
+The differential tests in ``tests/core/test_fastpath.py`` hold the
+engine to bit-identity — the same path, the same float length — with
+the from-scratch dict DP in ``tests/oracles``, over query sequences
+that mix both kinds of query.
 """
 
 from __future__ import annotations
@@ -60,7 +59,7 @@ from typing import AbstractSet, Iterator
 from .fasteval import EvalCounters
 from .graph import GraphError, OpGraph
 
-__all__ = ["LongestPathEngine", "ValidPath", "longest_valid_path"]
+__all__ = ["LongestPathEngine", "ValidPath"]
 
 _NAN = float("nan")
 
@@ -80,30 +79,8 @@ class ValidPath:
         return iter(self.vertices)
 
 
-def longest_valid_path(
-    graph: OpGraph, unscheduled: AbstractSet[str]
-) -> ValidPath:
-    """Find the longest valid path within ``unscheduled``.
-
-    Parameters
-    ----------
-    graph:
-        The full computation graph ``G``.
-    unscheduled:
-        Names of the vertices still in ``G'``.  Must be non-empty and a
-        subset of ``graph``.
-
-    Returns
-    -------
-    ValidPath
-        Ties are broken deterministically (lexicographically smallest
-        successor chain).
-    """
-    return LongestPathEngine(graph).longest_valid_path(unscheduled)
-
-
 class LongestPathEngine:
-    """Per-graph engine for :func:`longest_valid_path` queries.
+    """Per-graph engine for longest-valid-path queries.
 
     Construction runs the topological sort once and lowers the graph to
     int CSR arrays.  A query whose unscheduled set is the previous
@@ -166,8 +143,14 @@ class LongestPathEngine:
         self._carried: set[str] | None = None
 
     def longest_valid_path(self, unscheduled: AbstractSet[str]) -> ValidPath:
-        """Longest valid path within ``unscheduled``; the contract of
-        :func:`longest_valid_path`."""
+        """Find the longest valid path within ``unscheduled``.
+
+        ``unscheduled`` holds the names of the vertices still in ``G'``;
+        it must be non-empty and a subset of the graph, or
+        :class:`~repro.core.graph.GraphError` is raised.  Ties are
+        broken deterministically (lexicographically smallest successor
+        chain).
+        """
         if self._version != self._graph.version:
             self._build()
         if not unscheduled:

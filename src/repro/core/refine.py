@@ -22,7 +22,6 @@ from ..costmodel.profile import CostProfile
 from .fasteval import EvalCounters, PrefixReplayer, soa_latency  # noqa: F401
 from .hios_lp import cached_spatial_lp, schedule_hios
 from .intra_gpu import parallelize  # noqa: F401
-from .list_schedule import list_schedule_latency
 from .result import ScheduleResult
 
 # ``schedule_hios`` calls ``soa_latency`` and ``parallelize`` through
@@ -53,19 +52,17 @@ def local_search_assignment(
     """
     if max_rounds < 0:
         raise ValueError("max_rounds must be non-negative")
-    graph = profile.graph
     M = profile.num_gpus
     current = dict(assignment)
-    best = list_schedule_latency(
-        graph, current, order, M,
-        send_blocking=profile.send_blocking, gpu_speeds=profile.gpu_speeds,
-    )
     replayer = PrefixReplayer(
-        graph, M,
+        profile.graph, M,
         send_blocking=profile.send_blocking,
         gpu_speeds=profile.gpu_speeds,
         counters=counters,
     )
+    # nothing varies: the snapshot simulates the whole order
+    replayer.snapshot(order, current, ())
+    best = replayer.replay(current)
     moves = 0
     for _ in range(max_rounds):
         # the best move carries the latency it was priced at, so

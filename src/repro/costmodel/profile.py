@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from ..core.graph import OpGraph, Operator
+from ..core.graph import OpGraph
 from .concurrency import ConcurrencyModel, SaturationConcurrencyModel
 
 __all__ = ["CostProfile"]
@@ -48,14 +48,13 @@ class CostProfile:
         Optional per-GPU relative speed factors (extension: the paper
         assumes homogeneous GPUs).  An operator or stage on GPU ``i``
         runs in ``t / gpu_speeds[i]``.  ``None`` = all 1.0.
-    stage_time_cache:
-        Memoize :meth:`stage_time` on ``(ops, gpu)`` (default on).  The
-        scheduler inner loops re-price the same stage thousands of
-        times (every Alg. 2 candidate re-prices every unchanged stage);
-        the memo answers repeats in one dict probe.  The cache is keyed
-        on the graph's mutation counter and the concurrency model
-        identity, so swapping either invalidates it.  Disable for
-        measurements that must exercise the concurrency model itself.
+
+    :meth:`stage_time` is memoized on ``(ops, gpu)``.  The scheduler
+    inner loops re-price the same stage thousands of times (every
+    Alg. 2 candidate re-prices every unchanged stage); the memo answers
+    repeats in one dict probe.  It is keyed on the graph's mutation
+    counter and the concurrency model identity, so changing either
+    empties it.
     """
 
     graph: OpGraph
@@ -64,7 +63,6 @@ class CostProfile:
     max_streams: int = 0
     send_blocking: bool = True
     gpu_speeds: Sequence[float] | None = None
-    stage_time_cache: bool = True
 
     def __post_init__(self) -> None:
         self._cache: dict[tuple[tuple[str, ...], int | None], float] = {}
@@ -101,13 +99,9 @@ class CostProfile:
         """``t(S)`` for a set of operator names, optionally scaled by
         the hosting GPU's speed factor.
 
-        Memoized on ``(names, gpu)`` unless ``stage_time_cache`` is
-        off; see the class docstring for the invalidation rules.
+        Memoized on ``(names, gpu)``; see the class docstring for the
+        invalidation rules.
         """
-        if not self.stage_time_cache:
-            ops: list[Operator] = [self.graph.operator(n) for n in names]
-            base = self.concurrency.duration(ops)
-            return base if gpu is None else base / self.gpu_speed(gpu)
         if (
             self._cache_graph_version != self.graph.version
             or self._cache_concurrency is not self.concurrency
@@ -131,6 +125,3 @@ class CostProfile:
         """Memo hits since construction (or the last invalidation) —
         surfaced in ``ScheduleResult.stats`` by the schedulers."""
         return self._cache_hits
-
-    def stage_width_ok(self, width: int) -> bool:
-        return self.max_streams == 0 or width <= self.max_streams

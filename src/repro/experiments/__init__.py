@@ -18,7 +18,7 @@ from . import (
     fig14_scheduling_cost,
 )
 from .config import ALGORITHM_ORDER, ExperimentConfig, default_config
-from .realmodels import ModelRun, default_profiler, model_sizes, run_model
+from .realmodels import default_profiler, model_sizes
 from .reporting import SeriesResult, format_table
 from .simsweep import sweep_random_dags
 
@@ -41,12 +41,10 @@ __all__ = [
     "ALGORITHM_ORDER",
     "EXPERIMENTS",
     "ExperimentConfig",
-    "ModelRun",
     "SeriesResult",
     "default_config",
     "default_profiler",
     "format_table",
     "model_sizes",
-    "run_model",
     "sweep_random_dags",
 ]

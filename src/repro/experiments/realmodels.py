@@ -14,18 +14,14 @@ result cache and progress reporting of the random-DAG sweeps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from ..core.api import algorithm_options, schedule_graph
-from ..core.result import ScheduleResult
-from ..costmodel.profile import CostProfile
+from ..core.api import algorithm_options
 from ..models.builder import ModelGraph
 from ..models.inception import inception_v3
 from ..models.nasnet import nasnet
 from ..models.randwire import randwire
 from ..models.resnet import resnet50
-from ..substrate.engine import ExecutionTrace
 from ..substrate.platform import dual_a40
 from ..substrate.profiler import PlatformProfiler
 from ..sweep import RealModelSpec, WorkUnit
@@ -34,10 +30,8 @@ from .reporting import SeriesResult
 
 __all__ = [
     "MODEL_BUILDERS",
-    "ModelRun",
     "default_profiler",
     "export_unit_traces",
-    "run_model",
     "run_real_model_series",
     "model_sizes",
 ]
@@ -76,57 +70,6 @@ def model_sizes(model: str, config: ExperimentConfig) -> tuple[int, ...]:
 def default_profiler(num_gpus: int = 2) -> PlatformProfiler:
     """The paper's primary testbed: dual A40 over an NVLink bridge."""
     return PlatformProfiler(dual_a40(num_gpus))
-
-
-@dataclass(frozen=True)
-class ModelRun:
-    """One (model, size, algorithm) measurement."""
-
-    model: str
-    input_size: int
-    algorithm: str
-    result: ScheduleResult
-    trace: ExecutionTrace
-
-    @property
-    def predicted_ms(self) -> float:
-        return self.result.latency
-
-    @property
-    def measured_ms(self) -> float:
-        return self.trace.latency
-
-
-def run_model(
-    model: str,
-    input_size: int,
-    algorithm: str,
-    profiler: PlatformProfiler | None = None,
-    window: int = 3,
-    overlap_launch: bool = False,
-    profile: CostProfile | None = None,
-    **schedule_kwargs: object,
-) -> ModelRun:
-    """Profile, schedule, and execute one configuration.
-
-    ``profile`` short-circuits the profiling step when the caller has
-    already priced the model (reused across algorithms in sweeps).
-    """
-    pp = profiler or default_profiler()
-    if profile is None:
-        graph_model = MODEL_BUILDERS[model](input_size)
-        profile = pp.profile(graph_model)
-    if "window" in algorithm_options(algorithm):
-        schedule_kwargs.setdefault("window", window)
-    result = schedule_graph(profile, algorithm, **schedule_kwargs)
-    trace = pp.engine(overlap_launch=overlap_launch).run(profile.graph, result.schedule)
-    return ModelRun(
-        model=model,
-        input_size=input_size,
-        algorithm=algorithm,
-        result=result,
-        trace=trace,
-    )
 
 
 def export_unit_traces(units: Sequence[WorkUnit], trace_dir: str) -> list[str]:

@@ -8,8 +8,8 @@ checkable on any machine:
   bill, unlike :mod:`.fig14_scheduling_cost`) of one scheduler over the
   largest Fig. 14 workloads, twice — ``fast`` (the schedulers as
   shipped) and ``reference`` (inside a caller-supplied context that
-  swaps in the from-scratch reference components, with
-  ``stage_time_cache=False``: the pre-engine code);
+  swaps in the from-scratch reference components; both legs price
+  stages through the profile's ``stage_time`` memo);
 * :func:`calibration_seconds` times a fixed pure-Python workload so a
   committed baseline can be rescaled to the measuring machine's speed;
 * ``scripts/check_sched_regression.py`` compares a fresh
@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import time
 from contextlib import AbstractContextManager
-from dataclasses import replace
 from typing import Callable
 
 from ..core.api import schedule_graph
@@ -116,10 +115,9 @@ def measure(
             calibration.append(calibration_seconds())
     out: dict[str, dict[str, float]] = {}
     for name, profile in profiles.items():
-        uncached = replace(profile, stage_time_cache=False)
         with reference():
             ref = [
-                _wall_seconds(lambda p=uncached: schedule_graph(p, algorithm))
+                _wall_seconds(lambda p=profile: schedule_graph(p, algorithm))
                 for _ in range(repeats)
             ]
         out[name] = {"fast_min_s": min(fast[name]), "reference_min_s": min(ref)}

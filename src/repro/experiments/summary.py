@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable
 
 from .reporting import SeriesResult
 
@@ -33,12 +33,17 @@ def load_result(path: str | Path) -> SeriesResult:
     )
 
 
-def load_results(results_dir: str | Path) -> dict[str, SeriesResult]:
-    """Load every ``*.json`` artifact in a results directory, keyed by
-    file stem (figure id)."""
+def load_results(
+    results_dir: str | Path, figures: Iterable[str]
+) -> dict[str, SeriesResult]:
+    """Load the artifact ``{figure}.json`` of each figure that has one
+    in a results directory, keyed by figure id.  Other documents in the
+    directory (gate baselines, tables) are not read."""
     out: dict[str, SeriesResult] = {}
-    for path in sorted(Path(results_dir).glob("*.json")):
-        out[path.stem] = load_result(path)
+    for figure in figures:
+        path = Path(results_dir) / f"{figure}.json"
+        if path.is_file():
+            out[figure] = load_result(path)
     return out
 
 
@@ -205,8 +210,9 @@ CLAIMS: tuple[Claim, ...] = (
 
 
 def build_report(results_dir: str | Path) -> str:
-    """Markdown paper-vs-measured report from the benchmark artifacts."""
-    results = load_results(results_dir)
+    """Markdown paper-vs-measured report from the figure artifacts its
+    :data:`CLAIMS` name."""
+    results = load_results(results_dir, (claim.figure for claim in CLAIMS))
     lines = [
         "| figure | paper claim | measured | shape holds |",
         "|---|---|---|---|",

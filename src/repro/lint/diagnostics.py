@@ -101,9 +101,6 @@ class LintReport:
     def rule_ids(self) -> set[str]:
         return {d.rule for d in self.diagnostics}
 
-    def by_rule(self, rule_id: str) -> list[Diagnostic]:
-        return [d for d in self.diagnostics if d.rule == rule_id]
-
     def merged(self, other: "LintReport") -> "LintReport":
         return LintReport(self.diagnostics + other.diagnostics)
 

@@ -6,9 +6,10 @@ so the pool is plain set arithmetic: ``free``, ``dead``, and a map of
 active leases.  Leases always take the lowest free indices, which keeps
 placement (and therefore the whole simulation) deterministic.
 
-A ``gpu -> holder`` reverse map mirrors ``leases`` so ``holder_of`` —
-which sits on the ``fail()`` hot path, once per injected failure — is a
-dict lookup instead of a scan over every active lease.
+A ``gpu -> holder`` reverse map mirrors ``leases`` so ``fail()`` —
+once per injected failure — finds the lease that held the GPU with a
+dict lookup instead of a scan over every active lease; ``holder_of``
+exposes the same lookup.
 
 ``fail`` marks a GPU dead wherever it is; ``revive`` returns a healed
 GPU to service (``repair:G@T`` specs); ``resize`` swaps a holder's

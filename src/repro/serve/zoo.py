@@ -6,12 +6,8 @@ DAGs in the Section V style (small/medium chunky) plus the paper's
 Fig. 4 worked example.  Graphs and their :class:`CostProfile` per lease
 size are memoized — the simulator asks for ``(model, k)`` thousands of
 times per run and scheduling dominates the cost, so the schedule cache
-in the simulator sits on top of this one.
-
-``register_zoo_model`` is the extension point for experiments that want
-profiled real models (see :mod:`repro.experiments.realmodels`) in the
-zoo; the built-ins stay synthetic so the scenario suite runs in CI
-seconds.
+in the simulator sits on top of this one.  The models are synthetic so
+the scenario suite runs in CI seconds.
 """
 
 from __future__ import annotations
@@ -25,7 +21,7 @@ from ..costmodel.profile import CostProfile
 from ..models.randomdag import random_layered_dag
 from ..models.worked_examples import fig4_graph
 
-__all__ = ["MODEL_ZOO", "register_zoo_model", "zoo_graph", "zoo_profile"]
+__all__ = ["MODEL_ZOO", "zoo_graph", "zoo_profile"]
 
 
 def _tiny() -> OpGraph:
@@ -53,14 +49,6 @@ MODEL_ZOO: dict[str, Callable[[], OpGraph]] = {
     "wide24": _wide24,
     "deep40": _deep40,
 }
-
-
-def register_zoo_model(name: str, builder: Callable[[], OpGraph]) -> None:
-    """Register (or replace) a named model; builders must be
-    deterministic for serving runs to stay reproducible."""
-    MODEL_ZOO[name] = builder
-    zoo_graph.cache_clear()
-    zoo_profile.cache_clear()
 
 
 @lru_cache(maxsize=None)

@@ -198,10 +198,6 @@ class ExecutionTrace:
         """
         return [v for v in names if v not in self.op_finish]
 
-    @property
-    def bytes_transferred(self) -> int:
-        return sum(t.num_bytes for t in self.transfers)
-
     def utilization(self, gpu: int) -> float:
         """Busy time of one GPU divided by the end-to-end latency.
 

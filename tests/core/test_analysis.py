@@ -4,7 +4,8 @@ import pytest
 
 from repro.core import analyze_schedule, schedule_graph
 from repro.models import random_dag_profile
-from repro.models.worked_examples import fig4_profile
+
+from .worked_examples import fig4_profile
 
 
 class TestFig4Metrics:

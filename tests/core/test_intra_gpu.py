@@ -121,7 +121,7 @@ class TestCycleRejection:
 
 class TestPaperExample:
     def test_fig5_walkthrough(self):
-        from repro.models.worked_examples import fig5_initial_schedule, fig5_profile
+        from .worked_examples import fig5_initial_schedule, fig5_profile
 
         prof = fig5_profile()
         sched = fig5_initial_schedule()

@@ -4,13 +4,22 @@ import pytest
 
 from repro.core import (
     OpGraph,
+    PrefixReplayer,
     build_singleton_schedule,
     evaluate_latency,
-    list_schedule_latency,
     priority_order,
 )
 from repro.costmodel import CostProfile
 from repro.models.randomdag import random_layered_dag
+
+
+def list_schedule_latency(graph, assignment, order, num_gpus, send_blocking=True):
+    """Latency of list-scheduling ``order`` under ``assignment`` on the
+    replayer Alg. 1 runs: a snapshot with nothing varying simulates the
+    whole order."""
+    replayer = PrefixReplayer(graph, num_gpus, send_blocking)
+    replayer.snapshot(order, assignment, ())
+    return replayer.replay(assignment)
 
 
 class TestBasics:

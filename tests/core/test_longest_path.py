@@ -2,14 +2,14 @@
 
 import pytest
 
-from repro.core import GraphError, OpGraph, longest_valid_path
+from repro.core import GraphError, LongestPathEngine, OpGraph
 from repro.models.worked_examples import fig4_graph
 
 
 class TestBasics:
     def test_single_vertex(self):
         g = OpGraph.from_edges({"a": 3.0}, [])
-        p = longest_valid_path(g, {"a"})
+        p = LongestPathEngine(g).longest_valid_path({"a"})
         assert p.vertices == ("a",)
         assert p.length == 3.0
         assert len(p) == 1
@@ -19,7 +19,7 @@ class TestBasics:
         g = OpGraph.from_edges(
             {"a": 1, "b": 2, "c": 3}, [("a", "b", 0.5), ("b", "c", 0.5)]
         )
-        p = longest_valid_path(g, {"a", "b", "c"})
+        p = LongestPathEngine(g).longest_valid_path({"a", "b", "c"})
         assert p.vertices == ("a", "b", "c")
         assert p.length == 1 + 0.5 + 2 + 0.5 + 3
 
@@ -27,18 +27,18 @@ class TestBasics:
         g = OpGraph.from_edges(
             {"a": 1, "b": 10, "c": 1}, [("a", "b", 0.0), ("a", "c", 0.0)]
         )
-        p = longest_valid_path(g, set(g.names))
+        p = LongestPathEngine(g).longest_valid_path(set(g.names))
         assert p.vertices == ("a", "b")
 
     def test_empty_unscheduled_rejected(self):
         g = OpGraph.from_edges({"a": 1}, [])
         with pytest.raises(GraphError):
-            longest_valid_path(g, set())
+            LongestPathEngine(g).longest_valid_path(set())
 
     def test_unknown_vertex_rejected(self):
         g = OpGraph.from_edges({"a": 1}, [])
         with pytest.raises(GraphError):
-            longest_valid_path(g, {"zz"})
+            LongestPathEngine(g).longest_valid_path({"zz"})
 
 
 class TestAnchors:
@@ -48,7 +48,7 @@ class TestAnchors:
         g = OpGraph.from_edges(
             {"a": 1, "b": 2, "c": 1}, [("a", "b", 3.0), ("b", "c", 4.0)]
         )
-        p = longest_valid_path(g, {"b"})
+        p = LongestPathEngine(g).longest_valid_path({"b"})
         assert p.vertices == ("b",)
         assert p.length == 3.0 + 2 + 4.0
 
@@ -57,7 +57,7 @@ class TestAnchors:
             {"a": 1, "a2": 1, "b": 2},
             [("a", "b", 1.0), ("a2", "b", 5.0)],
         )
-        p = longest_valid_path(g, {"b"})
+        p = LongestPathEngine(g).longest_valid_path({"b"})
         assert p.length == 5.0 + 2
 
 
@@ -67,15 +67,16 @@ class TestValidityConstraint:
         longer candidate through v7 is invalid because its intermediate
         vertex v5 has an edge to the scheduled v6."""
         g = fig4_graph()
-        p1 = longest_valid_path(g, set(g.names))
+        engine = LongestPathEngine(g)
+        p1 = engine.longest_valid_path(set(g.names))
         assert p1.vertices == ("v1", "v2", "v4", "v6", "v8")
         remaining = set(g.names) - set(p1.vertices)
-        p2 = longest_valid_path(g, remaining)
+        p2 = engine.longest_valid_path(remaining)
         assert p2.vertices == ("v3", "v5")
         # length: anchor e2 (1) + v3 (2) + e4 (1) + v5 (3) + anchor (1)
         assert p2.length == 8.0
         remaining -= set(p2.vertices)
-        p3 = longest_valid_path(g, remaining)
+        p3 = engine.longest_valid_path(remaining)
         assert p3.vertices == ("v7",)
         assert p3.length == 1 + 2 + 1  # e7 + v7 + e9
 
@@ -86,7 +87,7 @@ class TestValidityConstraint:
             {"x": 1, "a": 2, "b": 2, "y": 1},
             [("x", "a", 1.0), ("a", "b", 1.0), ("a", "y", 0.5)],
         )
-        p = longest_valid_path(g, {"a", "b"})
+        p = LongestPathEngine(g).longest_valid_path({"a", "b"})
         assert p.vertices == ("a", "b")
 
     def test_interior_vertex_touching_scheduled_blocks_path(self):
@@ -97,7 +98,7 @@ class TestValidityConstraint:
             {"a": 1, "b": 1, "c": 1, "s": 1},
             [("a", "b", 0.1), ("b", "c", 0.1), ("b", "s", 0.1)],
         )
-        p = longest_valid_path(g, {"a", "b", "c"})
+        p = LongestPathEngine(g).longest_valid_path({"a", "b", "c"})
         assert set(p.vertices) != {"a", "b", "c"} or len(p.vertices) < 3
         # a->b is valid (b is the last vertex) and collects the b->s anchor
         assert p.vertices in (("a", "b"), ("b", "c"))
@@ -106,7 +107,7 @@ class TestValidityConstraint:
 class TestDeterminism:
     def test_repeatable(self):
         g = fig4_graph()
-        a = longest_valid_path(g, set(g.names))
-        b = longest_valid_path(g, set(g.names))
+        a = LongestPathEngine(g).longest_valid_path(set(g.names))
+        b = LongestPathEngine(g).longest_valid_path(set(g.names))
         assert a.vertices == b.vertices
         assert a.length == b.length

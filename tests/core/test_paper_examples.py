@@ -1,23 +1,24 @@
 """Regression tests for the paper's worked examples (Figs. 4-6).
 
 The figures omit concrete weights, so :mod:`repro.models.worked_examples`
-fixes weights consistent with every step of the narrative; these tests
-pin the narrative itself.
+and :mod:`tests.core.worked_examples` fix weights consistent with every
+step of the narrative; these tests pin the narrative itself.
 """
 
 import pytest
 
 from repro.core import (
+    LongestPathEngine,
     evaluate_latency,
-    longest_valid_path,
     schedule_hios_lp,
     schedule_hios_mr,
     schedule_inter_gpu_lp,
     schedule_inter_gpu_mr,
 )
-from repro.models.worked_examples import fig4_graph, fig4_profile
+from repro.models.worked_examples import fig4_graph
 
 from ..oracles import schedule_brute_force
+from .worked_examples import fig4_profile
 
 
 class TestFig4:
@@ -32,15 +33,16 @@ class TestFig4:
 
     def test_path_extraction_sequence(self):
         g = fig4_graph()
+        engine = LongestPathEngine(g)
         unscheduled = set(g.names)
-        p1 = longest_valid_path(g, unscheduled)
+        p1 = engine.longest_valid_path(unscheduled)
         assert p1.vertices == ("v1", "v2", "v4", "v6", "v8")
         unscheduled -= set(p1.vertices)
-        p2 = longest_valid_path(g, unscheduled)
+        p2 = engine.longest_valid_path(unscheduled)
         # NOT the longer candidate through v7 — v5 touches scheduled v6
         assert p2.vertices == ("v3", "v5")
         unscheduled -= set(p2.vertices)
-        p3 = longest_valid_path(g, unscheduled)
+        p3 = engine.longest_valid_path(unscheduled)
         assert p3.vertices == ("v7",)
 
     def test_lp_maps_side_paths_to_second_gpu(self):

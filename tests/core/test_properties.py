@@ -138,12 +138,13 @@ def test_priority_indicator_recurrence(graph):
 @given(graph=small_dags(max_ops=8))
 def test_longest_valid_path_partitions_graph(graph):
     """Iterating path extraction consumes every vertex exactly once."""
-    from repro.core import longest_valid_path
+    from repro.core import LongestPathEngine
 
+    engine = LongestPathEngine(graph)
     remaining = set(graph.names)
     seen: set[str] = set()
     while remaining:
-        path = longest_valid_path(graph, remaining)
+        path = engine.longest_valid_path(remaining)
         assert path.vertices
         assert set(path.vertices) <= remaining
         assert not (set(path.vertices) & seen)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import OpGraph
+from repro.core import OpGraph, schedule_graph
 from repro.costmodel import CostProfile, MaxConcurrencyModel
 
 
@@ -23,11 +23,18 @@ class TestCostProfile:
         assert p.stage_time(["a"]) == 1.0
 
     def test_stage_width(self):
-        p = CostProfile(graph=graph(), max_streams=2)
-        assert p.stage_width_ok(2)
-        assert not p.stage_width_ok(3)
-        unbounded = CostProfile(graph=graph())
-        assert unbounded.stage_width_ok(100)
+        """``max_streams`` bounds the stages Alg. 2 builds; 0 leaves
+        them unbounded."""
+        independent = OpGraph.from_edges({n: 1.0 for n in "abcdef"}, [])
+        widths = {}
+        for bound in (0, 2):
+            p = CostProfile(
+                graph=independent, concurrency=MaxConcurrencyModel(),
+                num_gpus=1, max_streams=bound,
+            )
+            stages = schedule_graph(p, "hios-lp", window=6).schedule.stages_on(0)
+            widths[bound] = max(len(stage.ops) for stage in stages)
+        assert widths == {0: 6, 2: 2}
 
     def test_validation(self):
         with pytest.raises(ValueError):

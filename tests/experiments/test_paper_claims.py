@@ -129,38 +129,50 @@ class TestFig11Claims:
 class TestRealModelClaims:
     @pytest.fixture(scope="class")
     def measurements(self):
-        from repro.experiments.realmodels import MODEL_BUILDERS, default_profiler, run_model
+        """Engine-measured latency per model and algorithm at 1024 px,
+        through the ``measured`` sweep units Figs. 12 and 13 run: one
+        batch per model builds its profile once."""
+        from repro.core.api import algorithm_options
+        from repro.sweep import RealModelSpec
+        from repro.sweep.units import clear_workload_memo, execute_batch
 
-        profiler = default_profiler()
+        algorithms = ("sequential", "ios", "hios-mr", "hios-lp", "inter-lp")
+        items = [
+            (i, 0, "measured", alg,
+             (("window", CFG.window),) if "window" in algorithm_options(alg) else ())
+            for i, alg in enumerate(algorithms)
+        ]
         out = {}
-        for model, size in (("inception_v3", 1024), ("nasnet", 1024)):
-            profile = profiler.profile(MODEL_BUILDERS[model](size))
-            out[model] = {
-                alg: run_model(model, size, alg, profiler=profiler, profile=profile)
-                for alg in ("sequential", "ios", "hios-mr", "hios-lp", "inter-lp")
-            }
+        try:
+            for model in ("inception_v3", "nasnet"):
+                results, _reuses = execute_batch([RealModelSpec(model, 1024)], items)
+                out[model] = {
+                    algorithms[i]: payload["measured_ms"] for i, payload, _meta in results
+                }
+        finally:
+            clear_workload_memo()
         return out
 
     def test_lp_beats_everyone_at_large_inputs(self, measurements):
-        for model, runs in measurements.items():
-            lp = runs["hios-lp"].measured_ms
-            assert lp < runs["ios"].measured_ms, model
-            assert lp < runs["hios-mr"].measured_ms, model
-            assert lp < runs["sequential"].measured_ms, model
+        for model, ms in measurements.items():
+            lp = ms["hios-lp"]
+            assert lp < ms["ios"], model
+            assert lp < ms["hios-mr"], model
+            assert lp < ms["sequential"], model
 
     def test_inter_gpu_mapping_dominates_gain(self, measurements):
         # paper §VI-E: LP inter-GPU mapping accounts for >= ~80% of
         # HIOS-LP's total reduction
-        for model, runs in measurements.items():
-            seq = runs["sequential"].measured_ms
-            full = seq - runs["hios-lp"].measured_ms
-            inter = seq - runs["inter-lp"].measured_ms
+        for model, ms in measurements.items():
+            seq = ms["sequential"]
+            full = seq - ms["hios-lp"]
+            inter = seq - ms["inter-lp"]
             assert full > 0
             assert inter / full > 0.7, model
 
     def test_inception_lp_vs_ios_band(self, measurements):
-        runs = measurements["inception_v3"]
-        reduction = 1 - runs["hios-lp"].measured_ms / runs["ios"].measured_ms
+        ms = measurements["inception_v3"]
+        reduction = 1 - ms["hios-lp"] / ms["ios"]
         # paper: up to 16.5%
         assert 0.05 <= reduction <= 0.35
 

@@ -30,7 +30,8 @@ class TestLoading:
     def test_load_results_directory(self, tmp_path):
         write_artifact(tmp_path, "fig9", [1], {"a": [1.0]})
         write_artifact(tmp_path, "fig10", [1], {"a": [1.0]})
-        loaded = load_results(tmp_path)
+        (tmp_path / "BENCH_x.json").write_text('{"gate": 1}')  # not a figure
+        loaded = load_results(tmp_path, ("fig9", "fig10", "fig11"))
         assert set(loaded) == {"fig9", "fig10"}
 
 

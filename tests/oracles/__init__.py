@@ -524,7 +524,6 @@ _SWAPS: tuple[tuple[object, str, object], ...] = (
     (intra_gpu, "StageGraphEvaluator", _StageGraphOracle),
     (ios, "soa_latency", evaluate_latency),
     (refine, "PrefixReplayer", _ListScheduleOracle),
-    (refine, "list_schedule_latency", list_schedule_latency),
     (sequential, "evaluate_latency", evaluate_latency),
 )
 

@@ -43,7 +43,7 @@ def _enumerate_gpu_partitions(
             if not any(u in remaining for u in graph.predecessors(v))
         ]
         for size in range(1, len(ready) + 1):
-            if not profile.stage_width_ok(size):
+            if profile.max_streams and size > profile.max_streams:
                 break
             for stage_ops in combinations(ready, size):
                 if len(stage_ops) > 1 and not graph.independent(stage_ops):

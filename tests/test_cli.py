@@ -71,6 +71,17 @@ class TestCommands:
         assert "fig1" in out
         assert "ratio" in out
 
+    def test_report_reads_the_committed_figure_artifacts(self, capsys, monkeypatch):
+        """The README's claim-table command, on its default directory:
+        the gate baselines beside the figure artifacts (``BENCH_*.json``)
+        are not figures and are not read."""
+        from pathlib import Path
+
+        monkeypatch.chdir(Path(__file__).resolve().parents[1])
+        assert main(["report"]) == 0
+        out = capsys.readouterr().out
+        assert "*(not run)*" not in out and "*(error" not in out
+
     def test_run_instances_override(self, capsys):
         assert main(["run", "fig11", "--instances", "1"]) == 0
         assert "latency" in capsys.readouterr().out
@@ -94,6 +105,10 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "predicted" in out and "measured" in out
         assert "GPU 0" in out
+
+    def test_schedule_default_size_is_the_first_of_the_sweep(self, capsys):
+        assert main(["schedule", "--model", "resnet50", "--algorithm", "sequential"]) == 0
+        assert capsys.readouterr().out.startswith("resnet50@224 | sequential")
 
     def test_schedule_json_output(self, capsys):
         assert (

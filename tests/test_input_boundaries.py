@@ -3,8 +3,9 @@ a typed error at the library boundary, and as an exit code with one
 ``error:`` line (never a traceback) through ``repro lint``,
 ``repro validate``, ``repro trace`` and ``repro serve --config``.  Every
 public entry point that takes a graph or a schedule raises its typed
-error on an invalid one, whatever the graph's recorded validity, and
-non-finite cost-model and engine knobs are rejected where they are set."""
+error on an invalid one, whatever the graph's recorded validity,
+non-finite cost-model and engine knobs are rejected where they are set,
+and the CLI's numeric flags are range-checked by its parser."""
 
 from __future__ import annotations
 
@@ -432,3 +433,42 @@ def test_faults_rejects_a_watchdog_it_cannot_use(capsys, watchdog):
     lines = out.strip().splitlines()
     assert code == 2
     assert len(lines) == 1 and lines[0].startswith("error: --watchdog ")
+
+
+_L = str(LINT_ARTIFACTS)
+_SANITIZE = [
+    f"{_L}/graph_inception_299.json",
+    f"{_L}/schedule_inception_299_hios-lp.json",
+    f"{_L}/trace_inception_299_hios-lp.json",
+]
+_DIFF = ["trace", "diff", *[f"{_L}/trace_inception_299_hios-lp.json"] * 2]
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["schedule", "--gpus", "0"], "--gpus"),
+        (["compare", "--gpus", "0"], "--gpus"),
+        (["faults", "--gpus", "0"], "--gpus"),
+        (["schedule", "--window", "0"], "--window"),
+        (["schedule", "--size", "0"], "--size"),
+        (["schedule", "--size", "74"], "--size"),  # Inception-v3 needs >= 75
+        (["compare", "--model", "resnet50", "--size", "32"], "--size"),
+        (["run", "fig1", "--instances", "0"], "--instances"),
+        (["run", "fig1", "--jobs", "-1"], "--jobs"),
+        (["faults", "--max-repairs", "-1"], "--max-repairs"),
+        (["sanitize", *_SANITIZE, "--max-streams", "-2"], "--max-streams"),
+        (["sanitize", *_SANITIZE, "--eps", "nan"], "--eps"),
+        (["sanitize", *_SANITIZE, "--eps", "inf"], "--eps"),
+        ([*_DIFF, "--eps", "nan"], "--eps"),
+        ([*_DIFF, "--eps", "-1"], "--eps"),
+    ],
+)
+def test_numeric_flags_are_range_checked(capsys, argv, flag):
+    """Counts are >= 1 (or >= 0 where 0 means none or unbounded) and
+    tolerances finite and >= 0: a NaN ``--eps`` made every timestamp
+    check pass, and a zero count ended in a traceback."""
+    code, out = _run(capsys, argv)
+    lines = out.strip().splitlines()
+    assert code == 2
+    assert len(lines) == 1 and lines[0].startswith(f"error: {flag} ")

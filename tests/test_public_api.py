@@ -65,14 +65,17 @@ def test_model_registry_and_sizes():
         model_sizes("alexnet", cfg)
 
 
-def test_run_model_on_contrast_workloads():
-    from repro.experiments.realmodels import run_model
+def test_measured_unit_on_contrast_workloads():
+    from repro.sweep import RealModelSpec, WorkUnit
+    from repro.sweep.units import execute_unit
 
-    run = run_model("resnet50", 224, "hios-lp")
-    assert run.measured_ms > 0
-    assert run.predicted_ms > 0
-    assert run.algorithm == "hios-lp"
-    assert run.model == "resnet50"
+    unit = WorkUnit(
+        "contrast", 224, 0, "hios-lp", RealModelSpec("resnet50", 224),
+        (("window", 3),), kind="measured",
+    )
+    payload, _meta = execute_unit(unit)
+    assert payload["measured_ms"] > 0
+    assert payload["predicted_ms"] > 0
 
 
 def test_core_imports_no_numpy():
