@@ -1,8 +1,9 @@
-"""Runtime-sanitizer overhead bench (``HIOS_SANITIZE=1``).
+"""Engine happens-before check overhead bench (``HIOS_SANITIZE=1``).
 
-The TSan-style engine sanitizer cross-checks every launch/start/finish
-and transfer send/recv against the precomputed happens-before graph —
-an O(in-degree) dictionary probe per event.  The contract (see
+A sanitized run checks the trace it wrote — every launch/start/finish
+and transfer send/recv — against the memoized happens-before graph
+once the run is over (``check_engine_trace``, one pass over the graph's
+edges and the trace's requirements).  The contract (see
 ``docs/linting.md``) is that a sanitized run costs **less than 2x** the
 unsanitized engine wall time on the heaviest real-model workload,
 nasnet@1024, so the suite can afford to leave it on by default.
@@ -60,7 +61,7 @@ def measure():
         profile.graph,
         schedule,
     )
-    assert trace_checked == trace_plain  # observation must not perturb
+    assert trace_checked == trace_plain  # the check must not perturb the run
     return {
         "model": f"{MODEL}@{SIZE}",
         "operators": len(profile.graph),

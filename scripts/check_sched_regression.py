@@ -3,8 +3,13 @@
 Measures the best-of-N pure-algorithm scheduling time of ``hios-lp``
 on the largest inception/nasnet workloads (see
 ``repro.experiments.sched_cost_bench``, which also says why the best
-sample and not the median) and compares against the committed baseline
-``benchmarks/results/BENCH_scheduling_cost.json``:
+sample and not the median) in :data:`PROCESSES` fresh processes, one
+after another, keeping the best time of each leg and of the
+calibration over all of them — a process can be slow throughout (its
+hash seed and memory layout are its own), so one process's best is
+not the machine's.  It compares the result against the committed
+baseline ``benchmarks/results/BENCH_scheduling_cost.json``, recorded
+the same way:
 
 * FAIL if the fast-path time, normalized by the machine-speed
   calibration ratio, regresses more than ``--threshold`` (default 25 %)
@@ -27,6 +32,7 @@ Refresh the baseline after intentional performance changes with::
 
 import argparse
 import json
+import multiprocessing
 import pathlib
 import sys
 import tempfile
@@ -38,6 +44,33 @@ from repro.sweep import ScheduleCache, cached_schedule
 
 BASELINE = pathlib.Path("benchmarks/results/BENCH_scheduling_cost.json")
 ROOT = pathlib.Path(__file__).resolve().parents[1]
+PROCESSES = 3  # fresh measuring processes per gate run
+
+
+def _measure_in_process(repeats: int) -> dict:
+    """One :func:`measure` run; the body of each fresh process."""
+    sys.path.insert(0, str(ROOT))
+    from tests.oracles import reference_components
+
+    return measure(repeats=repeats, reference=reference_components)
+
+
+def measure_best(repeats: int, processes: int = PROCESSES) -> dict:
+    """:func:`measure` in ``processes`` fresh processes, one at a time;
+    each time is the best over all of them."""
+    spawn = multiprocessing.get_context("spawn")
+    runs = []
+    for _ in range(processes):
+        with spawn.Pool(1) as pool:
+            runs.append(pool.apply(_measure_in_process, (repeats,)))
+    best = runs[0]
+    for run in runs[1:]:
+        best["calibration_s"] = min(best["calibration_s"], run["calibration_s"])
+        for name, legs in run["workloads"].items():
+            for leg, seconds in legs.items():
+                best["workloads"][name][leg] = min(best["workloads"][name][leg], seconds)
+    best["processes"] = processes
+    return best
 
 
 def check_schedule_cache(min_speedup: float) -> list[str]:
@@ -82,13 +115,11 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--min-cache-speedup", type=float, default=5.0,
                     help="required cold/warm speedup of a schedule-cache "
                     "replay (0 disables the check)")
-    ap.add_argument("--repeats", type=int, default=5)
+    ap.add_argument("--repeats", type=int, default=2,
+                    help="measure() repeats in each of the fresh processes")
     args = ap.parse_args(argv)
 
-    sys.path.insert(0, str(ROOT))
-    from tests.oracles import reference_components
-
-    current = measure(repeats=args.repeats, reference=reference_components)
+    current = measure_best(args.repeats)
     if args.write_baseline:
         args.baseline.write_text(json.dumps(current, indent=2) + "\n")
         print(f"baseline written to {args.baseline}")
@@ -132,9 +163,9 @@ def _report(baseline: dict, current: dict, args: argparse.Namespace) -> int:
                 f"{name}: fast/reference speedup {speedup:.2f}x "
                 f"below required {args.min_speedup:.2f}x"
             )
-        print(f"  {name}: fast={cur['fast_min_s']:.3f}s "
+        print(f"  {name}: fast={cur['fast_min_s']:.4f}s "
               f"reference={cur['reference_min_s']:.3f}s "
-              f"speedup={speedup:.2f}x allowed<={allowed:.3f}s [{status}]")
+              f"speedup={speedup:.2f}x allowed<={allowed:.4f}s [{status}]")
     if args.min_cache_speedup > 0:
         failures.extend(check_schedule_cache(args.min_cache_speedup))
     if failures:

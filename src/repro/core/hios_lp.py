@@ -201,10 +201,12 @@ def schedule_hios(
     """The HIOS hierarchy shared by every HIOS registry entry.
 
     ``spatial`` maps operators to GPUs, ``local_search`` (when given)
-    refines that mapping, the singleton schedule is evaluated, and with
-    a ``window`` the Alg. 2 pass regroups each GPU's operators into
-    concurrent stages; ``window=None`` keeps the sequential per-GPU
-    execution of the paper's "inter-GPU only" ablations.  Callers pass
+    refines that mapping, and with a ``window`` the Alg. 2 pass
+    regroups each GPU's operators into concurrent stages, its first
+    evaluation pricing the singleton schedule (``inter_gpu_latency``);
+    ``window=None`` keeps the sequential per-GPU execution of the
+    paper's "inter-GPU only" ablations, priced by ``soa_latency``.
+    A mapping from ``spatial_cache`` is validated first.  Callers pass
     ``spatial`` as their own module binds it, and the evaluation and
     Alg. 2 calls go through this module's names, so a wrapper or an
     oracle installed on a module attribute sees every HIOS run.
@@ -224,19 +226,22 @@ def schedule_hios(
     # a mapping computed here is valid by construction; a cached one may
     # come from outside the call
     cached = spatial_cache is not None
-    latency = soa_latency(profile, schedule, validate=cached, counters=counters)
-    stats["inter_gpu_latency"] = latency
-
-    if window is not None:
+    if window is None:
+        latency = soa_latency(profile, schedule, validate=cached, counters=counters)
+        stats["inter_gpu_latency"] = latency
+    else:
+        # Alg. 2 prices the singleton schedule first: that is its latency
         t1 = time.perf_counter()
-        schedule, latency, stats["intra_gpu"] = parallelize(
+        schedule, latency, intra = parallelize(
             profile,
             schedule,
             window=window,
             priority=order,
-            validate=False,  # valid by construction, or validated just above
+            validate=cached,
             counters=counters,
         )
+        stats["inter_gpu_latency"] = intra.initial_latency
+        stats["intra_gpu"] = intra
         phase_times["intra_gpu"] = time.perf_counter() - t1
 
     counters.cache_hits = profile.stage_time_cache_hits - cache_hits0

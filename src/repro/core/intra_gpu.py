@@ -41,8 +41,10 @@ __all__ = ["IntraGpuStats", "parallelize"]
 
 @dataclass
 class IntraGpuStats:
-    """Counters for one ``parallelize`` run."""
+    """Counters for one ``parallelize`` run, and ``initial_latency``,
+    the latency of the schedule it started from (its first evaluation)."""
 
+    initial_latency: float = 0.0
     windows_tried: int = 0
     groups_formed: int = 0
     rejected_dependent: int = 0
@@ -83,7 +85,7 @@ def parallelize(
     stats = IntraGpuStats()
     log = declog.active()
     evaluator = StageGraphEvaluator(profile, schedule, counters=counters)
-    best_latency = evaluator.evaluate()
+    best_latency = stats.initial_latency = evaluator.evaluate()
     # the stage lists accepted merges are committed into, and where
     # each operator sits in them: op -> (gpu, stage position)
     per_gpu = [schedule.stages_on(g) for g in range(schedule.num_gpus)]

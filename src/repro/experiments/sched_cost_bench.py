@@ -12,8 +12,8 @@ checkable on any machine:
   stages through the profile's ``stage_time`` memo);
 * :func:`calibration_seconds` times a fixed pure-Python workload so a
   committed baseline can be rescaled to the measuring machine's speed;
-* ``scripts/check_sched_regression.py`` compares a fresh
-  :func:`measure` run against the committed
+* ``scripts/check_sched_regression.py`` compares the best of
+  :func:`measure` runs in a few fresh processes against the committed
   ``benchmarks/results/BENCH_scheduling_cost.json`` and fails CI on a
   >25 % regression of the (calibration-normalized) fast time, or if
   the fast/reference speedup falls below the floor.

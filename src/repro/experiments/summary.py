@@ -14,23 +14,45 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable
 
+from ..formats import DocumentError
 from .reporting import SeriesResult
 
 __all__ = ["load_result", "load_results", "Claim", "CLAIMS", "build_report"]
 
 
+_FIELDS = ("figure", "title", "x_label", "y_label", "x", "series")
+
+
+def _is_number(value: object) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def load_result(path: str | Path) -> SeriesResult:
-    """Load one figure's JSON artifact back into a SeriesResult."""
-    data = json.loads(Path(path).read_text())
-    return SeriesResult(
-        figure=data["figure"],
-        title=data["title"],
-        x_label=data["x_label"],
-        y_label=data["y_label"],
-        x=data["x"],
-        series=data["series"],
-        notes=data.get("notes", ""),
-    )
+    """Load one figure's JSON artifact back into a SeriesResult.
+
+    A file that is not a figure document raises :class:`DocumentError`
+    naming the path and the cause.
+    """
+    try:
+        data = json.loads(Path(path).read_text())
+    except (OSError, ValueError, RecursionError) as exc:  # bad JSON/encoding, too deep
+        raise DocumentError(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from exc
+    try:
+        if not isinstance(data, dict):
+            raise ValueError(f"expected a JSON object, got {type(data).__name__}")
+        missing = [key for key in _FIELDS if key not in data]
+        if missing:
+            raise ValueError(f"missing {', '.join(missing)}")
+        series = data["series"]
+        if not isinstance(series, dict) or not all(
+            isinstance(ys, list) and all(map(_is_number, ys)) for ys in series.values()
+        ):
+            raise ValueError(f"series must map names to arrays of numbers, got {series!r}")
+        if not isinstance(data["x"], list):
+            raise ValueError(f"x must be an array, got {data['x']!r}")
+        return SeriesResult(**{key: data[key] for key in _FIELDS}, notes=data.get("notes", ""))
+    except ValueError as exc:  # SeriesResult checks each series' length
+        raise DocumentError(f"malformed figure document {path}: {exc}") from exc
 
 
 def load_results(

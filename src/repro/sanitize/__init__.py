@@ -1,7 +1,7 @@
 """Happens-before concurrency analysis (``repro sanitize``).
 
-Static race/deadlock detection for schedules plus a TSan-style runtime
-sanitizer for the engine:
+Static race/deadlock detection for schedules plus the engine's
+happens-before check:
 
 * :mod:`~repro.sanitize.hbgraph` compiles ``(OpGraph, Schedule,
   ExecModel)`` into the happens-before DAG the engine enforces.
@@ -13,8 +13,10 @@ sanitizer for the engine:
 * :mod:`~repro.sanitize.api` is the report layer
   (``repro.hbreport/v1``).
 * :mod:`~repro.sanitize.runtime` is the ``HIOS_SANITIZE=1`` engine
-  sanitizer.  It is re-exported lazily so importing the analysis
-  layers (e.g. from ``repro.lint``) never drags in the substrate.
+  check: a static deadlock check before the run and
+  :func:`check_engine_trace` on the trace after it.  It is re-exported
+  lazily so importing the analysis layers (e.g. from ``repro.lint``)
+  never drags in the substrate.
 """
 
 from typing import Any
@@ -80,14 +82,12 @@ __all__ = [
     "dependency_violations",
     "transfer_violations",
     # lazy (see __getattr__): live in .runtime, which imports the substrate
-    "RuntimeSanitizer",
     "SanitizeViolation",
     "sanitize_enabled",
     "sanitizer_for",
 ]
 
 _RUNTIME_EXPORTS = {
-    "RuntimeSanitizer",
     "SanitizeViolation",
     "sanitize_enabled",
     "sanitizer_for",

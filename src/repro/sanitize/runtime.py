@@ -1,27 +1,25 @@
-"""TSan-style runtime sanitizer for :class:`MultiGpuEngine`.
+"""The engine's happens-before check (``HIOS_SANITIZE=1``).
 
 With ``HIOS_SANITIZE=1`` (any value other than ``0/false/off/no``; the
-test suite turns it on by default) the engine cross-checks every event
-it emits — launches, kernel starts/finishes, transfer posts and
-deliveries — against the compiled happens-before model *while the run
-plays out*, and raises :class:`SanitizeViolation` with a causal chain
-the moment an event contradicts an ordering the model says must hold.
+test suite turns it on by default) or ``EngineConfig(sanitize=True)``,
+:meth:`~repro.substrate.engine.MultiGpuEngine.run` checks each run
+against one compiled happens-before graph:
 
-Construction also runs the static deadlock detector, so a cyclic-wait
-schedule fails with a witness cycle **before** the event loop starts —
-the stall watchdog never gets a chance to fire.
+* before the event loop, :func:`sanitizer_for` compiles the graph and
+  runs the static deadlock detector, so a cyclic-wait schedule fails
+  with a witness cycle **before** the run state exists — the stall
+  watchdog never gets a chance to fire;
+* after the run, :func:`check_run` checks the trace the engine wrote
+  with :func:`~repro.sanitize.vclock.check_engine_trace`, the check
+  ``repro sanitize`` runs, and raises :class:`SanitizeViolation` for
+  the earliest violation with a causal chain.  The structural layer is
+  on for a fail-stop partial trace too: the engine cut it itself, so
+  every event it holds happened under this schedule.
 
-The per-event check is O(in-degree): predecessors must already have
-been observed with a timestamp no later than the new event's (within
-``eps``).  Unlike the offline checker this needs no vector clocks —
-edges are checked directly as events stream in — which keeps the
-overhead well under the engine's own event-loop cost.
-
-The static part (HB graph compilation + deadlock check + in-edge
-tables) is memoized per ``(graph, schedule, model)`` behind cheap
-mutation fingerprints (``OpGraph.version`` and the append-only
+The compiled graph is memoized per ``(graph, schedule, model)`` behind
+cheap mutation fingerprints (``OpGraph.version`` and the append-only
 ``Schedule.num_stages``), so repeated inference of the same placement —
-the serving steady state, and every benchmark loop — pays it once.
+the serving steady state, and every benchmark loop — compiles it once.
 """
 
 from __future__ import annotations
@@ -34,27 +32,18 @@ from ..core.graph import OpGraph
 from ..core.schedule import Schedule
 from ..substrate.engine import EngineError
 from .detectors import find_deadlock
-from .hbgraph import (
-    EDGE_KINDS,
-    ExecModel,
-    HbEvent,
-    build_hb_graph,
-    ev_finish,
-    ev_launch,
-    ev_recv,
-    ev_send,
-    ev_start,
-)
+from .hbgraph import EDGE_KINDS, ExecModel, HbGraph, build_hb_graph
+from .vclock import check_engine_trace, event_times
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..substrate.engine import EngineConfig
+    from ..substrate.engine import EngineConfig, ExecutionTrace
 
 __all__ = [
     "SANITIZE_ENV_VAR",
     "SanitizeViolation",
+    "check_run",
     "sanitize_enabled",
     "sanitizer_for",
-    "RuntimeSanitizer",
 ]
 
 SANITIZE_ENV_VAR = "HIOS_SANITIZE"
@@ -62,84 +51,58 @@ _FALSY = {"", "0", "false", "off", "no"}
 
 
 class SanitizeViolation(EngineError):
-    """An engine event contradicted the happens-before model (or the
+    """An engine run contradicted the happens-before model (or the
     model itself is a wait cycle).  Subclasses :class:`EngineError` so
     existing failure handling keeps working."""
 
 
 def sanitize_enabled() -> bool:
-    """Whether ``HIOS_SANITIZE`` asks for runtime sanitizing."""
+    """Whether ``HIOS_SANITIZE`` asks for sanitizing."""
     return os.environ.get(SANITIZE_ENV_VAR, "").strip().lower() not in _FALSY
 
 
 def sanitizer_for(
     graph: OpGraph, schedule: Schedule, config: "EngineConfig"
-) -> "RuntimeSanitizer | None":
-    """The engine's entry point: a sanitizer when
-    ``config.sanitize`` (or, when that is ``None``, the environment)
-    asks for one, else ``None``."""
+) -> HbGraph | None:
+    """The engine's entry point: the memoized happens-before graph,
+    proven deadlock-free, when ``config.sanitize`` (or, when that is
+    ``None``, the environment) asks for sanitizing, else ``None``.
+
+    Raises :class:`SanitizeViolation` with a witness cycle when the
+    schedule deadlocks.
+    """
     want = config.sanitize
     if want is None:
         want = sanitize_enabled()
     if not want:
         return None
-    return RuntimeSanitizer(
-        graph, schedule, ExecModel.from_engine_config(config)
-    )
-
-
-class _StaticCore:
-    """The immutable, shareable half of a sanitizer: the compiled HB
-    graph (already proven acyclic) and its checked in-edge tables."""
-
-    __slots__ = ("hb", "in_edges")
-
-    def __init__(self, graph: OpGraph, schedule: Schedule, model: ExecModel | None):
-        self.hb = build_hb_graph(graph, schedule, model)
-        cycle = find_deadlock(self.hb)
-        if cycle is not None:
-            raise SanitizeViolation(
-                "sanitizer: schedule deadlocks before any kernel runs; "
-                + cycle.describe()
-            )
-        # in-edges per event, with same-GPU dependency requirements
-        # appended (cross-GPU ones are covered by the send/recv edges)
-        self.in_edges: list[list[tuple[int, str]]] = [
-            list(self.hb.in_edges(i)) for i in range(self.hb.num_events)
-        ]
-        for req in self.hb.requirements:
-            src, dst = self.hb.index.get(req.src), self.hb.index.get(req.dst)
-            if src is not None and dst is not None and not req.cross:
-                self.in_edges[dst].append((src, "dep"))
+    return _hb_for(graph, schedule, ExecModel.from_engine_config(config))
 
 
 # id(schedule) -> [(schedule weakref, graph weakref, graph version,
-# schedule stage count, model, core), ...]; keyed by id because
+# schedule stage count, model, HB graph), ...]; keyed by id because
 # Schedule defines ``__eq__`` without ``__hash__`` — the stored
 # weakrefs guard against id reuse and evict the slot when the schedule
 # dies.  The fingerprints invalidate on any mutation (OpGraph bumps
 # ``version``, Schedule construction is append-only so ``num_stages``
 # only grows).
-_CoreEntry = tuple[
+_Entry = tuple[
     "weakref.ref[Schedule]",
     "weakref.ref[OpGraph]",
     int,
     int,
     ExecModel,
-    _StaticCore,
+    HbGraph,
 ]
-_CORE_CACHE: dict[int, list[_CoreEntry]] = {}
-_CORE_CACHE_WIDTH = 4  # (graph, model) pairs per schedule worth remembering
+_HB_CACHE: dict[int, list[_Entry]] = {}
+_HB_CACHE_WIDTH = 4  # (graph, model) pairs per schedule worth remembering
 
 
-def _core_for(
-    graph: OpGraph, schedule: Schedule, model: ExecModel | None
-) -> _StaticCore:
-    model = model or ExecModel()
+def _hb_for(graph: OpGraph, schedule: Schedule, model: ExecModel) -> HbGraph:
     key = id(schedule)
-    entries = _CORE_CACHE.get(key)
+    entries = _HB_CACHE.get(key)
     if entries is not None:
-        for sref, gref, gver, nstages, cached_model, core in entries:
+        for sref, gref, gver, nstages, cached_model, hb in entries:
             if (
                 sref() is schedule
                 and gref() is graph
@@ -147,115 +110,66 @@ def _core_for(
                 and nstages == schedule.num_stages
                 and cached_model == model
             ):
-                return core
-    core = _StaticCore(graph, schedule, model)  # raises on deadlock
+                return hb
+    hb = build_hb_graph(graph, schedule, model)
+    cycle = find_deadlock(hb)
+    if cycle is not None:
+        raise SanitizeViolation(
+            "sanitizer: schedule deadlocks before any kernel runs; "
+            + cycle.describe()
+        )
     if entries is None or any(e[0]() is not schedule for e in entries):
-        entries = _CORE_CACHE[key] = []  # fresh slot (or id was reused)
+        entries = _HB_CACHE[key] = []  # fresh slot (or id was reused)
     entries.append(
         (
-            weakref.ref(schedule, lambda _r, key=key: _CORE_CACHE.pop(key, None)),
+            weakref.ref(schedule, lambda _r, key=key: _HB_CACHE.pop(key, None)),
             weakref.ref(graph),
             graph.version,
             schedule.num_stages,
             model,
-            core,
+            hb,
         )
     )
-    del entries[:-_CORE_CACHE_WIDTH]
-    return core
+    del entries[:-_HB_CACHE_WIDTH]
+    return hb
 
 
-class RuntimeSanitizer:
-    """Streams engine events through the happens-before model.
-
-    Raises :class:`SanitizeViolation` at construction for a statically
-    deadlocked schedule, and from :meth:`observe` for any event whose
-    model predecessors were not all observed at an earlier-or-equal
-    timestamp.  Observation is idempotent (the first timestamp wins),
-    which lets the engine report transfer sends/deliveries at post
-    time even though the delivery event fires later.
-    """
-
-    def __init__(
-        self,
-        graph: OpGraph,
-        schedule: Schedule,
-        model: ExecModel | None = None,
-        *,
-        eps: float = 1e-6,
-    ) -> None:
-        core = _core_for(graph, schedule, model)
-        self.hb = core.hb
-        self.eps = eps
-        self._in = core.in_edges
-        self._times: list[float | None] = [None] * self.hb.num_events
-        self.checked_events = 0
-
-    # ------------------------------------------------------------------
-    def observe(self, event: HbEvent, t: float) -> None:
-        idx = self.hb.index.get(event)
-        if idx is None:
-            return
-        if self._times[idx] is not None:
-            return  # already observed (transfer events report early)
-        for src, kind in self._in[idx]:
-            ts = self._times[src]
-            if ts is None or ts > t + self.eps:
-                self._raise(src, idx, kind, ts, t)
-        self._times[idx] = t
-        self.checked_events += 1
-
-    # convenience wrappers the engine calls --------------------------------
-    def observe_launch(self, op: str, t: float) -> None:
-        self.observe(ev_launch(op), t)
-
-    def observe_start(self, op: str, t: float) -> None:
-        self.observe(ev_start(op), t)
-
-    def observe_finish(self, op: str, t: float) -> None:
-        self.observe(ev_finish(op), t)
-
-    def observe_send(self, u: str, v: str, t: float) -> None:
-        self.observe(ev_send(u, v), t)
-
-    def observe_recv(self, u: str, v: str, t: float) -> None:
-        self.observe(ev_recv(u, v), t)
-
-    # ------------------------------------------------------------------
-    def _causal_chain(self, idx: int, limit: int = 8) -> list[str]:
-        """Walk observed predecessors back from ``idx`` (latest first),
-        the TSan-style 'how did we get here' trail."""
-        lines: list[str] = []
-        current = idx
-        for _ in range(limit):
+def check_run(
+    graph: OpGraph,
+    schedule: Schedule,
+    trace: "ExecutionTrace",
+    hb: HbGraph,
+    *,
+    eps: float = 1e-6,
+) -> None:
+    """Raise :class:`SanitizeViolation` for the earliest happens-before
+    violation in the trace of one engine run of ``schedule`` on
+    ``graph`` (by destination time, then event index), with a causal
+    chain; ``hb`` is the graph :func:`sanitizer_for` returned."""
+    violations = check_engine_trace(
+        graph, schedule, trace, eps=eps, structural=True, hb=hb
+    )
+    if not violations:
+        return
+    unknown = hb.num_events  # requirement ends the schedule does not place
+    first = min(violations, key=lambda v: (v.t_dst, hb.index.get(v.dst, unknown)))
+    lines = [
+        f"sanitizer: happens-before violation: {first.describe()}",
+        "causal chain (most recent first):",
+    ]
+    idx = hb.index.get(first.dst)
+    if idx is not None:
+        at = event_times(hb, trace)
+        lines.append(f"  {hb.label(idx)} at t={first.t_dst:.6g}")
+        for _ in range(8):
+            # the latest predecessor that happened: how the run got here
             best: tuple[float, int, str] | None = None
-            for src, kind in self._in[current]:
-                ts = self._times[src]
+            for src, kind in hb.in_edges(idx):
+                ts = at[src]
                 if ts is not None and (best is None or ts > best[0]):
                     best = (ts, src, kind)
             if best is None:
                 break
-            ts, src, kind = best
-            lines.append(
-                f"{self.hb.label(src)} at t={ts:.6g}  [{EDGE_KINDS[kind]}]"
-            )
-            current = src
-        return lines
-
-    def _raise(
-        self, src: int, dst: int, kind: str, ts: float | None, t: float
-    ) -> None:
-        why = EDGE_KINDS[kind]
-        if ts is None:
-            problem = "which has not happened"
-        else:
-            problem = f"which happened later, at t={ts:.6g}"
-        lines = [
-            f"sanitizer: happens-before violation at t={t:.6g}: "
-            f"{self.hb.label(dst)} must come after {self.hb.label(src)} "
-            f"({why}), {problem}",
-            "causal chain (most recent first):",
-            f"  {self.hb.label(dst)} at t={t:.6g}",
-        ]
-        lines.extend(f"  {line}" for line in self._causal_chain(dst))
-        raise SanitizeViolation("\n".join(lines))
+            ts, idx, kind = best
+            lines.append(f"  {hb.label(idx)} at t={ts:.6g}  [{EDGE_KINDS[kind]}]")
+    raise SanitizeViolation("\n".join(lines))

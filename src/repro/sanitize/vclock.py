@@ -20,20 +20,24 @@ sequential interleaving that respects every HB edge:
   consumers start, plus transfer slack across GPUs.  These two are the
   single implementation behind the ``T004`` / ``T005`` lint rules.
 * :func:`check_engine_trace` — requirements plus, for complete traces,
-  every *enforced* edge (the set ``E``) of the compiled HB graph.
-  Partial failure traces skip the structural layer (the run was cut
-  mid-flight) and exempt host-checkpointed producers from transfer
-  slack, exactly like the trace rules; spliced repair traces should be
-  checked with ``structural=False`` because their tail re-ran under a
-  *different* (repaired) schedule.
+  every *enforced* edge (the set ``E``) of the compiled HB graph: an
+  event the trace holds must follow each of its enforced predecessors,
+  which must be in the trace too.  Partial failure traces read from
+  disk skip the structural layer (the run was cut mid-flight) and
+  exempt host-checkpointed producers from transfer slack, exactly like
+  the trace rules; spliced repair traces should be checked with
+  ``structural=False`` because their tail re-ran under a *different*
+  (repaired) schedule.  The engine's ``HIOS_SANITIZE=1`` check runs it
+  on every trace it writes, structural layer on
+  (:mod:`repro.sanitize.runtime`).
 * :func:`check_timeline` — serve timelines: span lifecycle order plus
-  exclusive-GPU-lease serialization.
+  exclusive-GPU-lease serialization, through the same edge loop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Iterator, Mapping
 
 from ..core.graph import OpGraph
 from ..core.schedule import Schedule
@@ -61,6 +65,7 @@ __all__ = [
     "transfer_violations",
     "check_engine_trace",
     "check_timeline",
+    "event_times",
     "timeline_hb_graph",
     "thread_of",
 ]
@@ -243,27 +248,44 @@ def transfer_violations(
 # ----------------------------------------------------------------------
 # full linearization checks
 # ----------------------------------------------------------------------
-def _event_times(
-    trace: "ExecutionTrace", known: Iterable[str]
-) -> dict[HbEvent, float]:
-    times: dict[HbEvent, float] = {}
-    ops = set(known)
-    for op, t in trace.op_launch.items():
-        if op in ops:
-            times[ev_launch(op)] = t
-    for op, t in trace.op_start.items():
-        if op in ops:
-            times[ev_start(op)] = t
-    for op, t in trace.op_finish.items():
-        if op in ops:
-            times[ev_finish(op)] = t
+def event_times(hb: HbGraph, trace: "ExecutionTrace") -> list[float | None]:
+    """Each event of ``hb``'s timestamp in ``trace``, by event index
+    (``None``: the trace holds no such event)."""
+    at: list[float | None] = [None] * hb.num_events
+    index = hb.index
+    for kind, stamps in (
+        ("launch", trace.op_launch),
+        ("start", trace.op_start),
+        ("finish", trace.op_finish),
+    ):
+        for op, t in stamps.items():
+            i = index.get(HbEvent(kind, op))
+            if i is not None:
+                at[i] = t
     for rec in trace.transfers:
         u, _, v = rec.tag.partition("->")
-        if not v or u not in ops or v not in ops:
-            continue
-        times[ev_send(u, v)] = rec.post_time
-        times[ev_recv(u, v)] = rec.finish_time
-    return times
+        i, j = index.get(ev_send(u, v)), index.get(ev_recv(u, v))
+        if i is not None:
+            at[i] = rec.post_time
+        if j is not None:
+            at[j] = rec.finish_time
+    return at
+
+
+def _edge_violations(
+    hb: HbGraph, trace: "ExecutionTrace", eps: float
+) -> Iterator[HbViolation]:
+    """Every enforced edge whose destination the trace holds but whose
+    source it holds later, or not at all (the source never happened)."""
+    at = event_times(hb, trace)
+    events = hb.events
+    for a, ts in enumerate(at):
+        for b, kind in hb.out_edges(a):
+            td = at[b]
+            if td is not None and (ts is None or td < ts - eps):
+                yield HbViolation(
+                    kind=kind, src=events[a], dst=events[b], t_dst=td, t_src=ts
+                )
 
 
 def check_engine_trace(
@@ -274,16 +296,21 @@ def check_engine_trace(
     *,
     eps: float = 1e-6,
     structural: bool | None = None,
+    hb: HbGraph | None = None,
 ) -> list[HbViolation]:
     """Verify an engine trace is a linearization of the HB graph.
 
     ``structural=None`` (the default) checks the enforced-edge layer
     only for complete traces: a partial failure trace was cut
-    mid-flight, and a spliced repair trace re-ran its tail under a
-    different schedule — pass ``structural=False`` explicitly for the
-    latter (it has no ``failure`` marker).  ``model`` must match the
-    engine configuration that produced the trace; the default matches
-    a default :class:`~repro.substrate.engine.EngineConfig`.
+    mid-flight, and a spliced repair trace, which keeps its
+    ``failure`` marker, re-ran its tail under a different schedule.
+    In that layer an event whose enforced predecessor is missing from
+    the trace is a violation too.  ``model`` must match the engine
+    configuration that produced the trace; the default matches a
+    default :class:`~repro.substrate.engine.EngineConfig`.  ``hb``,
+    when given, is that graph already compiled from ``(graph,
+    schedule, model)`` (the engine passes its memoized one) and
+    replaces ``model``.
     """
     failure = getattr(trace, "failure", None)
     checkpointed = (
@@ -298,18 +325,9 @@ def check_engine_trace(
     if structural is None:
         structural = failure is None
     if structural:
-        hb = build_hb_graph(graph, schedule, model)
-        times = _event_times(trace, hb.gpu_of)
-        for src, dst, kind in hb.iter_edges():
-            ts, td = times.get(src), times.get(dst)
-            if ts is None or td is None:
-                continue  # unobserved endpoint: nothing to contradict
-            if td < ts - eps:
-                out.append(
-                    HbViolation(
-                        kind=kind, src=src, dst=dst, t_dst=td, t_src=ts
-                    )
-                )
+        if hb is None:
+            hb = build_hb_graph(graph, schedule, model)
+        out.extend(_edge_violations(hb, trace, eps))
     return out
 
 
@@ -344,15 +362,4 @@ def check_timeline(
     eps: float = 1e-6,
 ) -> list[HbViolation]:
     """Verify a serve timeline linearizes its lease-order HB graph."""
-    hb = timeline_hb_graph(trace, op_gpu)
-    times = _event_times(trace, {ev.op for ev in hb.events})
-    out: list[HbViolation] = []
-    for src, dst, kind in hb.iter_edges():
-        ts, td = times.get(src), times.get(dst)
-        if ts is None or td is None:
-            continue
-        if td < ts - eps:
-            out.append(
-                HbViolation(kind=kind, src=src, dst=dst, t_dst=td, t_src=ts)
-            )
-    return out
+    return list(_edge_violations(timeline_hb_graph(trace, op_gpu), trace, eps))

@@ -43,7 +43,7 @@ import heapq
 import math
 from collections import deque
 from dataclasses import asdict, dataclass
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from ..core.graph import OpGraph
 from ..core.schedule import Schedule
@@ -51,9 +51,6 @@ from ..formats import TRACE_FORMAT, scalar_fields
 from .faults import FailureEvent, FaultPlan, GpuFailure, GpuRepair, GpuSlowdown
 from .link import LinkModel, NVLINK_BRIDGE
 from .mpi import SimFabric, TransferRecord
-
-if TYPE_CHECKING:
-    from ..sanitize.runtime import RuntimeSanitizer
 
 __all__ = [
     "EngineError",
@@ -125,14 +122,16 @@ class EngineConfig:
     the engine raises a diagnostic :class:`EngineError` instead of
     jumping ahead.
 
-    ``sanitize`` controls the TSan-style happens-before sanitizer
+    ``sanitize`` controls the happens-before check
     (:mod:`repro.sanitize.runtime`): ``True`` forces it on, ``False``
     off, and ``None`` (the default) defers to the ``HIOS_SANITIZE``
     environment variable.  When active, the run first fails fast on
     statically deadlocked schedules (with a witness cycle, before the
-    event loop ever starts) and then cross-checks every launch, kernel
-    start/finish and transfer post/delivery against the happens-before
-    model, raising with a causal chain on any contradiction.
+    event loop ever starts), and after the run checks the trace it
+    wrote — every launch, kernel start/finish and transfer
+    post/delivery — against the happens-before model, raising
+    :class:`~repro.sanitize.SanitizeViolation` with a causal chain for
+    the earliest contradiction.
     """
 
     launch_overhead_ms: float = 0.007
@@ -336,15 +335,18 @@ class MultiGpuEngine:
         plan = cfg.faults if cfg.faults else None
         if plan is not None:
             plan.validate_for(M)
-        # TSan-style happens-before sanitizer (HIOS_SANITIZE / cfg.sanitize).
-        # Imported lazily: repro.sanitize depends on this module for its
-        # exception hierarchy.  Construction statically detects deadlocked
-        # schedules and raises with a witness cycle before the run state
-        # (and in particular its first event) exists.
-        from ..sanitize.runtime import sanitizer_for
+        # happens-before check (HIOS_SANITIZE / cfg.sanitize), imported
+        # lazily: repro.sanitize depends on this module for its exception
+        # hierarchy.  A deadlocked schedule raises with a witness cycle
+        # before the run state (and in particular its first event) exists;
+        # the trace the run wrote is checked once it is over.
+        from ..sanitize.runtime import check_run, sanitizer_for
 
-        sanitizer = sanitizer_for(graph, schedule, cfg)
-        return _EngineRun(graph, schedule, cfg, plan, sanitizer).drain()
+        hb = sanitizer_for(graph, schedule, cfg)
+        trace = _EngineRun(graph, schedule, cfg, plan).drain()
+        if hb is not None:
+            check_run(graph, schedule, trace, hb)
+        return trace
 
 
 _Handler = Callable[[float, Any], None]
@@ -372,12 +374,10 @@ class _EngineRun:
         schedule: Schedule,
         cfg: EngineConfig,
         plan: FaultPlan | None,
-        sanitizer: RuntimeSanitizer | None,
     ) -> None:
         M = schedule.num_gpus
         self.graph = graph
         self.cfg = cfg
-        self.sanitizer = sanitizer
         self.num_gpus = M
         self.fabric = SimFabric(
             max(M, 1), cfg.link, serialize=cfg.fabric_serializes, faults=plan
@@ -512,8 +512,6 @@ class _EngineRun:
     def on_launch(self, time: float, op: str) -> None:
         """The host's launch call for ``op`` returned at ``time``."""
         self.op_launch[op] = time
-        if self.sanitizer is not None:
-            self.sanitizer.observe_launch(op, time)
         self.last_progress = self.now
         self.try_start(self.gpu_of[op], op, self.now)
 
@@ -577,8 +575,6 @@ class _EngineRun:
             return
         self.settle(g, t)
         self.op_start[op] = t
-        if self.sanitizer is not None:
-            self.sanitizer.observe_start(op, t)
         cost = self.graph.cost(op)
         if cfg.launch_included_in_cost:
             cost = max(0.0, cost - cfg.launch_overhead_ms)
@@ -590,8 +586,6 @@ class _EngineRun:
         del self.running[g][op]
         self.recompute_slowdown(g)
         self.op_finish[op] = t
-        if self.sanitizer is not None:
-            self.sanitizer.observe_finish(op, t)
         succ = self.stream_succ.get(op)
         if succ is not None:
             self.try_start(g, succ, t)
@@ -628,12 +622,6 @@ class _EngineRun:
                 num_bytes=graph.operator(op).output_bytes, tag=f"{op}->{s}",
             )
             self.push(delivery, self.on_arrival, s)
-            if self.sanitizer is not None:
-                # transfer events are reported at post time with their
-                # real timestamps; observation is idempotent, so the
-                # arrival needs no second report
-                self.sanitizer.observe_send(op, s, post_at)
-                self.sanitizer.observe_recv(op, s, delivery)
             cursor = delivery
             last_delivery = max(last_delivery, delivery)
         if blocking and last_delivery > t:

@@ -7,11 +7,12 @@ output feasibility fails loudly at the point of emission.  Tests that
 need the hook off (e.g. to assert the opt-out) override the variable
 locally with ``monkeypatch``.
 
-Also turns on ``HIOS_SANITIZE``: every engine run in the suite streams
-its events through the TSan-style happens-before sanitizer
+Also turns on ``HIOS_SANITIZE``: every engine run in the suite checks
+the trace it wrote against the happens-before model
 (:mod:`repro.sanitize.runtime`), so an engine change that breaks an
 ordering guarantee — or a scheduler emitting a racy schedule — raises
-with a causal chain at the exact event that contradicts the model.
+with a causal chain from the earliest event that contradicts the
+model.
 Tests exercising the legacy dynamic diagnostics (stall watchdog,
 deadlock stall report) opt out per-run with ``sanitize=False``.
 """

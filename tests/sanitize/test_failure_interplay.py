@@ -114,7 +114,7 @@ class TestCorruptedHistories:
         assert all(f.location == "edge:a->b" for f in findings)
 
     def test_engine_rejects_corrupted_replay_live(self, deadlock_pair):
-        """The runtime sanitizer is the last line: an engine driven
+        """The engine's happens-before check is the last line: an engine driven
         into a cyclic wait dies with the witness, not the watchdog."""
         graph, schedule = deadlock_pair
         from repro.sanitize import SanitizeViolation

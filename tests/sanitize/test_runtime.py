@@ -1,13 +1,15 @@
-"""The TSan-style engine sanitizer (``HIOS_SANITIZE=1``)."""
+"""The engine's happens-before check (``HIOS_SANITIZE=1``)."""
+
+from dataclasses import replace
 
 import pytest
 
 from repro.core import OpGraph, Schedule, Stage, priority_order
 from repro.core.api import make_profile, schedule_graph
 from repro.models.randomdag import random_layered_dag
-from repro.sanitize import RuntimeSanitizer, SanitizeViolation, sanitize_enabled
-from repro.sanitize.runtime import sanitizer_for
-from repro.substrate import EngineConfig, FaultPlan, MultiGpuEngine
+from repro.sanitize import SanitizeViolation, sanitize_enabled
+from repro.sanitize.runtime import check_run, sanitizer_for
+from repro.substrate import EngineConfig, ExecutionTrace, FaultPlan, MultiGpuEngine
 
 from .conftest import make_engine
 
@@ -86,75 +88,69 @@ class TestStaticDeadlockPreemption:
     def test_constructor_rejects_cyclic_schedule(self, deadlock_pair):
         graph, schedule = deadlock_pair
         with pytest.raises(SanitizeViolation, match="witness cycle"):
-            RuntimeSanitizer(graph, schedule)
+            sanitizer_for(graph, schedule, EngineConfig(sanitize=True))
+
+
+def crafted_trace(launch=None, start=None, finish=None):
+    """A complete trace holding only the given operator timestamps."""
+    return ExecutionTrace(
+        latency=max((finish or {}).values(), default=0.0),
+        op_launch=dict(launch or {}),
+        op_start=dict(start or {}),
+        op_finish=dict(finish or {}),
+        transfers=[],
+        gpu_busy={},
+    )
 
 
 class TestObserve:
+    """:func:`check_run`, the engine's post-run check, over crafted
+    traces: it raises for the earliest violation with a causal chain."""
+
     def test_clean_run_replays_event_by_event(self, diamond, diamond_schedule):
-        """Replaying a recorded clean trace through the sanitizer in
-        causal time order raises nothing and checks every event."""
-        sanitizer = RuntimeSanitizer(diamond, diamond_schedule)
+        """A recorded clean trace checks clean."""
+        hb = sanitizer_for(diamond, diamond_schedule, EngineConfig(sanitize=True))
         trace = make_engine(sanitize=False).run(diamond, diamond_schedule)
-        # (time, tiebreak) ordering: at equal timestamps predecessors
-        # must be observed first (finish < send < recv < launch < start)
-        timeline = []
-        for rank, kind in enumerate(("finish", "send", "recv", "launch", "start")):
-            if kind in ("send", "recv"):
-                continue
-            for op, t in getattr(trace, f"op_{kind}").items():
-                timeline.append((t, rank, kind, (op,)))
-        for rec in trace.transfers:
-            u, _, v = rec.tag.partition("->")
-            timeline.append((rec.post_time, 1, "send", (u, v)))
-            timeline.append((rec.finish_time, 2, "recv", (u, v)))
-        for t, _rank, kind, args in sorted(timeline):
-            getattr(sanitizer, f"observe_{kind}")(*args, t)
-        assert sanitizer.checked_events == len(timeline)
+        assert trace.transfers  # the cross-GPU events are checked too
+        check_run(diamond, diamond_schedule, trace, hb)
 
     def test_out_of_order_event_raises_with_causal_chain(
         self, chain, split_schedule
     ):
-        sanitizer = RuntimeSanitizer(chain, split_schedule)
-        sanitizer.observe_launch("a", 0.0)
-        sanitizer.observe_start("a", 0.0)
+        hb = sanitizer_for(chain, split_schedule, EngineConfig(sanitize=True))
+        # finish(a) claims a time before start(a): lifecycle broken
+        trace = crafted_trace({"a": 0.0}, {"a": 0.0}, {"a": -1.0})
         with pytest.raises(SanitizeViolation) as err:
-            # finish(a) claims a time before start(a): lifecycle broken
-            sanitizer.observe_finish("a", -1.0)
+            check_run(chain, split_schedule, trace, hb)
         msg = str(err.value)
         assert "happens-before violation" in msg
-        assert "causal chain" in msg
         assert "kernel lifecycle order" in msg
+        assert "causal chain" in msg
+        assert "start('a') on GPU 0 at t=0" in msg
 
     def test_unobserved_predecessor_raises(self, chain, split_schedule):
-        sanitizer = RuntimeSanitizer(chain, split_schedule)
-        with pytest.raises(SanitizeViolation, match="has not happened"):
-            sanitizer.observe_start("a", 0.5)  # launch(a) never observed
+        hb = sanitizer_for(chain, split_schedule, EngineConfig(sanitize=True))
+        trace = crafted_trace(start={"a": 0.5})  # launch(a) never happened
+        with pytest.raises(SanitizeViolation, match="never happened"):
+            check_run(chain, split_schedule, trace, hb)
 
     def test_same_gpu_dependency_checked_as_requirement(self, chain):
         # dependent ops sharing a stage on separate stream lanes: the
-        # appended same-GPU requirement edge is the only guard left
-        from repro.sanitize import ExecModel
-
+        # same-GPU requirement is the only guard left
         s = Schedule(1, [Stage(0, ("a", "b"))])
-        sanitizer = RuntimeSanitizer(chain, s, ExecModel(max_streams=2))
-        sanitizer.observe_launch("a", 0.0)
-        sanitizer.observe_launch("b", 0.0)
-        sanitizer.observe_start("a", 0.0)
-        sanitizer.observe_finish("a", 1.0)
+        hb = sanitizer_for(chain, s, EngineConfig(max_streams=2, sanitize=True))
+        trace = crafted_trace(
+            {"a": 0.0, "b": 0.0}, {"a": 0.0, "b": 0.5}, {"a": 1.0, "b": 1.5}
+        )
         with pytest.raises(SanitizeViolation, match="dataflow dependency"):
-            sanitizer.observe_start("b", 0.5)  # before finish(a)
-
-    def test_observe_is_idempotent(self, chain, split_schedule):
-        sanitizer = RuntimeSanitizer(chain, split_schedule)
-        sanitizer.observe_launch("a", 0.0)
-        checked = sanitizer.checked_events
-        sanitizer.observe_launch("a", 99.0)  # later duplicate: ignored
-        assert sanitizer.checked_events == checked
+            check_run(chain, s, trace, hb)  # start(b) before finish(a)
 
     def test_unknown_events_are_ignored(self, chain, split_schedule):
-        sanitizer = RuntimeSanitizer(chain, split_schedule)
-        sanitizer.observe_start("not-an-op", 0.0)  # no crash, no count
-        assert sanitizer.checked_events == 0
+        """A trace operator outside the schedule is not checked."""
+        hb = sanitizer_for(chain, split_schedule, EngineConfig(sanitize=True))
+        trace = make_engine(sanitize=False).run(chain, split_schedule)
+        trace.op_start["not-an-op"] = -5.0  # no launch, no finish, no crash
+        check_run(chain, split_schedule, trace, hb)
 
 
 class TestEngineIntegration:
@@ -200,7 +196,7 @@ class TestEngineIntegration:
     def test_sanitized_trace_equals_unsanitized(self, diamond, diamond_schedule):
         base = make_engine(sanitize=False).run(diamond, diamond_schedule)
         checked = make_engine(sanitize=True).run(diamond, diamond_schedule)
-        assert checked == base  # observation must not perturb the run
+        assert checked == base  # the check must not perturb the run
 
     @pytest.mark.parametrize(
         "knobs",
@@ -219,3 +215,75 @@ class TestEngineIntegration:
         checked = make_engine(sanitize=True, **knobs).run(diamond, diamond_schedule)
         assert checked == base
         assert (base.failure is None) == ("faults" not in knobs)
+
+
+# Engine bugs the check must catch, each a change to a fresh run state
+# (``_EngineRun`` after its constructor, before its first event).
+def deliver_at_post_time(run):
+    """A remote input is handed to its consumer at the send's post
+    time; the fabric still records the real delivery."""
+    post_send = run.fabric.post_send
+
+    def at_post_time(time, *args, **kwargs):
+        post_send(time, *args, **kwargs)
+        return time
+
+    run.fabric.post_send = at_post_time
+
+
+def ignore_stream_lanes(run):
+    """Kernels stop waiting for their stream-lane predecessor."""
+    run.stream_pred.clear()
+
+
+def release_stages_early(run):
+    """Each GPU's next stage is released one operator early."""
+    run.stage_remaining = [n - 1 for n in run.stage_remaining]
+
+
+def post_sends_at_once(run):
+    """Blocking sends are all posted when the producer finishes."""
+    run.cfg = replace(run.cfg, send_blocking=False)
+
+
+def _bug_case(bug):
+    """(graph, schedule, engine knobs) of a run whose trace ``bug`` changes."""
+    if bug is deliver_at_post_time:
+        graph = OpGraph.from_edges({"a": 1.0, "b": 1.0}, [("a", "b", 0.5)])
+        return graph, Schedule(2, [Stage(0, ("a",)), Stage(1, ("b",))]), {}
+    if bug is ignore_stream_lanes:
+        graph = OpGraph.from_edges({"a": 1.0, "b": 1.0, "c": 1.0}, [])
+        return graph, Schedule(1, [Stage(0, ("a", "b", "c"))]), {"max_streams": 2}
+    if bug is release_stages_early:
+        graph = OpGraph.from_edges({"a": 1.0, "b": 2.0, "c": 1.0}, [])
+        stages = [Stage(0, ("a", "b")), Stage(0, ("c",))]
+        return graph, Schedule(1, stages), {}
+    graph = OpGraph.from_edges(
+        {"a": 1.0, "b": 1.0, "c": 1.0}, [("a", "b", 0.5), ("a", "c", 0.5)]
+    )
+    stages = [Stage(0, ("a",)), Stage(1, ("b",)), Stage(2, ("c",))]
+    return graph, Schedule(3, stages), {}
+
+
+class TestCatchesEngineBugs:
+    @pytest.mark.parametrize(
+        "bug",
+        [deliver_at_post_time, ignore_stream_lanes, release_stages_early, post_sends_at_once],
+        ids=lambda bug: bug.__name__,
+    )
+    def test_sanitized_run_raises(self, bug, monkeypatch):
+        from repro.substrate import engine as engine_mod
+
+        graph, schedule, knobs = _bug_case(bug)
+        clean = make_engine(sanitize=False, **knobs).run(graph, schedule)
+        init = engine_mod._EngineRun.__init__
+
+        def buggy_init(self, *args):
+            init(self, *args)
+            bug(self)
+
+        monkeypatch.setattr(engine_mod._EngineRun, "__init__", buggy_init)
+        buggy = make_engine(sanitize=False, **knobs).run(graph, schedule)
+        assert buggy != clean  # the bug shows in the trace
+        with pytest.raises(SanitizeViolation, match="happens-before violation"):
+            make_engine(sanitize=True, **knobs).run(graph, schedule)

@@ -5,7 +5,8 @@ a typed error at the library boundary, and as an exit code with one
 public entry point that takes a graph or a schedule raises its typed
 error on an invalid one, whatever the graph's recorded validity,
 non-finite cost-model and engine knobs are rejected where they are set,
-and the CLI's numeric flags are range-checked by its parser."""
+the CLI's numeric flags are range-checked by its parser, and ``repro
+report`` rejects a claimed figure artifact that is not a figure document."""
 
 from __future__ import annotations
 
@@ -153,6 +154,25 @@ def test_malformed_trace_is_a_typed_failure(tmp_path, capsys, text):
         lines = out.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), out
 
+
+
+#: claimed figure artifacts that are not figure documents, as raw JSON text
+BAD_FIGURES = {
+    "not-a-figure": '{"gate": 1}',
+    "truncated": "[1,2",
+    "scalar-series": json.dumps(
+        {"figure": "fig1", "title": "t", "x_label": "x", "y_label": "y", "x": [64], "series": 5}
+    ),
+}
+
+
+@pytest.mark.parametrize("text", BAD_FIGURES.values(), ids=BAD_FIGURES.keys())
+def test_report_on_a_malformed_figure_is_a_typed_failure(tmp_path, capsys, text):
+    (tmp_path / "fig1.json").write_text(text)
+    code, out = _run(capsys, ["report", "--results", str(tmp_path)])
+    assert code == 2
+    lines = out.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "fig1.json" in lines[0], out
 
 
 def test_malformed_trace_names_its_cause_once(tmp_path, capsys):

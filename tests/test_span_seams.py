@@ -47,6 +47,9 @@ def test_hios_entries_record_their_layer_spans(recorder, alg, spatial):
     api.schedule_graph(profile, alg)
     recorded = {span[0] for span in recorder.spans}
     windowed = "window" in api.algorithm_options(alg)
-    assert {"core.schedule", spatial, "core.eval"} <= recorded
+    assert {"core.schedule", spatial} <= recorded
     assert ("core.intra_gpu" in recorded) == windowed
+    # Alg. 2's first evaluation prices a windowed entry's singleton
+    # schedule; only the unwindowed ones call ``soa_latency``
+    assert ("core.eval" in recorded) == (not windowed)
     assert recorder.counts["core.soa_evals"] > 0
